@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import CycloNum, normalize_scalar, zeta_pow
+from .cyclotomic import CycloNum, format_scalar, zeta_pow
 from .appell import apostol_bernoulli, frobenius_euler
 from .dedekind import e_sum, ramanujan_sum, v_sum
 from .errors import (
@@ -78,13 +78,6 @@ def _unicode_ok() -> bool:
     return True
 
 
-def _scalar_str(value) -> str:
-    value = normalize_scalar(value)
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return value.canonical_str()
-
-
 def _emit(cfg: CliConfig, fields: list[tuple[str, str]], human: str) -> None:
     """fields are (name, value) pairs in fixed order; human is the terse form."""
     if cfg.format == "json":
@@ -132,7 +125,7 @@ def _poly_out(cfg: CliConfig, poly: QPoly, fields: list[tuple[str, str]]) -> Non
 def cmd_poly(cfg: CliConfig, args: argparse.Namespace) -> int:
     lam = Fraction(1) if args.classical else parse_rational(args.lam)
     poly = apostol_bernoulli(args.m, lam)
-    _poly_out(cfg, poly, [("m", str(args.m)), ("lambda", _scalar_str(lam))])
+    _poly_out(cfg, poly, [("m", str(args.m)), ("lambda", format_scalar(lam))])
     return 0
 
 
@@ -146,8 +139,8 @@ def cmd_hpoly(cfg: CliConfig, args: argparse.Namespace) -> int:
         [
             ("m", str(args.m)),
             ("p", str(args.p)),
-            ("lambda", _scalar_str(lam)),
-            ("gamma", _scalar_str(gamma)),
+            ("lambda", format_scalar(lam)),
+            ("gamma", format_scalar(gamma)),
         ],
     )
     return 0
@@ -162,12 +155,12 @@ def cmd_esum(cfg: CliConfig, args: argparse.Namespace) -> int:
         ("n", str(args.n)),
         ("r", str(args.r)),
         ("p", str(args.p)),
-        ("lambda", _scalar_str(lam)),
+        ("lambda", format_scalar(lam)),
         ("seq", args.seq),
     ]
     if args.at is not None:
         value = poly.eval_at(parse_rational(args.at))
-        text = _scalar_str(value)
+        text = format_scalar(value)
         _emit(cfg, fields + [("at", args.at), ("value", text)], text)
     else:
         _poly_out(cfg, poly, fields)
@@ -177,10 +170,10 @@ def cmd_esum(cfg: CliConfig, args: argparse.Namespace) -> int:
 def cmd_vsum(cfg: CliConfig, args: argparse.Namespace) -> int:
     lam = parse_rational(args.lam)
     value = v_sum(args.n, args.k, lam)
-    text = _scalar_str(value)
+    text = format_scalar(value)
     _emit(
         cfg,
-        [("n", str(args.n)), ("k", str(args.k)), ("lambda", _scalar_str(lam)), ("value", text)],
+        [("n", str(args.n)), ("k", str(args.k)), ("lambda", format_scalar(lam)), ("value", text)],
         text,
     )
     return 0

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 
@@ -83,16 +83,25 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=256)
+def _phi(level: int) -> int:
+    """phi(level): the number of coordinates of a level-`level` element."""
+    return cyclotomic_poly(level).degree
+
+
 class CycloNum:
     """Element of Q(zeta_n): integer numerators nums over a positive den,
-    fully cancelled, zero normalized to all-zero nums over 1."""
+    fully cancelled, zero normalized to all-zero nums over 1.
+
+    The constructor validates and normalizes whatever it is given.  Inside
+    this module, results whose data is already canonical are built with the
+    trusted _make, and results that only need cancelling with _cancel.
+    """
 
     __slots__ = ("level", "nums", "den")
 
     def __init__(self, level: int, nums, den: int = 1):
-        # trusted fast path for normalized data lives in _make; this
-        # constructor normalizes whatever it is given
-        d = cyclotomic_poly(level).degree
+        d = _phi(level)
         ns = list(nums)
         if len(ns) != d:
             raise ValueError(f"level {level} needs {d} coordinates, got {len(ns)}")
@@ -120,8 +129,7 @@ class CycloNum:
                 raise ValueError("cross-level cyclotomic coercion")
             value = r
         value = Fraction(value)
-        d = cyclotomic_poly(level).degree
-        return cls(level, [value.numerator] + [0] * (d - 1), value.denominator)
+        return _make(level, (value.numerator,) + (0,) * (_phi(level) - 1), value.denominator)
 
     @classmethod
     def from_coeffs(cls, level: int, coeffs) -> CycloNum:
@@ -143,63 +151,68 @@ class CycloNum:
             return None
         return Fraction(self.nums[0], self.den)
 
-    def _pair(self, other) -> tuple[CycloNum, CycloNum] | None:
-        if isinstance(other, CycloNum):
-            if other.level == self.level:
-                return self, other
-            r = other.is_rational()
-            if r is not None:
-                return self, CycloNum.of(self.level, r)
-            rs = self.is_rational()
-            if rs is not None:
-                return CycloNum.of(other.level, rs), other
-            raise ValueError("cross-level cyclotomic arithmetic")
-        if isinstance(other, (int, Fraction)):
-            return self, CycloNum.of(self.level, other)
-        return None
+    # Arithmetic with a rational operand (int, Fraction or rational-valued
+    # CycloNum of any level) scales or shifts the numerator vector of the
+    # other operand; only two irrational operands need conv + reduce_cyclo,
+    # and those must share a level.
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        r = _ratio(other)
+        if r is not None:
+            return _shifted(self, *r)
+        if not isinstance(other, CycloNum):
             return NotImplemented
-        a, b = pair
-        nums = _K.vec_lincomb(a.nums, b.nums, b.den, a.den)
-        return CycloNum(a.level, nums, a.den * b.den)
+        r = _ratio(self)
+        if r is not None:
+            return _shifted(other, *r)
+        _same_level(self, other)
+        nums = _K.vec_lincomb(self.nums, other.nums, other.den, self.den)
+        return _cancel(self.level, nums, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycloNum:
-        return CycloNum(self.level, _K.vec_scale(self.nums, -1), self.den)
+        return _make(self.level, tuple(_K.vec_scale(self.nums, -1)), self.den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        r = _ratio(other)
+        if r is not None:
+            return _shifted(self, -r[0], r[1])
+        if not isinstance(other, CycloNum):
             return NotImplemented
-        a, b = pair
-        nums = _K.vec_lincomb(a.nums, b.nums, b.den, -a.den)
-        return CycloNum(a.level, nums, a.den * b.den)
+        r = _ratio(self)
+        if r is not None:
+            return _shifted(-other, *r)
+        _same_level(self, other)
+        nums = _K.vec_lincomb(self.nums, other.nums, other.den, -self.den)
+        return _cancel(self.level, nums, self.den * other.den)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        r = _ratio(other)
+        if r is not None:
+            return _scaled(self, *r)
+        if not isinstance(other, CycloNum):
             return NotImplemented
-        a, b = pair
-        d = cyclotomic_poly(a.level).degree
-        prod = _K.conv(a.nums, b.nums)
-        nums = _K.reduce_cyclo(prod, _reduction_rows(a.level), d)
-        return CycloNum(a.level, nums, a.den * b.den)
+        r = _ratio(self)
+        if r is not None:
+            return _scaled(other, *r)
+        _same_level(self, other)
+        nums = _K.reduce_cyclo(
+            _K.conv(self.nums, other.nums), _reduction_rows(self.level), len(self.nums)
+        )
+        return _cancel(self.level, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if isinstance(other, (int, Fraction)):
+            other = CycloNum.of(self.level, other)
+        elif not isinstance(other, CycloNum):
             return NotImplemented
-        a, b = pair
-        return a * cyclo_inv(b)
+        return self * cyclo_inv(other)
 
     def __rtruediv__(self, other):
         return cyclo_inv(self).__mul__(other)
@@ -263,11 +276,73 @@ class CycloNum:
         return f"CycloNum({self.canonical_str()})"
 
 
+def _make(level: int, nums: tuple[int, ...], den: int) -> CycloNum:
+    """Trusted constructor: nums is a phi(level)-tuple over den > 0, already
+    fully cancelled (zero as all-zero nums over 1).  Nothing is checked."""
+    a = object.__new__(CycloNum)
+    a.level = level
+    a.nums = nums
+    a.den = den
+    return a
+
+
+def _cancel(level: int, nums, den: int) -> CycloNum:
+    """_make after the gcd pass, for phi(level) numerators over den > 0."""
+    g = _K.vec_content(nums, den)
+    if g > 1:
+        return _make(level, tuple(v // g for v in nums), den // g)
+    return _make(level, tuple(nums), den)
+
+
+def _ratio(x) -> tuple[int, int] | None:
+    """(p, q) with x = p/q in lowest terms, q > 0, for a rational scalar or a
+    rational-valued CycloNum; None for anything else."""
+    if isinstance(x, CycloNum):
+        return None if any(x.nums[1:]) else (x.nums[0], x.den)
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return None
+
+
+def _scaled(a: CycloNum, p: int, q: int) -> CycloNum:
+    """a * p/q for p/q in lowest terms.
+
+    As in Fraction multiplication, the common factor of p*nums and q*den is
+    gcd(p, den) * gcd(nums, q), because both pairs (nums, den) and (p, q)
+    are coprime; p = 0 gives gcd(p, den) = den and the canonical zero.
+    """
+    g = gcd(p, a.den)
+    nums = a.nums
+    if q > 1:
+        h = _K.vec_content(nums, q)
+        if h > 1:
+            nums = [v // h for v in nums]
+            q //= h
+    return _make(a.level, tuple(_K.vec_scale(nums, p // g)), a.den // g * q)
+
+
+def _shifted(a: CycloNum, p: int, q: int) -> CycloNum:
+    """a + p/q for p/q in lowest terms."""
+    if q == 1:
+        # adding a multiple of den to one numerator keeps the gcd with den
+        return _make(a.level, (a.nums[0] + p * a.den,) + a.nums[1:], a.den)
+    nums = _K.vec_scale(a.nums, q)
+    nums[0] += p * a.den
+    return _cancel(a.level, nums, a.den * q)
+
+
+def _same_level(a: CycloNum, b: CycloNum) -> None:
+    if a.level != b.level:
+        raise ValueError("cross-level cyclotomic arithmetic")
+
+
 @lru_cache(maxsize=None)
 def zeta_pow(n: int, k: int) -> CycloNum:
     """zeta_n^(k mod n) as a reduced level-n element."""
     k %= n
-    d = cyclotomic_poly(n).degree
+    d = _phi(n)
     if k == 0:
         return CycloNum.of(n, 1)
     if k < d:
@@ -333,7 +408,7 @@ def cyclo_inv(a: CycloNum) -> CycloNum:
     if len(g) != 1:
         raise ArithmeticError("reduction modulus is not squarefree at this element")
     scale = 1 / g[0]
-    d = cyclotomic_poly(a.level).degree
+    d = _phi(a.level)
     s = list(s0)
     while s and not s[-1]:
         s.pop()
@@ -367,6 +442,15 @@ def normalize_scalar(x):
         r = x.is_rational()
         return r if r is not None else x
     return x
+
+
+def format_scalar(x) -> str:
+    """Canonical text of an exact scalar: "a/b" for any rational, else the
+    CycloNum's canonical_str()."""
+    x = normalize_scalar(x)
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    return x.canonical_str()
 
 
 def rational_poly(poly):

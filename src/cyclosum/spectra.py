@@ -17,7 +17,7 @@ from .arith import totatives
 from .cyclotomic import CycloNum, cyclo_inv, zeta_pow
 from .errors import InvalidParam, SequenceFileError
 from .qpoly import QPoly
-from .scalars import parse_rational
+from .scalars import format_rational, parse_rational
 
 
 class _Cycle:
@@ -54,15 +54,11 @@ class _Cycle:
         vals = []
         for v in self.values:
             r = v.is_rational()
-            vals.append(_fmt_rat(r) if r is not None else v.to_json())
+            vals.append(format_rational(r) if r is not None else v.to_json())
         return {"n": self.n, "values": vals}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n}, {[v.canonical_str() for v in self.values]})"
-
-
-def _fmt_rat(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
 class PeriodicSeq(_Cycle):
@@ -85,8 +81,13 @@ def dft_forward(k_seq: SpectralSeq) -> PeriodicSeq:
     return PeriodicSeq(n, out)
 
 
+@lru_cache(maxsize=256)
 def dft_inverse(c_seq: PeriodicSeq) -> SpectralSeq:
-    """K_j = (1/n) sum_k C_k zeta_n^{-kj}; exact inverse of dft_forward."""
+    """K_j = (1/n) sum_k C_k zeta_n^{-kj}; exact inverse of dft_forward.
+
+    Cached by the sequence's value: a campaign asks for the spectrum of the
+    same few sequences once per case.  The result is immutable.
+    """
     n = c_seq.n
     w = Fraction(1, n)
     out = []

@@ -26,11 +26,11 @@ from math import factorial
 
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
-from .cyclotomic import CycloNum, normalize_scalar
+from .cyclotomic import CycloNum, format_scalar, normalize_scalar
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision
 from .qpoly import QPoly, geometric_block, q
-from .scalars import format_rational, parse_rational
+from .scalars import parse_rational
 from .series import TruncSeries
 from .spectra import (
     PeriodicSeq,
@@ -45,13 +45,6 @@ from .spectra import (
 DEFAULT_SEED = 1009
 
 IDENTITIES = ("prop1", "prop2", "mult", "section4", "moebius", "gseries")
-
-
-def _scalar_label(x) -> str:
-    x = normalize_scalar(x)
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    return x.canonical_str()
 
 
 @dataclass
@@ -109,7 +102,7 @@ def check_prop2(
     """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n)."""
     params = {
         "m": m, "n": n, "r": r, "p": p,
-        "lambda": _scalar_label(lam), "seq": seq_desc,
+        "lambda": format_scalar(lam), "seq": seq_desc,
     }
     try:
         e = e_sum(m, n, r, p, lam, c_seq)
@@ -133,7 +126,7 @@ def check_prop2(
 
 def check_mult_formula(m: int, n: int, lam, perturb: bool = False) -> IdentityCase:
     """B_m(nq, lam) = n^(m-1) sum_j lam^j B_m(q + j/n, lam^n)."""
-    params = {"m": m, "n": n, "lambda": _scalar_label(lam)}
+    params = {"m": m, "n": n, "lambda": format_scalar(lam)}
     lam = normalize_scalar(lam)
     lhs = apostol_bernoulli(m, lam).scale_arg(n)
     lam_n = lam**n
@@ -155,7 +148,7 @@ def check_section4_closed_form(m: int, n: int, r: int, p: int, lam, perturb: boo
         raise ValueError("closed form requires r + p = 1")
     params = {
         "m": m, "n": n, "r": r, "p": p,
-        "lambda": _scalar_label(lam), "seq": "ramanujan",
+        "lambda": format_scalar(lam), "seq": "ramanujan",
     }
     c_seq = family("ramanujan", n)
     try:
@@ -242,7 +235,7 @@ def check_gseries_chain(
         raise ValueError("series order must be >= 1")
     params = {
         "n": n, "r": r, "p": p,
-        "lambda": _scalar_label(lam), "seq": seq_desc, "T": order,
+        "lambda": format_scalar(lam), "seq": seq_desc, "T": order,
     }
     try:
         g = g_series_oracle(n, r, p, lam, c_seq, order)
@@ -368,7 +361,7 @@ class GridSpec:
         if self.rp_pairs:
             out["rp_pairs"] = [list(pair) for pair in self.rp_pairs]
         if self.lambdas:
-            out["lambdas"] = [_scalar_label(v) for v in self.lambdas]
+            out["lambdas"] = [format_scalar(v) for v in self.lambdas]
         if self.sequences:
             out["sequences"] = list(self.sequences)
         if self.identity == "gseries":

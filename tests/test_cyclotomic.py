@@ -1,13 +1,16 @@
 """Cyclotomic field arithmetic: reduction, inversion, embeddings, JSON."""
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclosum import _kernel as _K
 from cyclosum.arith import euler_phi
 from cyclosum.cyclotomic import (
     CycloNum,
+    _reduction_rows,
     cyclo_inv,
     cyclotomic_poly,
     embed_complex,
@@ -164,3 +167,97 @@ def test_galois_norm_style_embed(a):
     x = complex(embed_complex(a))
     y = complex(embed_complex(a * a + a))
     assert abs(x * x + x - y) < 1e-9 * max(1.0, abs(y))
+
+
+# Rational fast paths: products, sums and differences with an int, a Fraction
+# or a rational-valued CycloNum must equal the general conv + reduce_cyclo
+# route and come out canonical.  Levels cover phi(n) = 1, 2, 4, 6 and 8.
+fast_path_levels = st.sampled_from((1, 2, 3, 4, 5, 7, 8, 9, 12, 15))
+
+
+def _as_level(x, n: int) -> CycloNum:
+    """x at level n through the validating constructor only."""
+    if isinstance(x, CycloNum):
+        if x.level == n:
+            return CycloNum(n, x.nums, x.den)
+        x = x.is_rational()
+    x = Fraction(x)
+    return CycloNum(n, [x.numerator] + [0] * (euler_phi(n) - 1), x.denominator)
+
+
+def _general(op: str, x, y, n: int) -> CycloNum:
+    a, b = _as_level(x, n), _as_level(y, n)
+    if op == "*":
+        prod = _K.conv(a.nums, b.nums)
+        nums = _K.reduce_cyclo(prod, _reduction_rows(n), euler_phi(n))
+    else:
+        sign = 1 if op == "+" else -1
+        nums = [u * b.den + sign * v * a.den for u, v in zip(a.nums, b.nums)]
+    return CycloNum(n, nums, a.den * b.den)
+
+
+def _assert_canonical(c: CycloNum) -> None:
+    assert isinstance(c.nums, tuple) and len(c.nums) == euler_phi(c.level)
+    assert all(type(v) is int for v in c.nums) and type(c.den) is int
+    assert c.den > 0
+    assert gcd(c.den, *c.nums) == 1
+    if not any(c.nums):
+        assert c.den == 1
+    r = c.is_rational()
+    if r is not None:
+        assert hash(c) == hash(r)
+
+
+def _rational_operands(n: int):
+    value = st.one_of(st.just(Fraction(0)), small_fracs, st.integers(-20, 20).map(Fraction))
+    return value.flatmap(
+        lambda v: st.sampled_from(
+            (
+                v.numerator if v.denominator == 1 else v,
+                v,
+                CycloNum.of(n, v),
+                CycloNum.of(1, v),
+            )
+        )
+    )
+
+
+def _element_or_zero(n: int):
+    return st.one_of(st.just(CycloNum.of(n, 0)), elements(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fast_path_levels.flatmap(
+        lambda n: st.tuples(st.just(n), _element_or_zero(n), _rational_operands(n))
+    ),
+    st.sampled_from("*+-"),
+    st.booleans(),
+)
+def test_rational_fast_paths_match_general_route(case, op, rational_first):
+    n, a, r = case
+    x, y = (r, a) if rational_first else (a, r)
+    if op == "*":
+        got = x * y
+    elif op == "+":
+        got = x + y
+    else:
+        got = x - y
+    assert isinstance(got, CycloNum)
+    _assert_canonical(got)
+    expected = _general(op, x, y, n)
+    assert got == expected
+    if got.level == n:
+        assert (got.nums, got.den) == (expected.nums, expected.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fast_path_levels.flatmap(lambda n: st.tuples(elements(n), elements(n))))
+def test_general_products_and_sums_stay_canonical(pair):
+    a, b = pair
+    n = a.level
+    for op, got in (("*", a * b), ("+", a + b), ("-", a - b)):
+        _assert_canonical(got)
+        assert got == _general(op, a, b, n)
+    _assert_canonical(-a)
+    assert -a == _general("-", 0, a, n)

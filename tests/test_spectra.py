@@ -21,6 +21,7 @@ from cyclosum.spectra import (
     parse_family,
     sequence_from_json,
 )
+from cyclosum.verify import GridSpec, run_grid
 
 small_fracs = st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(
     lambda t: Fraction(t[0], t[1])
@@ -57,6 +58,51 @@ def test_dft_roundtrip(k_seq):
     assert dft_inverse(dft_forward(k_seq)).values == tuple(
         CycloNum.of(k_seq.n, v) for v in k_seq.values
     )
+
+
+def test_spectrum_cached_by_value():
+    vals = (Fraction(1, 2), 3, Fraction(-2, 5), 0, 7)
+    first, second = PeriodicSeq(5, vals), PeriodicSeq(5, list(vals))
+    assert first is not second and first == second
+    before = dft_inverse.cache_info().hits
+    assert dft_inverse(first) == dft_inverse(second)
+    assert dft_inverse.cache_info().hits > before
+
+
+def test_spectrum_cache_is_bounded():
+    maxsize = dft_inverse.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+@settings(max_examples=25)
+@given(st.sampled_from((2, 3, 4, 6, 8)).flatmap(rational_seqs))
+def test_forward_inverts_cached_spectrum(c_seq):
+    assert dft_forward(dft_inverse(c_seq)) == c_seq
+    assert dft_forward(dft_inverse(c_seq)) == c_seq  # now a cache hit
+
+
+def test_forward_inverts_cyclotomic_spectrum():
+    for c_seq in (family("ramanujan", 6), family("fourier-dedekind", 5, a=2, c0=1)):
+        assert dft_forward(dft_inverse(c_seq)) == c_seq
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GridSpec("prop1", n=(3, 4), r=(0, 2), sequences=("random:2",), perturb_index=5),
+        GridSpec(
+            "prop2", m=(2,), n=(3, 4), r=(0, 1), p=(1,), lambdas=(Fraction(2),),
+            sequences=("ramanujan", "random:1"), perturb_index=6,
+        ),
+    ],
+    ids=["prop1", "prop2"],
+)
+def test_cached_spectrum_never_hides_perturbation(spec):
+    # the second run finds every spectrum in the cache already
+    for _ in range(2):
+        statuses = [case.status for case in run_grid(spec)]
+        assert statuses.count("fail") == 1
+        assert statuses.count("pass") == len(statuses) - 1
 
 
 def test_delta_family():
