@@ -20,7 +20,7 @@ from math import comb
 
 from .cyclotomic import normalize_scalar
 from .errors import InvalidPower, ParameterCollision
-from .qpoly import QPoly, q
+from .qpoly import QPoly, q, sum_of_products
 from .scalars import scalar_inv
 from .series import TruncSeries
 
@@ -36,17 +36,15 @@ def apostol_bernoulli(m: int, lam) -> QPoly:
 def _bernoulli(m: int, lam) -> QPoly:
     if lam == 1:
         # sum_{i<=m} C(m+1,i) B_i(q) = (m+1) q^m, solved for B_m
-        acc = QPoly.monomial(m, Fraction(m + 1))
-        for i in range(m):
-            acc = acc - comb(m + 1, i) * _bernoulli(i, lam)
-        return acc * Fraction(1, m + 1)
+        terms = [(1, QPoly.monomial(m), 1)]
+        terms += [(Fraction(-comb(m + 1, i), m + 1), _bernoulli(i, lam), 1) for i in range(m)]
+        return sum_of_products(terms)
     if m == 0:
         return QPoly.zero()
     # (lam-1) B_m = m q^{m-1} - lam sum_{i<m} C(m,i) B_i
-    acc = QPoly.monomial(m - 1, Fraction(m))
-    for i in range(m):
-        acc = acc - comb(m, i) * (lam * _bernoulli(i, lam))
-    return acc * scalar_inv(lam - 1)
+    terms = [(m, QPoly.monomial(m - 1), 1)]
+    terms += [(-comb(m, i), lam, _bernoulli(i, lam)) for i in range(m)]
+    return sum_of_products(terms) * scalar_inv(lam - 1)
 
 
 def apostol_bernoulli_number(i: int, lam):
@@ -82,10 +80,9 @@ def _frob_euler(m: int, p: int, lam, gamma) -> QPoly:
     if m == 0:
         return QPoly((w * inv_lg,))
     # (lam-gamma) H_m = (1-gamma)^p q^m - lam sum_{i<m} C(m,i) H_i
-    acc = QPoly.monomial(m, w)
-    for i in range(m):
-        acc = acc - comb(m, i) * (lam * _frob_euler(i, p, lam, gamma))
-    return acc * inv_lg
+    terms = [(1, QPoly.monomial(m), w)]
+    terms += [(-comb(m, i), lam, _frob_euler(i, p, lam, gamma)) for i in range(m)]
+    return sum_of_products(terms) * inv_lg
 
 
 def series_oracle_B(m_max: int, lam) -> list[QPoly]:

@@ -351,10 +351,6 @@ def zeta_pow(n: int, k: int) -> CycloNum:
     return base**k
 
 
-def is_rational(a: CycloNum) -> Fraction | None:
-    return a.is_rational()
-
-
 def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
     rem = list(num)
     db = len(den) - 1
@@ -375,7 +371,7 @@ def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
     return quo, rem
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclo_inv(a: CycloNum) -> CycloNum:
     """Inverse via extended Euclid against Phi_n over the rationals."""
     if not a:
@@ -452,13 +448,3 @@ def format_scalar(x) -> str:
         return format_rational(x)
     return x.canonical_str()
 
-
-def rational_poly(poly):
-    """QPoly with every coefficient rational -> same poly over Fraction, else None."""
-    out = []
-    for c in poly.coeffs:
-        r = normalize_scalar(c)
-        if isinstance(r, CycloNum):
-            return None
-        out.append(r)
-    return type(poly)(out)

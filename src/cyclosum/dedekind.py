@@ -21,23 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .appell import frobenius_euler
-from .arith import divisors, euler_phi, moebius, totatives
+from .arith import totatives
 from .cyclotomic import CycloNum, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
-from .qpoly import QPoly, q
+from .qpoly import QPoly, q, sum_of_products
 from .series import TruncSeries
 from .spectra import PeriodicSeq
 
-__all__ = [
-    "e_sum",
-    "g_series_oracle",
-    "v_sum",
-    "ramanujan_sum",
-    "euler_phi",
-    "moebius",
-    "totatives",
-    "divisors",
-]
+__all__ = ["e_sum", "g_series_oracle", "v_sum", "ramanujan_sum"]
 
 
 def check_lambda_collision(n: int, lam):
@@ -69,16 +60,14 @@ def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
     return _e_sum(m, n, r % n, p, lam, c_seq)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
-    acc = QPoly.zero()
+    terms = []
     for k in range(1, n):
         w = zeta_pow(n, -k * r) * c_seq[-k] * _unit_pow(n, k, -p)
-        if not w:
-            continue
-        h = frobenius_euler(m - 1, p, lam, zeta_pow(n, -k))
-        acc = acc + h * w
-    return acc
+        if w:
+            terms.append((1, frobenius_euler(m - 1, p, lam, zeta_pow(n, -k)), w))
+    return sum_of_products(terms)
 
 
 def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> TruncSeries:

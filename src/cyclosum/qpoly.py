@@ -1,19 +1,33 @@
-"""Dense univariate polynomials in q over an exact scalar ring.
+"""Dense univariate polynomials in q over Q or Q(zeta_n), packed.
 
-Scalars are fractions.Fraction (or int) and anything that quacks like the
-cyclotomic numbers in this package: supports ring arithmetic, equality with
-rationals, bool, plus ``inverse()``, ``is_rational()`` and
-``canonical_str()``.  QPoly itself never imports the cyclotomic module, so
-the two layers stay independent.
+A QPoly stores its coefficients as one integer matrix over one denominator:
+``rows[i]`` holds the phi(level) integer numerators of the coefficient of
+q^i in the power basis 1, zeta, ..., zeta^(phi-1) of Q(zeta_level), and
+``den`` is the positive denominator shared by every entry.  Rational
+polynomials live at level 1, one numerator per row.
 
-Canonical form: coefficient tuple with the leading entry nonzero; the zero
-polynomial is the empty tuple and its degree is None, never -1.
+Canonical form, which the builder _build gives every result: no trailing
+zero row; the numerators and den share no common factor; the zero
+polynomial is level 1 with rows () and den 1; level == 1 exactly when every
+coefficient is rational.  Equality and hashing compare (level, rows, den).
+
+A rational operand is lifted into the other operand's level; two different
+irrational levels refuse arithmetic, as CycloNum does.  Every product goes
+through sum_of_products, which accumulates the unreduced row products of a
+whole sum over one common denominator, reduces each row modulo Phi_level
+once and cancels the matrix once.  Single coefficients come out through
+``coeffs`` and ``[i]`` as a Fraction when rational and a CycloNum otherwise.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add
 from typing import Iterable
 
+from . import _kernel as _K
+from .cyclotomic import CycloNum, _cancel, _phi, _reduction_rows
 from .errors import NotDivisible
 from .scalars import format_rational, scalar_inv
 
@@ -21,15 +35,22 @@ _SUPERSCRIPT = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
 
 class QPoly:
-    """Polynomial in q, immutable, trailing zeros stripped."""
+    """Polynomial in q, immutable, in canonical packed form."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("level", "rows", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: tuple = tuple(cs)
+        parts = [_scalar_parts(c) for c in coeffs]
+        level = _join_levels(lv for lv, _, _ in parts)
+        den = lcm(*(d for _, _, d in parts))
+        lift = (0,) * (_phi(level) - 1)
+        flat: list[int] = []
+        for lv, nums, d in parts:
+            f = den // d
+            flat.extend(v * f for v in nums)
+            if lv != level:
+                flat.extend(lift)
+        self.level, self.rows, self.den = _canon(level, flat, den)
 
     @classmethod
     def zero(cls) -> QPoly:
@@ -37,7 +58,7 @@ class QPoly:
 
     @classmethod
     def one(cls) -> QPoly:
-        return cls((Fraction(1),))
+        return cls((1,))
 
     @classmethod
     def monomial(cls, k: int, c=1) -> QPoly:
@@ -47,69 +68,61 @@ class QPoly:
         return cls((0,) * k + (c,))
 
     @property
+    def coeffs(self) -> tuple:
+        """Coefficients from q^0 up: Fraction when rational, else CycloNum."""
+        return tuple(_scalar(self.level, row, self.den) for row in self.rows)
+
+    @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.rows) - 1 if self.rows else None
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.rows)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.rows)
 
     def __getitem__(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        if 0 <= i < len(self.rows):
+            return _scalar(self.level, self.rows[i], self.den)
+        return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
+            return self.rows == other.rows and self.den == other.den and self.level == other.level
         # scalar comparison: constant (or zero) polynomial only
-        if len(self.coeffs) > 1:
+        if len(self.rows) > 1:
             return False
-        return (self.coeffs[0] if self.coeffs else 0) == other
+        return self[0] == other
 
     def __hash__(self) -> int:
-        return hash(("QPoly", self.coeffs))
+        return hash((self.level, self.rows, self.den))
 
     def __add__(self, other) -> QPoly:
-        if not isinstance(other, QPoly):
-            other = QPoly((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return QPoly(out)
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return sum_of_products(((1, self, 1), (1, other, 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> QPoly:
-        return QPoly(tuple(-v for v in self.coeffs))
+        return _build(self.level, [-v for v in chain.from_iterable(self.rows)], self.den)
 
     def __sub__(self, other) -> QPoly:
-        if not isinstance(other, QPoly):
-            other = QPoly((other,))
-        return self + (-other)
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return sum_of_products(((1, self, 1), (-1, other, 1)))
 
     def __rsub__(self, other) -> QPoly:
-        return (-self) + other
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return sum_of_products(((-1, self, 1), (1, other, 1)))
 
     def __mul__(self, other) -> QPoly:
-        if not isinstance(other, QPoly):
-            if not other:
-                return QPoly()
-            return QPoly(tuple(v * other for v in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return QPoly(out)
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        return sum_of_products(((1, self, other),))
 
     def __rmul__(self, other) -> QPoly:
         return self.__mul__(other)
@@ -135,8 +148,9 @@ class QPoly:
         if not self:
             return QPoly()
         rem = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        lead_inv = scalar_inv(other.coeffs[-1])
+        div = other.coeffs
+        db = len(div) - 1
+        lead_inv = scalar_inv(div[-1])
         if len(rem) - 1 < db:
             raise NotDivisible("degree of dividend is below the divisor")
         qout = [0] * (len(rem) - db)
@@ -146,7 +160,7 @@ class QPoly:
                 continue
             f = c * lead_inv
             qout[top - db] = f
-            for j, bv in enumerate(other.coeffs):
+            for j, bv in enumerate(div):
                 rem[top - db + j] = rem[top - db + j] - f * bv
         if any(rem):
             raise NotDivisible("nonzero remainder in exact division")
@@ -157,18 +171,24 @@ class QPoly:
         step = QPoly((c, 1))
         out = QPoly()
         for coeff in reversed(self.coeffs):
-            out = out * step + coeff
+            out = sum_of_products(((1, out, step), (1, coeff, 1)))
         return out
 
     def scale_arg(self, c) -> QPoly:
         """f(c*q): coefficient of q^i picks up a factor c^i."""
-        out = []
-        factor = 1
-        for i, v in enumerate(self.coeffs):
-            if i:
-                factor = factor * c
-            out.append(v * factor)
-        return QPoly(out)
+        r = _factor(c)
+        if r.__class__ is not tuple:
+            return QPoly([v * c**i for i, v in enumerate(self.coeffs)])
+        if not self.rows:
+            return self
+        # rational c = p/d: row i gets p^i d^(top-i) over den * d^top
+        p, d = r
+        top = len(self.rows) - 1
+        flat: list[int] = []
+        for i, row in enumerate(self.rows):
+            f = p**i * d ** (top - i)
+            flat.extend(v * f for v in row)
+        return _build(self.level, flat, self.den * d**top)
 
     def eval_at(self, x):
         """Horner evaluation at a scalar."""
@@ -178,15 +198,17 @@ class QPoly:
         return acc
 
     def derivative(self) -> QPoly:
-        return QPoly(tuple(i * v for i, v in enumerate(self.coeffs) if i))
+        flat = [i * v for i, row in enumerate(self.rows) if i for v in row]
+        return _build(self.level, flat, self.den)
 
     def to_str(self, unicode_sup: bool = False) -> str:
         """Canonical text: terms in decreasing degree, "q^2 - q + 1/6" style."""
-        if not self.coeffs:
+        if not self.rows:
             return "0"
+        coeffs = self.coeffs
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             sign, mag, fenced = _signed_parts(c)
@@ -210,16 +232,179 @@ class QPoly:
         return f"QPoly({self.to_str()!r})"
 
 
+_SCALARS = (QPoly, int, Fraction, CycloNum)
+
+
+def sum_of_products(terms) -> QPoly:
+    """The sum of c * A * B over the (c, A, B) terms, as one canonical QPoly.
+
+    c is an int or a Fraction; A and B are each a QPoly or an exact scalar
+    (int, Fraction or CycloNum).  Rational factors, constant rational
+    polynomials included, fold into c.  The row products of what remains
+    accumulate unreduced, rows up to 2*phi-1 long, over one common
+    denominator; at the end each row is reduced modulo Phi_level once with
+    reduce_cyclo and the whole matrix is cancelled once.
+    """
+    work = []
+    wide = False  # some term multiplies two irrational polynomials
+    for c, a, b in terms:
+        if isinstance(c, int):
+            num, den = c, 1
+        else:
+            num, den = c.numerator, c.denominator
+        polys = []
+        for x in (a, b):
+            f = _factor(x)
+            if f.__class__ is tuple:
+                num *= f[0]
+                den *= f[1]
+            else:
+                polys.append(f)
+                den *= f.den
+        if num:
+            work.append((num, den, polys))
+            if len(polys) == 2 and polys[0].level != 1 and polys[1].level != 1:
+                wide = True
+    if not work:
+        return QPoly()
+    level = _join_levels(p.level for _, _, polys in work for p in polys)
+    common = lcm(*(den for _, den, _ in work))
+    phi = _phi(level)
+    stride = 2 * phi - 1 if wide else phi
+    acc = [0]
+    for num, den, polys in work:
+        mult = num * (common // den)
+        if not polys:
+            prod = [mult]
+        elif len(polys) == 1:
+            prod = _flat(polys[0], phi, stride)
+            if mult != 1:
+                prod = _K.vec_scale(prod, mult)
+        else:
+            fa = _flat(polys[0], phi, stride)
+            fb = _flat(polys[1], phi, stride)
+            if mult != 1:
+                if len(fa) <= len(fb):
+                    fa = _K.vec_scale(fa, mult)
+                else:
+                    fb = _K.vec_scale(fb, mult)
+            # the kernel skips zeros of its first operand only
+            if (len(fa) - fa.count(0)) * len(fb) > (len(fb) - fb.count(0)) * len(fa):
+                fa, fb = fb, fa
+            prod = _K.conv(fa, fb)
+        if len(prod) > len(acc):
+            acc, prod = prod, acc
+        acc[: len(prod)] = map(add, acc, prod)
+    if stride == phi:
+        return _build(level, acc, common)
+    rows = _reduction_rows(level)
+    flat: list[int] = []
+    for i in range(0, len(acc), stride):
+        seg = acc[i : i + stride]
+        flat.extend(_K.reduce_cyclo(seg, rows, phi) if any(seg[phi:]) else seg[:phi])
+    return _build(level, flat, common)
+
+
+def _flat(p: QPoly, phi: int, stride: int) -> list[int]:
+    """p's numerators row-major, rows `stride` apart with phi columns each
+    (level-1 rows lifted), the last row not padded past phi."""
+    if p.level == 1 and phi > 1:
+        out = [0] * ((len(p.rows) - 1) * stride + phi)
+        out[::stride] = [row[0] for row in p.rows]
+        return out
+    if stride == phi:
+        return list(chain.from_iterable(p.rows))
+    pad = (0,) * (stride - phi)
+    out = list(chain.from_iterable(row + pad for row in p.rows))
+    del out[-len(pad) :]
+    return out
+
+
+def _factor(x):
+    """A product factor: (num, den) for a rational value, a QPoly otherwise."""
+    if isinstance(x, QPoly):
+        if x.level == 1 and len(x.rows) <= 1:
+            return (x.rows[0][0] if x.rows else 0), x.den
+        return x
+    level, nums, den = _scalar_parts(x)
+    if level == 1:
+        return nums[0], den
+    # a canonical CycloNum is already a canonical one-row matrix
+    p = object.__new__(QPoly)
+    p.level, p.rows, p.den = level, (nums,), den
+    return p
+
+
+def _scalar_parts(x) -> tuple[int, tuple[int, ...], int]:
+    """(level, numerators, den) of an exact scalar; rational values,
+    rational CycloNums included, at level 1."""
+    if isinstance(x, int):
+        return 1, (x,), 1
+    if isinstance(x, Fraction):
+        return 1, (x.numerator,), x.denominator
+    if isinstance(x, CycloNum):
+        if any(x.nums[1:]):
+            return x.level, x.nums, x.den
+        return 1, x.nums[:1], x.den
+    raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def _join_levels(levels) -> int:
+    """The one irrational level among `levels`, or 1 when there is none."""
+    level = 1
+    for lv in levels:
+        if lv != level and lv != 1:
+            if level != 1:
+                raise ValueError("cross-level cyclotomic arithmetic")
+            level = lv
+    return level
+
+
+def _scalar(level: int, row: tuple[int, ...], den: int):
+    """One coefficient: Fraction when rational, else a canonical CycloNum."""
+    if level == 1 or not any(row[1:]):
+        return Fraction(row[0], den)
+    return _cancel(level, row, den)
+
+
+def _canon(level: int, flat, den: int) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """Canonical (level, rows, den) of the row-major numerators `flat`
+    (phi(level) per row) over den > 0."""
+    phi = _phi(level)
+    n = len(flat)
+    while n and not flat[n - 1]:
+        n -= 1
+    if not n:
+        return 1, (), 1
+    n += -n % phi
+    if n < len(flat):
+        flat = flat[:n]
+    g = gcd(den, *flat)
+    if g > 1:
+        flat = [v // g for v in flat]
+        den //= g
+    if phi > 1:
+        col0 = flat[::phi]
+        if flat.count(0) - col0.count(0) == len(flat) - len(col0):
+            # every higher column vanishes: the polynomial is rational
+            return 1, tuple(zip(col0)), den
+    return level, tuple(zip(*[iter(flat)] * phi)), den
+
+
+def _build(level: int, flat, den: int) -> QPoly:
+    """The builder of every arithmetic result: a QPoly in canonical form."""
+    p = object.__new__(QPoly)
+    p.level, p.rows, p.den = _canon(level, flat, den)
+    return p
+
+
 def _signed_parts(c) -> tuple[str, str, bool]:
-    """(sign, magnitude text, needs parentheses before q^k)."""
-    if isinstance(c, (int, Fraction)):
-        rat = Fraction(c)
-    else:
-        rat = c.is_rational()
-        if rat is None:
-            return "+", c.canonical_str(), True
-    sign = "-" if rat < 0 else "+"
-    mag = -rat if rat < 0 else rat
+    """(sign, magnitude text, needs parentheses before q^k) of a Fraction
+    or an irrational CycloNum."""
+    if isinstance(c, CycloNum):
+        return "+", c.canonical_str(), True
+    sign = "-" if c < 0 else "+"
+    mag = -c if c < 0 else c
     return sign, format_rational(mag), mag.denominator != 1
 
 

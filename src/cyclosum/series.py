@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import NotAUnit
-from .qpoly import QPoly
+from .qpoly import QPoly, sum_of_products
 from .scalars import scalar_inv
 
 
@@ -91,15 +91,11 @@ class TruncSeries:
             w = other
             return TruncSeries([c * w for c in self.coeffs], self.order)
         t = min(self.order, other.order)
-        out = []
-        for m in range(t + 1):
-            acc = QPoly()
-            for i in range(m + 1):
-                a = self.coeffs[i]
-                b = other.coeffs[m - i]
-                if a and b:
-                    acc = acc + comb(m, i) * (a * b)
-            out.append(acc)
+        a, b = self.coeffs, other.coeffs
+        out = [
+            sum_of_products([(comb(m, i), a[i], b[m - i]) for i in range(m + 1)])
+            for m in range(t + 1)
+        ]
         return TruncSeries(out, t)
 
     def __rmul__(self, other) -> TruncSeries:
@@ -112,13 +108,10 @@ class TruncSeries:
             raise NotAUnit("series constant term is zero or not a scalar")
         b0 = scalar_inv(a0.coeffs[0])
         out = [QPoly((b0,))]
+        # b_m = -b0 * sum_{1<=i<=m} C(m,i) a_i b_{m-i}; fold -b0 into the a_i once
+        a = [None] + [c * -b0 for c in self.coeffs[1:]]
         for m in range(1, self.order + 1):
-            acc = QPoly()
-            for i in range(1, m + 1):
-                a = self.coeffs[i]
-                if a:
-                    acc = acc + comb(m, i) * (a * out[m - i])
-            out.append(acc * (-b0))
+            out.append(sum_of_products([(comb(m, i), a[i], out[m - i]) for i in range(1, m + 1)]))
         return TruncSeries(out, self.order)
 
     def mul_t(self) -> TruncSeries:

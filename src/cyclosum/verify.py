@@ -29,7 +29,7 @@ from .arith import divisors, euler_phi, moebius, totatives
 from .cyclotomic import CycloNum, format_scalar, normalize_scalar
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision
-from .qpoly import QPoly, geometric_block, q
+from .qpoly import QPoly, geometric_block, q, sum_of_products
 from .scalars import parse_rational
 from .series import TruncSeries
 from .spectra import (
@@ -113,12 +113,12 @@ def check_prop2(
     lhs = (sign * m) * e.scale_arg(n)
     kseq = dft_inverse(c_seq)
     lam_n = lam**n
-    acc = QPoly.zero()
+    terms = [(1, c_seq[0], apostol_bernoulli(m, lam).scale_arg(n))]
     for j in range(n):
         w = kseq[j - r - p + 1] * lam**j
         if w:
-            acc = acc + _shifted_bernoulli(m, lam_n, j, n) * w
-    rhs = c_seq[0] * apostol_bernoulli(m, lam).scale_arg(n) - n**m * acc
+            terms.append((-(n**m), _shifted_bernoulli(m, lam_n, j, n), w))
+    rhs = sum_of_products(terms)
     if perturb:
         rhs = rhs + 1
     return _compare("prop2", params, lhs, rhs)
@@ -130,12 +130,8 @@ def check_mult_formula(m: int, n: int, lam, perturb: bool = False) -> IdentityCa
     lam = normalize_scalar(lam)
     lhs = apostol_bernoulli(m, lam).scale_arg(n)
     lam_n = lam**n
-    acc = QPoly.zero()
-    for j in range(n):
-        w = lam**j
-        if w:
-            acc = acc + _shifted_bernoulli(m, lam_n, j, n) * w
-    rhs = Fraction(n) ** (m - 1) * acc
+    scale = Fraction(n) ** (m - 1)
+    rhs = sum_of_products([(scale, _shifted_bernoulli(m, lam_n, j, n), lam**j) for j in range(n)])
     if perturb:
         rhs = rhs + 1
     return _compare("mult", params, lhs, rhs)

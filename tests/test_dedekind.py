@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 
 from cyclosum.arith import euler_phi, moebius
-from cyclosum.cyclotomic import is_rational, rational_poly
-from cyclosum.dedekind import e_sum, g_series_oracle, ramanujan_sum, v_sum
+from cyclosum.cyclotomic import cyclo_inv
+from cyclosum.dedekind import _e_sum, e_sum, g_series_oracle, ramanujan_sum, v_sum
 from cyclosum.errors import ParameterCollision
 from cyclosum.qpoly import QPoly
 from cyclosum.spectra import PeriodicSeq, family
@@ -16,7 +16,8 @@ def test_e_sum_hand_value():
     # single term at n=2: C_1 H_0^{(1)}(q,2,-1)/(1-(-1)) = 1 * (2/3) / 2
     c = PeriodicSeq(2, (Fraction(0), Fraction(1)))
     poly = e_sum(1, 2, 0, 1, 2, c)
-    assert rational_poly(poly) == QPoly((Fraction(1, 3),))
+    assert poly.level == 1
+    assert poly == QPoly((Fraction(1, 3),))
 
 
 def test_e_sum_delta_vanishes():
@@ -50,7 +51,8 @@ def test_e_sum_validates_shape():
 
 def test_e_sum_lambda_one_is_legal():
     poly = e_sum(1, 4, 0, 1, 1, family("fourier-dedekind", 4, a=1))
-    assert is_rational(poly[0])
+    assert isinstance(poly[0], Fraction)
+    assert poly.level == 1
 
 
 def test_e_sum_shift_r_by_period():
@@ -118,4 +120,12 @@ def test_e_sum_rational_when_weights_are_galois_stable():
     # Fourier-Dedekind weights with rational lambda give rational coefficients
     for n in (3, 4, 5, 6):
         poly = e_sum(2, n, 1, 1, 2, family("fourier-dedekind", n, a=1))
-        assert rational_poly(poly) is not None
+        assert poly.level == 1
+        assert all(isinstance(c, Fraction) for c in poly.coeffs)
+
+
+def test_value_keyed_caches_are_bounded():
+    # both are keyed on caller-supplied values, so grids larger than the
+    # default ones must not grow them without limit
+    for cached in (_e_sum, cyclo_inv):
+        assert cached.cache_info().maxsize is not None

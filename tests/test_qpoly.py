@@ -1,11 +1,17 @@
 """Polynomial ring over exact scalars: arithmetic, division, formatting."""
+import pickle
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cyclosum.arith import euler_phi
+from cyclosum.cyclotomic import CycloNum, normalize_scalar, zeta_pow
 from cyclosum.errors import NotDivisible
-from cyclosum.qpoly import QPoly, geometric_block, q
+from cyclosum.qpoly import QPoly, geometric_block, q, sum_of_products
 
 rationals = st.tuples(st.integers(-50, 50), st.integers(1, 12)).map(
     lambda t: Fraction(t[0], t[1])
@@ -124,3 +130,151 @@ def test_shift_matches_eval(p, c):
 def test_derivative_of_shift(p):
     # chain rule with unit inner derivative
     assert p.shift(1).derivative() == p.derivative().shift(1)
+
+
+# --- the packed representation over Q(zeta_n) ---------------------------
+
+LEVELS = (1, 3, 4, 5, 7, 8, 9, 12, 15)
+small = st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(lambda t: Fraction(*t))
+
+
+def scalars(level):
+    """Rational values, and at level > 1 also arbitrary (mostly irrational)
+    elements of Q(zeta_level)."""
+    if level == 1:
+        return small
+    d = euler_phi(level)
+    elements = st.lists(small, min_size=d, max_size=d).map(
+        lambda cs: CycloNum.from_coeffs(level, cs)
+    )
+    return st.one_of(small, elements)
+
+
+def coeff_lists(level, max_size=4):
+    return st.lists(scalars(level), max_size=max_size)
+
+
+def ref_convolution(a, b):
+    """Coefficients of the product, by plain scalar arithmetic."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = x * y + out[i + j]
+    return out
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert all(len(row) == euler_phi(p.level) for row in p.rows)
+    assert not p.rows or any(p.rows[-1])
+    assert gcd(p.den, *(v for row in p.rows for v in row)) == 1
+    rational = all(isinstance(c, Fraction) for c in p.coeffs)
+    assert (p.level == 1) == rational
+    if not p:
+        assert (p.level, p.rows, p.den) == (1, (), 1)
+
+
+def assert_same_coeffs(p, coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    assert len(p.coeffs) == len(coeffs)
+    for got, want in zip(p.coeffs, coeffs):
+        assert got == want
+        assert type(got) is type(normalize_scalar(want))
+
+
+level_and_two = st.sampled_from(LEVELS).flatmap(
+    lambda n: st.tuples(st.just(n), coeff_lists(n), coeff_lists(n))
+)
+
+
+@given(level_and_two)
+def test_packed_product_matches_reference(args):
+    level, a, b = args
+    prod = QPoly(a) * QPoly(b)
+    assert_canonical(prod)
+    assert_same_coeffs(prod, ref_convolution(a, b))
+
+
+@given(level_and_two)
+def test_packed_coeffs_round_trip(args):
+    level, a, b = args
+    p = QPoly(a)
+    assert_canonical(p)
+    assert_same_coeffs(p, a)
+    assert QPoly(p.coeffs) == p
+    for i in range(len(p) + 2):
+        assert p[i] == (a[i] if i < len(a) else 0)
+
+
+def factors(level):
+    return st.one_of(coeff_lists(level).map(QPoly), scalars(level), st.integers(-3, 3))
+
+
+terms_at = st.sampled_from(LEVELS).flatmap(
+    lambda n: st.lists(st.tuples(small, factors(n), factors(n)), max_size=4)
+)
+
+
+@given(terms_at)
+def test_sum_of_products_equals_separate_products(terms):
+    fused = sum_of_products(terms)
+    assert_canonical(fused)
+    separate = reduce(add, (c * a * b for c, a, b in terms), QPoly())
+    assert fused == separate
+    assert hash(fused) == hash(separate)
+
+
+@given(level_and_two, coeff_lists(1))
+def test_equal_values_by_different_routes(args, r):
+    level, a, b = args
+    pa, pb, pr = QPoly(a), QPoly(b), QPoly(r)
+    routes = [
+        pa * (pb + pr),
+        pa * pb + pa * pr,
+        sum_of_products([(1, pb, pa), (1, pr, pa)]),
+        (pb + pr) * pa - QPoly.zero(),
+    ]
+    for other in routes[1:]:
+        assert other == routes[0]
+        assert hash(other) == hash(routes[0])
+    # a rational polynomial is the same value whether its coefficients
+    # arrive as Fractions or as rational elements of a cyclotomic field
+    lifted = QPoly([CycloNum.of(7, c) for c in r])
+    assert lifted == pr and hash(lifted) == hash(pr) and lifted.level == 1
+
+
+@given(level_and_two)
+def test_vanishing_higher_columns_demote_to_level_one(args):
+    level, a, _ = args
+    p = QPoly(a)
+    diff = (p + q) - p
+    assert diff == q and diff.level == 1
+    assert (p - p).level == 1 and (p - p).rows == ()
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (5, 15), (8, 12), (7, 9)])
+def test_two_irrational_levels_refuse(n, m):
+    a = QPoly((1, zeta_pow(n, 1)))
+    b = QPoly((zeta_pow(m, 1),))
+    for op in (lambda: a + b, lambda: a * b, lambda: b - a, lambda: a * zeta_pow(m, 1)):
+        with pytest.raises(ValueError, match="cross-level cyclotomic arithmetic"):
+            op()
+    with pytest.raises(ValueError, match="cross-level"):
+        sum_of_products([(1, a, 1), (1, b, 1)])
+    with pytest.raises(ValueError, match="cross-level"):
+        QPoly((zeta_pow(n, 1), zeta_pow(m, 1)))
+    # rational content still mixes with either level
+    assert a * QPoly((CycloNum.of(m, 2),)) == 2 * a
+
+
+@given(level_and_two)
+def test_pickle_round_trip(args):
+    level, a, _ = args
+    p = QPoly(a)
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p)
+    assert (back.level, back.rows, back.den) == (p.level, p.rows, p.den)
