@@ -175,20 +175,18 @@ class QPoly:
         return out
 
     def scale_arg(self, c) -> QPoly:
-        """f(c*q): coefficient of q^i picks up a factor c^i."""
-        r = _factor(c)
-        if r.__class__ is not tuple:
-            return QPoly([v * c**i for i, v in enumerate(self.coeffs)])
-        if not self.rows:
-            return self
-        # rational c = p/d: row i gets p^i d^(top-i) over den * d^top
-        p, d = r
+        """f(c*q) for a rational c = a/d: row i of the matrix picks up
+        a^i d^(top-i) over den * d^top."""
+        level, nums, d = _scalar_parts(c)
+        if level != 1:
+            raise TypeError("scale_arg needs a rational factor")
+        a = nums[0]
         top = len(self.rows) - 1
         flat: list[int] = []
         for i, row in enumerate(self.rows):
-            f = p**i * d ** (top - i)
+            f = a**i * d ** (top - i)
             flat.extend(v * f for v in row)
-        return _build(self.level, flat, self.den * d**top)
+        return _build(self.level, flat, self.den * d ** max(top, 0))
 
     def eval_at(self, x):
         """Horner evaluation at a scalar."""

@@ -50,9 +50,11 @@ def test_e_sum_validates_shape():
 
 
 def test_e_sum_lambda_one_is_legal():
+    # H_0^{(1)}(q, 1, zeta^{-k}) = 1 and C_{-k} (1 - zeta^k)^{-1} = (1 - i^k)^{-2},
+    # so the sum over k = 1, 2, 3 is i/2 + 1/4 - i/2
     poly = e_sum(1, 4, 0, 1, 1, family("fourier-dedekind", 4, a=1))
-    assert isinstance(poly[0], Fraction)
     assert poly.level == 1
+    assert poly == QPoly((Fraction(1, 4),))
 
 
 def test_e_sum_shift_r_by_period():

@@ -271,6 +271,21 @@ def test_two_irrational_levels_refuse(n, m):
     assert a * QPoly((CycloNum.of(m, 2),)) == 2 * a
 
 
+@given(level_and_two, small)
+def test_scale_arg_matches_reference(args, c):
+    level, a, _ = args
+    p = QPoly(a).scale_arg(c)
+    assert_canonical(p)
+    assert_same_coeffs(p, [v * c**i for i, v in enumerate(a)])
+
+
+def test_scale_arg_refuses_irrational_factor():
+    with pytest.raises(TypeError, match="rational"):
+        (q + 1).scale_arg(zeta_pow(3, 1))
+    # a rational value held as a CycloNum is accepted
+    assert (q + 1).scale_arg(CycloNum.of(3, 2)) == 2 * q + 1
+
+
 @given(level_and_two)
 def test_pickle_round_trip(args):
     level, a, _ = args
