@@ -1,27 +1,15 @@
 """Build hook for the optional compiled kernel.
 
-The package runs pure-Python out of the box.  When Cython and a C compiler
-are present, the integer-vector kernels in src/cyclosum/_kernel/_fast.pyx
-are compiled and the import-time backend selection in cyclosum._kernel
-picks them up.  The extension is marked optional so a failed build never
-breaks the install.
+The package runs pure-Python out of the box.  When a C compiler is present,
+the committed src/cyclosum/_kernel/_fast.c (generated from _fast.pyx with
+``cython -3 src/cyclosum/_kernel/_fast.pyx``) is compiled, and the
+import-time backend selection in cyclosum._kernel picks it up.  The
+extension is marked optional so a failed build never breaks the install.
 """
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "cyclosum._kernel._fast",
-                sources=["src/cyclosum/_kernel/_fast.pyx"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("cyclosum._kernel._fast", ["src/cyclosum/_kernel/_fast.c"], optional=True)
+    ]
+)

@@ -1,74 +1,26 @@
-"""Kernel backend selection.
+"""The integer-vector primitives, from the compiled twin when it is built.
 
-Two interchangeable implementations of the integer-vector primitives live
-here: ``pure`` (plain Python, always available) and ``_fast`` (Cython,
-built by setup.py when a compiler is around).  The compiled one is used
-when it imports cleanly.  Set CYCLOSUM_KERNEL=python or =compiled to force
-a backend; forcing the compiled one raises if it was never built.
+``pure`` is the plain-Python implementation and always imports.  ``_fast``
+holds the same five entry points compiled from the committed ``_fast.c``;
+setup.py builds it wherever a C compiler is around.  When it imports it is
+used, otherwise ``pure`` is; ``BACKEND`` names the one in use.
 
-Call sites bind the module and look the functions up through it
-(``_K.conv(...)``), which keeps ``use_backend`` able to swap implementations
-for benchmarking.
+Call sites bind this module and look the functions up through it
+(``_K.conv(...)``), so a profiler can wrap the module attributes.
 """
 from __future__ import annotations
 
-import os
-
-from . import pure as _pure
-
 try:
-    from . import _fast as _compiled
+    from . import _fast as _impl
+
+    BACKEND = "compiled"
 except ImportError:
-    _compiled = None
+    from . import pure as _impl
 
-_request = os.environ.get("CYCLOSUM_KERNEL", "").strip().lower()
-if _request == "python":
-    _impl = _pure
-elif _request == "compiled":
-    if _compiled is None:
-        raise ImportError(
-            "CYCLOSUM_KERNEL=compiled, but the compiled kernel is not built; "
-            "run the extension build or unset the variable"
-        )
-    _impl = _compiled
-elif _request == "":
-    _impl = _compiled if _compiled is not None else _pure
-else:
-    raise ValueError(f"unrecognized CYCLOSUM_KERNEL value {_request!r}")
-
-BACKEND = "compiled" if _impl is _compiled else "python"
+    BACKEND = "python"
 
 conv = _impl.conv
 reduce_cyclo = _impl.reduce_cyclo
 vec_lincomb = _impl.vec_lincomb
 vec_scale = _impl.vec_scale
 vec_content = _impl.vec_content
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("python", "compiled") if _compiled is not None else ("python",)
-
-
-def get_backend(name: str):
-    """Raw backend module by name, for parity tests and benchmarks."""
-    if name == "python":
-        return _pure
-    if name == "compiled":
-        if _compiled is None:
-            raise ImportError("compiled kernel is not built")
-        return _compiled
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def use_backend(name: str) -> str:
-    """Rebind the module-level entry points; returns the previous backend."""
-    global conv, reduce_cyclo, vec_lincomb, vec_scale, vec_content, BACKEND
-    mod = get_backend(name)
-    previous = BACKEND
-    conv = mod.conv
-    reduce_cyclo = mod.reduce_cyclo
-    vec_lincomb = mod.vec_lincomb
-    vec_scale = mod.vec_scale
-    vec_content = mod.vec_content
-    BACKEND = name
-    return previous

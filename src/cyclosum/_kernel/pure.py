@@ -3,8 +3,9 @@
 A cyclotomic number is carried as a vector of integer numerators over one
 shared denominator; the functions here are the numerator-vector loops that
 every exact multiplication and reduction bottoms out in.  The compiled
-module ``cyclosum._kernel._fast`` provides the same five entry points with
-the same semantics; parity between the two is pinned by tests.
+module ``cyclosum._kernel._fast``, built from the committed ``_fast.c``,
+provides the same five entry points with the same semantics;
+tests/test_kernel_parity.py builds it and pins parity between the two.
 
 All inputs are plain lists/tuples of Python ints (arbitrary precision), and
 outputs are new lists.  Nothing here mutates its arguments.

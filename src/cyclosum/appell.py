@@ -32,7 +32,7 @@ def apostol_bernoulli(m: int, lam) -> QPoly:
     return _bernoulli(m, normalize_scalar(lam))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _bernoulli(m: int, lam) -> QPoly:
     if lam == 1:
         # sum_{i<=m} C(m+1,i) B_i(q) = (m+1) q^m, solved for B_m
@@ -73,7 +73,7 @@ def frobenius_euler(m: int, p: int, lam, gamma) -> QPoly:
     return _frob_euler(m, p, lam, gamma)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _frob_euler(m: int, p: int, lam, gamma) -> QPoly:
     w = _one_minus_pow(gamma, p)
     inv_lg = scalar_inv(lam - gamma)

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,27 +45,6 @@ from .verify import (
 _FAMILY_NAMES = ("delta", "ramanujan", "fourier-dedekind", "apostol-dedekind")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Shared plumbing extracted from parsed flags."""
-
-    subcommand: str
-    format: str
-    out: str | None
-    workers: int
-    seed: int | None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> CliConfig:
-        return cls(
-            subcommand=args.subcommand,
-            format=getattr(args, "format", "human"),
-            out=getattr(args, "out", None),
-            workers=getattr(args, "workers", 1),
-            seed=getattr(args, "seed", None),
-        )
-
-
 def _unicode_ok() -> bool:
     if not (hasattr(sys.stdout, "isatty") and sys.stdout.isatty()):
         return False
@@ -78,11 +56,11 @@ def _unicode_ok() -> bool:
     return True
 
 
-def _emit(cfg: CliConfig, fields: list[tuple[str, str]], human: str) -> None:
+def _emit(fmt: str, fields: list[tuple[str, str]], human: str) -> None:
     """fields are (name, value) pairs in fixed order; human is the terse form."""
-    if cfg.format == "json":
+    if fmt == "json":
         print(json.dumps(dict(fields), sort_keys=True))
-    elif cfg.format == "csv":
+    elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([k for k, _ in fields])
@@ -117,24 +95,24 @@ def _resolve_seq_arg(text: str, n: int):
     return seq
 
 
-def _poly_out(cfg: CliConfig, poly: QPoly, fields: list[tuple[str, str]]) -> None:
+def _poly_out(fmt: str, poly: QPoly, fields: list[tuple[str, str]]) -> None:
     fields = fields + [("poly", poly.to_str())]
-    _emit(cfg, fields, poly.to_str(unicode_sup=_unicode_ok()))
+    _emit(fmt, fields, poly.to_str(unicode_sup=_unicode_ok()))
 
 
-def cmd_poly(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_poly(args: argparse.Namespace) -> int:
     lam = Fraction(1) if args.classical else parse_rational(args.lam)
     poly = apostol_bernoulli(args.m, lam)
-    _poly_out(cfg, poly, [("m", str(args.m)), ("lambda", format_scalar(lam))])
+    _poly_out(args.format, poly, [("m", str(args.m)), ("lambda", format_scalar(lam))])
     return 0
 
 
-def cmd_hpoly(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_hpoly(args: argparse.Namespace) -> int:
     lam = parse_rational(args.lam)
     gamma = _parse_gamma(args.gamma)
     poly = frobenius_euler(args.m, args.p, lam, gamma)
     _poly_out(
-        cfg,
+        args.format,
         poly,
         [
             ("m", str(args.m)),
@@ -146,7 +124,7 @@ def cmd_hpoly(cfg: CliConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_esum(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_esum(args: argparse.Namespace) -> int:
     lam = parse_rational(args.lam)
     c_seq = _resolve_seq_arg(args.seq, args.n)
     poly = e_sum(args.m, args.n, args.r, args.p, lam, c_seq)
@@ -161,35 +139,35 @@ def cmd_esum(cfg: CliConfig, args: argparse.Namespace) -> int:
     if args.at is not None:
         value = poly.eval_at(parse_rational(args.at))
         text = format_scalar(value)
-        _emit(cfg, fields + [("at", args.at), ("value", text)], text)
+        _emit(args.format, fields + [("at", args.at), ("value", text)], text)
     else:
-        _poly_out(cfg, poly, fields)
+        _poly_out(args.format, poly, fields)
     return 0
 
 
-def cmd_vsum(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_vsum(args: argparse.Namespace) -> int:
     lam = parse_rational(args.lam)
     value = v_sum(args.n, args.k, lam)
     text = format_scalar(value)
     _emit(
-        cfg,
+        args.format,
         [("n", str(args.n)), ("k", str(args.k)), ("lambda", format_scalar(lam)), ("value", text)],
         text,
     )
     return 0
 
 
-def cmd_ramanujan(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_ramanujan(args: argparse.Namespace) -> int:
     value = ramanujan_sum(args.n, args.k)
     text = format_rational(value)
-    _emit(cfg, [("n", str(args.n)), ("k", str(args.k)), ("value", text)], text)
+    _emit(args.format, [("n", str(args.n)), ("k", str(args.k)), ("value", text)], text)
     return 0
 
 
-def cmd_interp(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_interp(args: argparse.Namespace) -> int:
     c_seq = _resolve_seq_arg(args.seq, args.n)
     poly = interp_poly(dft_inverse(c_seq), args.r)
-    _poly_out(cfg, poly, [("n", str(args.n)), ("r", str(args.r)), ("seq", args.seq)])
+    _poly_out(args.format, poly, [("n", str(args.n)), ("r", str(args.r)), ("seq", args.seq)])
     return 0
 
 
@@ -203,7 +181,7 @@ def _resolve_out(path_str: str) -> Path:
     return path
 
 
-def cmd_verify(cfg: CliConfig, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     idents = IDENTITIES if args.identity == "all" else (args.identity,)
     if args.grid is not None and args.identity == "all":
         raise InvalidGrid("a grid file applies to one identity; pick one with --identity")
@@ -219,18 +197,18 @@ def cmd_verify(cfg: CliConfig, args: argparse.Namespace) -> int:
             spec = GridSpec.from_json(obj, identity=ident)
         else:
             spec = default_grid(ident)
-        if cfg.seed is not None:
-            spec.seed = cfg.seed
+        if args.seed is not None:
+            spec.seed = args.seed
         grids.append(spec)
     cases = []
     for spec in grids:
-        cases.extend(run_grid(spec, workers=cfg.workers))
+        cases.extend(run_grid(spec, workers=args.workers))
     cases.sort(key=lambda c: c.sort_key())
     report = build_report(args.identity, cases, grids)
-    data = report_csv_bytes(report) if cfg.format == "csv" else report_json_bytes(report)
+    data = report_csv_bytes(report) if args.format == "csv" else report_json_bytes(report)
     summary = report["summary"]
-    if cfg.out is not None:
-        out_path = _resolve_out(cfg.out)
+    if args.out is not None:
+        out_path = _resolve_out(args.out)
         out_path.write_bytes(data)
         print(
             f"pass={summary['pass']} fail={summary['fail']} "
@@ -312,9 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = CliConfig.from_args(args)
     try:
-        return args.func(cfg, args)
+        return args.func(args)
     except ParameterCollision as exc:
         print(f"parameter collision: {exc}", file=sys.stderr)
         return 3

@@ -338,10 +338,14 @@ def _same_level(a: CycloNum, b: CycloNum) -> None:
         raise ValueError("cross-level cyclotomic arithmetic")
 
 
-@lru_cache(maxsize=None)
 def zeta_pow(n: int, k: int) -> CycloNum:
     """zeta_n^(k mod n) as a reduced level-n element."""
-    k %= n
+    return _zeta_pow(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _zeta_pow(n: int, k: int) -> CycloNum:
+    """zeta_pow for 0 <= k < n: at most n entries per level."""
     d = _phi(n)
     if k == 0:
         return CycloNum.of(n, 1)

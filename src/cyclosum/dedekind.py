@@ -31,14 +31,21 @@ from .spectra import PeriodicSeq
 __all__ = ["e_sum", "g_series_oracle", "v_sum", "ramanujan_sum"]
 
 
+@lru_cache(maxsize=256)
+def _excluded_lambdas(n: int) -> dict:
+    """{zeta_n^{-k}: k} for 1 <= k < n; CycloNum hashes agree with ==, so a
+    rational lambda finds the rational root -1 too."""
+    return {zeta_pow(n, -k): k for k in range(1, n)}
+
+
 def check_lambda_collision(n: int, lam):
     """Normalize lam and reject lam in {zeta_n^{-k} : 1 <= k < n}, naming k."""
     lam = normalize_scalar(lam)
-    for k in range(1, n):
-        if zeta_pow(n, -k) == lam:
-            raise ParameterCollision(
-                f"lambda = zeta_{n}^(-{k}): the k={k} term of the sum divides by zero"
-            )
+    k = _excluded_lambdas(n).get(lam)
+    if k is not None:
+        raise ParameterCollision(
+            f"lambda = zeta_{n}^(-{k}): the k={k} term of the sum divides by zero"
+        )
     return lam
 
 

@@ -24,7 +24,7 @@ class _Cycle:
     """Shared machinery of PeriodicSeq and SpectralSeq: n values at level n,
     indexed modulo n."""
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "values", "_hash")
 
     def __init__(self, n: int, values):
         if n < 2:
@@ -34,6 +34,9 @@ class _Cycle:
             raise ValueError(f"period {n} needs {n} values, got {len(vals)}")
         self.n = n
         self.values = vals
+        # cache lookups hash whole sequences; no type name in it, because
+        # str hashes differ between the processes a pickled slot travels to
+        self._hash = hash((n, vals))
 
     def __getitem__(self, k: int) -> CycloNum:
         return self.values[k % self.n]
@@ -48,7 +51,7 @@ class _Cycle:
         return type(other) is type(self) and self.n == other.n and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.n, self.values))
+        return self._hash
 
     def to_json(self) -> dict:
         vals = []

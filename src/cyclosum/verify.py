@@ -91,7 +91,7 @@ def check_prop1(c_seq: PeriodicSeq, r: int, seq_desc: str = "custom", perturb: b
     return _compare("prop1", params, lhs, rhs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _shifted_bernoulli(m: int, lam_n, j: int, n: int) -> QPoly:
     return apostol_bernoulli(m, lam_n).shift(Fraction(j, n))
 

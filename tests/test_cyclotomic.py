@@ -11,6 +11,7 @@ from cyclosum.arith import euler_phi
 from cyclosum.cyclotomic import (
     CycloNum,
     _reduction_rows,
+    _zeta_pow,
     cyclo_inv,
     cyclotomic_poly,
     embed_complex,
@@ -63,6 +64,16 @@ def test_zeta_basic_relations():
         # full orbit sums to zero
         total = sum((zeta_pow(n, k) for k in range(n)), CycloNum.of(n, 0))
         assert total == 0
+
+
+def test_zeta_pow_caches_reduced_exponent():
+    # callers pass -k*r, k*j and the like; equal residues share one entry
+    n = 11
+    before = _zeta_pow.cache_info().currsize
+    for k in range(n):
+        for j in range(-4, 5):
+            assert zeta_pow(n, k + j * n) == zeta_pow(n, k)
+    assert _zeta_pow.cache_info().currsize - before <= n
 
 
 def test_rational_recognition():

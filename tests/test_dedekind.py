@@ -5,11 +5,13 @@ from math import gcd
 import pytest
 
 from cyclosum.arith import euler_phi, moebius
-from cyclosum.cyclotomic import cyclo_inv
+from cyclosum.appell import _bernoulli, _frob_euler
+from cyclosum.cyclotomic import cyclo_inv, zeta_pow
 from cyclosum.dedekind import _e_sum, e_sum, g_series_oracle, ramanujan_sum, v_sum
 from cyclosum.errors import ParameterCollision
 from cyclosum.qpoly import QPoly
 from cyclosum.spectra import PeriodicSeq, family
+from cyclosum.verify import _shifted_bernoulli
 
 
 def test_e_sum_hand_value():
@@ -39,6 +41,18 @@ def test_e_sum_collision_names_the_term():
         e_sum(2, 4, 0, 1, -1, c)
     # odd n never collides for rational lambda
     assert e_sum(2, 3, 0, 1, -1, family("ramanujan", 3)) is not None
+    for n in range(2, 13):
+        c = family("delta", n)
+        for k in range(1, n):
+            with pytest.raises(ParameterCollision, match=f"k={k} term"):
+                e_sum(1, n, 0, 1, zeta_pow(n, -k), c)
+        if n % 2 == 0:
+            with pytest.raises(ParameterCollision, match=f"k={n // 2} term"):
+                e_sum(1, n, 0, 1, -1, c)
+        else:
+            e_sum(1, n, 0, 1, -1, c)
+        for lam in (1, 2, Fraction(-1, 2)):
+            e_sum(1, n, 0, 1, lam, c)
 
 
 def test_e_sum_validates_shape():
@@ -127,7 +141,7 @@ def test_e_sum_rational_when_weights_are_galois_stable():
 
 
 def test_value_keyed_caches_are_bounded():
-    # both are keyed on caller-supplied values, so grids larger than the
+    # all are keyed on caller-supplied values, so grids larger than the
     # default ones must not grow them without limit
-    for cached in (_e_sum, cyclo_inv):
+    for cached in (_e_sum, cyclo_inv, _bernoulli, _frob_euler, _shifted_bernoulli):
         assert cached.cache_info().maxsize is not None

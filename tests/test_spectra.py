@@ -1,5 +1,9 @@
 """DFT pairs, sequence families, and interpolation over roots of unity."""
 import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -42,6 +46,27 @@ def test_indexing_wraps():
 def test_period_floor():
     with pytest.raises(ValueError):
         PeriodicSeq(1, (1,))
+
+
+_REHASH = """
+import pickle, sys
+for seq in pickle.load(sys.stdin.buffer):
+    fresh = type(seq)(seq.n, seq.values)
+    assert seq == fresh and hash(seq) == hash(fresh), seq
+"""
+
+
+def test_sequence_pickle_keeps_value_and_hash():
+    vals = (Fraction(1, 2), zeta_pow(3, 1), 0)
+    seqs = [PeriodicSeq(3, vals), SpectralSeq(3, vals)]
+    assert seqs[0] != seqs[1]
+    data = pickle.dumps(seqs)
+    for seq, back in zip(seqs, pickle.loads(data)):
+        assert back == seq and hash(back) == hash(seq)
+    # a pool worker hashes str differently; the pickled hash must still hold
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    subprocess.run([sys.executable, "-c", _REHASH], input=data, env=env, check=True, timeout=60)
 
 
 def test_dft_known_pair():
