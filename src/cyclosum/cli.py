@@ -219,6 +219,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if summary["fail"] else 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclosum",
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", choices=IDENTITIES + ("all",), default="all")
     p.add_argument("--grid", help="grid spec JSON file (defaults per identity)")
     p.add_argument("--out", help="report path; relative paths land in $CYCLOSUM_OUT")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
     p.add_argument("--seed", type=int, help=f"campaign seed (default {DEFAULT_SEED})")
     add_format(p, choices=("json", "csv"))
     p.set_defaults(func=cmd_verify)

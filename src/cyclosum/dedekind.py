@@ -49,10 +49,23 @@ def check_lambda_collision(n: int, lam):
     return lam
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _unit_pow(n: int, k: int, e: int) -> CycloNum:
     """(1 - zeta_n^k)**e, any integer e; k != 0 mod n keeps the base nonzero."""
     return (1 - zeta_pow(n, k)) ** e
+
+
+@lru_cache(maxsize=1024)
+def _twists(n: int, r: int, p: int) -> tuple[CycloNum, ...]:
+    """zeta^{-kr} (1 - zeta^k)^{-p} for k = 1..n-1: the part of each term's
+    weight that does not depend on the sequence."""
+    return tuple(zeta_pow(n, -k * r) * _unit_pow(n, k, -p) for k in range(1, n))
+
+
+@lru_cache(maxsize=2048)
+def _frob_euler_row(m: int, p: int, lam, n: int) -> tuple[QPoly, ...]:
+    """H_m^{(p)}(q, lam, zeta^{-k}) for k = 1..n-1."""
+    return tuple(frobenius_euler(m, p, lam, zeta_pow(n, -k)) for k in range(1, n))
 
 
 def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
@@ -69,11 +82,12 @@ def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
 
 @lru_cache(maxsize=1024)
 def _e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
+    rows = _frob_euler_row(m - 1, p, lam, n)
     terms = []
-    for k in range(1, n):
-        w = zeta_pow(n, -k * r) * c_seq[-k] * _unit_pow(n, k, -p)
-        if w:
-            terms.append((1, frobenius_euler(m - 1, p, lam, zeta_pow(n, -k)), w))
+    for k, twist, row in zip(range(1, n), _twists(n, r, p), rows):
+        c = c_seq[-k]
+        if c:
+            terms.append((1, row, twist * c))
     return sum_of_products(terms)
 
 

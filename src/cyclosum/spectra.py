@@ -155,7 +155,7 @@ def interp_poly(k_seq: SpectralSeq, r: int) -> QPoly:
     return QPoly(tuple(k_seq[j - r] for j in range(k_seq.n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _lagrange_basis(n: int) -> tuple[QPoly, ...]:
     # basis polynomial k is 1 at zeta_n^{-k} and 0 at the other nodes
     nodes = [zeta_pow(n, -k) for k in range(n)]

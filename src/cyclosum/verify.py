@@ -96,6 +96,23 @@ def _shifted_bernoulli(m: int, lam_n, j: int, n: int) -> QPoly:
     return apostol_bernoulli(m, lam_n).shift(Fraction(j, n))
 
 
+@lru_cache(maxsize=1024)
+def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
+    """C_0 B_m(nq, lam) - n^m sum_j K_{j-s} lam^j B_m(q+j/n, lam^n).
+
+    The right side of prop2 sees r and p only through s = (r+p-1) mod n,
+    so pairs sharing s share one cached polynomial.
+    """
+    kseq = dft_inverse(c_seq)
+    lam_n = lam**n
+    terms = [(1, c_seq[0], apostol_bernoulli(m, lam).scale_arg(n))]
+    for j in range(n):
+        w = kseq[j - s] * lam**j
+        if w:
+            terms.append((-(n**m), _shifted_bernoulli(m, lam_n, j, n), w))
+    return sum_of_products(terms)
+
+
 def check_prop2(
     m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq, seq_desc: str = "custom", perturb: bool = False
 ) -> IdentityCase:
@@ -108,17 +125,9 @@ def check_prop2(
         e = e_sum(m, n, r, p, lam, c_seq)
     except ParameterCollision as exc:
         return IdentityCase("prop2", params, "skipped", reason=str(exc))
-    lam = normalize_scalar(lam)
     sign = 1 if p % 2 else -1  # (-1)^(p-1)
     lhs = (sign * m) * e.scale_arg(n)
-    kseq = dft_inverse(c_seq)
-    lam_n = lam**n
-    terms = [(1, c_seq[0], apostol_bernoulli(m, lam).scale_arg(n))]
-    for j in range(n):
-        w = kseq[j - r - p + 1] * lam**j
-        if w:
-            terms.append((-(n**m), _shifted_bernoulli(m, lam_n, j, n), w))
-    rhs = sum_of_products(terms)
+    rhs = _prop2_rhs(m, n, (r + p - 1) % n, normalize_scalar(lam), c_seq)
     if perturb:
         rhs = rhs + 1
     return _compare("prop2", params, lhs, rhs)
@@ -332,6 +341,7 @@ class GridSpec:
             raise InvalidGrid(
                 f"grid identity {obj['identity']!r} contradicts requested {identity!r}"
             )
+        perturb = obj.get("perturb_index")
         spec = cls(
             identity=ident,
             m=_int_axis(obj.get("m"), "m"),
@@ -341,9 +351,9 @@ class GridSpec:
             rp_pairs=_pair_axis(obj.get("rp_pairs")),
             lambdas=_lambda_axis(obj.get("lambdas")),
             sequences=_seq_axis(obj.get("sequences")),
-            order=_order_field(obj.get("T", 8)),
-            seed=_seed_field(obj.get("seed", DEFAULT_SEED)),
-            perturb_index=obj.get("perturb_index"),
+            order=_int_field(obj.get("T", 8), "T", minimum=0),
+            seed=_int_field(obj.get("seed", DEFAULT_SEED), "seed"),
+            perturb_index=None if perturb is None else _int_field(perturb, "perturb_index"),
         )
         spec.validate()
         return spec
@@ -417,15 +427,9 @@ def _seq_axis(v) -> tuple[str, ...]:
     raise InvalidGrid("sequences must be a list of descriptor strings")
 
 
-def _order_field(v) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise InvalidGrid(f"bad T: {v!r}")
-    return v
-
-
-def _seed_field(v) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InvalidGrid(f"bad seed: {v!r}")
+def _int_field(v, name: str, minimum: int | None = None) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or (minimum is not None and v < minimum):
+        raise InvalidGrid(f"bad {name}: {v!r}")
     return v
 
 

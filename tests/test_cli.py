@@ -213,6 +213,26 @@ def test_verify_grid_with_all_is_rejected(capsys, tmp_path):
     assert "identity" in err
 
 
+def test_verify_bad_perturb_index_is_grid_error(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    for bad in ("0", True):
+        grid = {"identity": "mult", "m": [1], "n": [2], "lambdas": ["2"], "perturb_index": bad}
+        path.write_text(json.dumps(grid))
+        code, _, err = run(
+            capsys, "verify", "--identity", "mult", "--grid", str(path), "--workers", "1"
+        )
+        assert code == 2
+        assert "perturb_index" in err
+
+
+def test_verify_rejects_nonpositive_workers(capsys):
+    for workers in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--identity", "moebius", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 def test_verify_missing_grid_file(capsys):
     code, _, err = run(
         capsys, "verify", "--identity", "mult", "--grid", "/nonexistent.json"

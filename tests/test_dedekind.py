@@ -7,11 +7,20 @@ import pytest
 from cyclosum.arith import euler_phi, moebius
 from cyclosum.appell import _bernoulli, _frob_euler
 from cyclosum.cyclotomic import cyclo_inv, zeta_pow
-from cyclosum.dedekind import _e_sum, e_sum, g_series_oracle, ramanujan_sum, v_sum
+from cyclosum.dedekind import (
+    _e_sum,
+    _frob_euler_row,
+    _twists,
+    _unit_pow,
+    e_sum,
+    g_series_oracle,
+    ramanujan_sum,
+    v_sum,
+)
 from cyclosum.errors import ParameterCollision
 from cyclosum.qpoly import QPoly
-from cyclosum.spectra import PeriodicSeq, family
-from cyclosum.verify import _shifted_bernoulli
+from cyclosum.spectra import PeriodicSeq, _lagrange_basis, family
+from cyclosum.verify import _prop2_rhs, _shifted_bernoulli
 
 
 def test_e_sum_hand_value():
@@ -143,5 +152,8 @@ def test_e_sum_rational_when_weights_are_galois_stable():
 def test_value_keyed_caches_are_bounded():
     # all are keyed on caller-supplied values, so grids larger than the
     # default ones must not grow them without limit
-    for cached in (_e_sum, cyclo_inv, _bernoulli, _frob_euler, _shifted_bernoulli):
+    for cached in (
+        _e_sum, cyclo_inv, _bernoulli, _frob_euler, _shifted_bernoulli,
+        _unit_pow, _lagrange_basis, _twists, _frob_euler_row, _prop2_rhs,
+    ):
         assert cached.cache_info().maxsize is not None

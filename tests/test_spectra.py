@@ -119,8 +119,13 @@ def test_forward_inverts_cyclotomic_spectrum():
             "prop2", m=(2,), n=(3, 4), r=(0, 1), p=(1,), lambdas=(Fraction(2),),
             sequences=("ramanujan", "random:1"), perturb_index=6,
         ),
+        # (r, p) pairs sharing r + p - 1 share one cached right side
+        GridSpec(
+            "prop2", m=(2,), n=(3,), r=(0, 1, 2), p=(0, 1, 2), lambdas=(Fraction(2),),
+            sequences=("ramanujan", "random:1"), perturb_index=9,
+        ),
     ],
-    ids=["prop1", "prop2"],
+    ids=["prop1", "prop2", "prop2-shared-shift"],
 )
 def test_cached_spectrum_never_hides_perturbation(spec):
     # the second run finds every spectrum in the cache already

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from cyclosum.appell import apostol_bernoulli
 from cyclosum.errors import InvalidGrid, InvalidParam
-from cyclosum.spectra import PeriodicSeq, family
+from cyclosum.qpoly import QPoly
+from cyclosum.spectra import PeriodicSeq, dft_inverse, family
 from cyclosum.verify import (
     DEFAULT_SEED,
     IDENTITIES,
     GridSpec,
+    _prop2_rhs,
     build_report,
     check_gseries_chain,
     check_moebius_interp,
@@ -112,6 +115,44 @@ def test_grid_from_json_and_validation():
         GridSpec.from_json({"identity": "section4", "m": [1], "n": [2], "rp_pairs": [[1, 1]], "lambdas": ["2"]})
     with pytest.raises(InvalidGrid):
         GridSpec.from_json({"identity": "gseries", "n": [2], "r": [0], "p": [1], "lambdas": ["2"], "sequences": ["delta"], "T": 0})
+    for bad in ("0", True):
+        with pytest.raises(InvalidGrid, match="perturb_index"):
+            GridSpec.from_json({"identity": "moebius", "n": [2], "perturb_index": bad})
+    assert GridSpec.from_json({"identity": "moebius", "n": [2], "perturb_index": 0}).perturb_index == 0
+
+
+def _compose(poly: QPoly, inner: QPoly) -> QPoly:
+    acc, power = QPoly.zero(), QPoly.one()
+    for c in poly.coeffs:
+        acc = acc + power * c
+        power = power * inner
+    return acc
+
+
+def _literal_prop2_rhs(m, n, r, p, lam, c_seq):
+    # C_0 B_m(nq, lam) - n^m sum_j K_{j-r-p+1} lam^j B_m(q + j/n, lam^n),
+    # each argument substituted by expanding powers of the inner polynomial
+    kseq = dft_inverse(c_seq)
+    rhs = _compose(apostol_bernoulli(m, lam), QPoly((0, n))) * c_seq[0]
+    b = apostol_bernoulli(m, lam**n)
+    for j in range(n):
+        w = n**m * kseq[j - r - p + 1] * lam**j
+        rhs = rhs - _compose(b, QPoly((Fraction(j, n), 1))) * w
+    return rhs
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_prop2_right_side_is_built_once_per_shift(n):
+    m, lam = 3, Fraction(-1, 2)
+    c_seq = random_sequence(n, DEFAULT_SEED, 1)
+    _prop2_rhs.cache_clear()
+    for r in range(n + 2):
+        for p in range(-1, 3):
+            assert check_prop2(m, n, r, p, lam, c_seq).status == "pass"
+            cached = _prop2_rhs(m, n, (r + p - 1) % n, lam, c_seq)
+            assert cached == _literal_prop2_rhs(m, n, r, p, lam, c_seq)
+    # r + p - 1 runs through every residue mod n; each one is built once
+    assert _prop2_rhs.cache_info().misses == n
 
 
 def test_run_grid_deterministic_across_workers():
