@@ -355,67 +355,54 @@ def _zeta_pow(n: int, k: int) -> CycloNum:
     return base**k
 
 
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    rem = list(num)
-    db = len(den) - 1
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(len(rem) - db, 0)
-    inv_lead = 1 / den[-1]
-    for top in range(len(rem) - 1, db - 1, -1):
-        c = rem[top]
-        if not c:
-            continue
-        f = c * inv_lead
-        quo[top - db] = f
-        for j, bv in enumerate(den):
-            rem[top - db + j] -= f * bv
-    while rem and not rem[-1]:
-        rem.pop()
-    return quo, rem
+@lru_cache(maxsize=1024)
+def galois_map(d: int, n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The phi(d) x phi(n) integer matrix sending zeta_d^j to zeta_n^(t*j):
+    row j is zeta_pow(n, t*j).nums.
+
+    It is a field map Q(zeta_d) -> Q(zeta_n) when zeta_n^t has order d:
+    the automorphism sigma_t for d = n and gcd(t, n) = 1, and the embedding
+    of level d into level n for t = n/d.
+    """
+    return tuple(zeta_pow(n, t * j).nums for j in range(_phi(d)))
+
+
+def _map_nums(nums, matrix) -> list[int]:
+    """The integer row vector nums times the integer matrix `matrix`."""
+    out = [0] * len(matrix[0])
+    for v, row in zip(nums, matrix):
+        if v:
+            out = _K.vec_lincomb(out, row, 1, v)
+    return out
 
 
 @lru_cache(maxsize=1024)
 def cyclo_inv(a: CycloNum) -> CycloNum:
-    """Inverse via extended Euclid against Phi_n over the rationals."""
+    """Inverse as the product of the other Galois conjugates over the norm:
+    1/a = prod_{t != 1} sigma_t(a) / N(a), t over the units mod n.
+
+    With a = A/den for the integer vector A, the product P of the sigma_t(A)
+    is an integer vector and A * P is the rational integer N(A), so
+    1/a = den * P / N(A) takes integer arithmetic only.
+    """
     if not a:
         raise ZeroDivisionError("inverse of zero cyclotomic element")
-    r = a.is_rational()
-    if r is not None:
-        return CycloNum.of(a.level, 1 / r)
-    # gcd(a, Phi_n) is a nonzero constant; track the Bezout factor of a only
-    r0 = [c for c in a.coeffs]
-    while r0 and not r0[-1]:
-        r0.pop()
-    s0 = [Fraction(1)]
-    r1 = [Fraction(c) for c in cyclotomic_poly(a.level).coeffs]
-    s1: list[Fraction] = []
-    while r1:
-        quo, rem = _frac_poly_divmod(r0, r1)
-        # s_next = s0 - quo * s1
-        prod = [Fraction(0)] * (len(quo) + len(s1) - 1) if quo and s1 else []
-        for i, qv in enumerate(quo):
-            if not qv:
-                continue
-            for j, sv in enumerate(s1):
-                prod[i + j] += qv * sv
-        s_next = [
-            (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
-            for i in range(max(len(s0), len(prod)))
-        ]
-        r0, s0, r1, s1 = r1, s1, rem, s_next
-    g = r0
-    if len(g) != 1:
-        raise ArithmeticError("reduction modulus is not squarefree at this element")
-    scale = 1 / g[0]
-    d = _phi(a.level)
-    s = list(s0)
-    while s and not s[-1]:
-        s.pop()
-    if len(s) > d:
-        raise ArithmeticError("Bezout factor exceeds field degree")
-    coeffs = [(s[i] if i < len(s) else Fraction(0)) * scale for i in range(d)]
-    return CycloNum.from_coeffs(a.level, coeffs)
+    n = a.level
+    if not any(a.nums[1:]):
+        return CycloNum.of(n, Fraction(a.den, a.nums[0]))
+    phi = len(a.nums)
+    rows = _reduction_rows(n)
+    prod = None
+    for t in range(2, n):
+        if gcd(t, n) == 1:
+            conj = _map_nums(a.nums, galois_map(n, n, t))
+            prod = conj if prod is None else _K.reduce_cyclo(_K.conv(prod, conj), rows, phi)
+    # Q(zeta_n) is totally complex for n > 2, so the norm, a product of
+    # |sigma(a)|^2 over conjugate pairs, is positive
+    norm = _K.reduce_cyclo(_K.conv(a.nums, prod), rows, phi)
+    if any(norm[1:]) or norm[0] <= 0:
+        raise ArithmeticError("Galois norm is not a positive rational")
+    return _cancel(n, _K.vec_scale(prod, a.den), norm[0])
 
 
 def embed_complex(a: CycloNum, precision: int = 53) -> mpmath.mpc:

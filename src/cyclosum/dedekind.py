@@ -12,6 +12,10 @@ undefined exactly when lam hits one of the zeta^{-k} (for rational lam that
 means lam = -1 with n even); those parameters raise ParameterCollision.
 lam = 1 is perfectly legal here.
 
+For rational lam the terms fall into Galois orbits: with d = n/gcd(k, n),
+the k-th term is sigma_u of one level-d seed, so _e_sum builds one
+Frobenius-Euler polynomial per divisor d > 1 of n, not one per k.
+
 g_series_oracle is the independent series route: the closed form of the
 generating function whose EGF coefficient m must equal e_sum at index m+1.
 """
@@ -19,12 +23,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add, mul
 
+from . import _kernel as _K
 from .appell import frobenius_euler
-from .arith import totatives
-from .cyclotomic import CycloNum, normalize_scalar, zeta_pow
+from .arith import divisors, totatives
+from .cyclotomic import CycloNum, _phi, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
-from .qpoly import QPoly, q, sum_of_products
+from .qpoly import QPoly, _build, q, sum_of_products
 from .series import TruncSeries
 from .spectra import PeriodicSeq
 
@@ -55,19 +62,6 @@ def _unit_pow(n: int, k: int, e: int) -> CycloNum:
     return (1 - zeta_pow(n, k)) ** e
 
 
-@lru_cache(maxsize=1024)
-def _twists(n: int, r: int, p: int) -> tuple[CycloNum, ...]:
-    """zeta^{-kr} (1 - zeta^k)^{-p} for k = 1..n-1: the part of each term's
-    weight that does not depend on the sequence."""
-    return tuple(zeta_pow(n, -k * r) * _unit_pow(n, k, -p) for k in range(1, n))
-
-
-@lru_cache(maxsize=2048)
-def _frob_euler_row(m: int, p: int, lam, n: int) -> tuple[QPoly, ...]:
-    """H_m^{(p)}(q, lam, zeta^{-k}) for k = 1..n-1."""
-    return tuple(frobenius_euler(m, p, lam, zeta_pow(n, -k)) for k in range(1, n))
-
-
 def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
     """The Dedekind-type sum as a polynomial in q over Q(zeta_n)."""
     if m < 1:
@@ -82,13 +76,65 @@ def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
 
 @lru_cache(maxsize=1024)
 def _e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
-    rows = _frob_euler_row(m - 1, p, lam, n)
-    terms = []
-    for k, twist, row in zip(range(1, n), _twists(n, r, p), rows):
-        c = c_seq[-k]
-        if c:
-            terms.append((1, row, twist * c))
-    return sum_of_products(terms)
+    if not isinstance(lam, Fraction):
+        # sigma_u moves an irrational lambda, so no orbit form: sum over k
+        terms = []
+        for k in range(1, n):
+            c = c_seq[-k]
+            if c:
+                h = frobenius_euler(m - 1, p, lam, zeta_pow(n, -k))
+                terms.append((1, h, zeta_pow(n, -k * r) * _unit_pow(n, k, -p) * c))
+        return sum_of_products(terms)
+    # The term k with d = n/gcd(k, n), g = n/d and u = k/g is sigma_u(Y_d)
+    # C_{-gu} taken into level n by zeta_d -> zeta_n^g.  With Y_d = sum_j
+    # y_j zeta_d^j, the orbit of Y_d contributes sum_j y_j W_j, where
+    # W_j = sum_u C_{-gu} zeta_n^{guj}.
+    parts = []
+    for d in divisors(n)[1:]:
+        seed = _orbit_seed(m, d, r % d, p, lam)
+        weights = _orbit_weights(n, d, seed.level, c_seq) if seed else None
+        if weights is not None:
+            parts.append((seed, weights[0], seed.den * weights[1]))
+    if not parts:
+        return QPoly()
+    common = lcm(*(den for _, _, den in parts))
+    acc: list[int] = []
+    for seed, cols, den in parts:
+        flat = [sum(map(mul, row, col)) for row in seed.rows for col in cols]
+        if common != den:
+            flat = _K.vec_scale(flat, common // den)
+        if len(flat) > len(acc):
+            acc, flat = flat, acc
+        acc[: len(flat)] = map(add, acc, flat)
+    return _build(n, acc, common)
+
+
+@lru_cache(maxsize=4096)
+def _orbit_seed(m: int, d: int, r: int, p: int, lam: Fraction) -> QPoly:
+    """Y_d = zeta_d^{-r} (1 - zeta_d)^{-p} H_{m-1}^{(p)}(q, lam, zeta_d^{-1})
+    for 0 <= r < d, at level d, or at level 1 when it is rational."""
+    twist = zeta_pow(d, -r) * _unit_pow(d, 1, -p)
+    return frobenius_euler(m - 1, p, lam, zeta_pow(d, -1)) * twist
+
+
+@lru_cache(maxsize=1024)
+def _orbit_weights(n: int, d: int, level: int, c_seq: PeriodicSeq):
+    """The level-n weights W_j = sum_{u in (Z/d)^*} C_{-gu} zeta_n^{guj},
+    g = n/d, for j < phi(level), as (cols, den): cols[l][j] / den is
+    coordinate l of W_j.  None when every W_j vanishes."""
+    g = n // d
+    ws = []
+    for j in range(_phi(level)):
+        w = CycloNum.of(n, 0)
+        for u in totatives(d):
+            c = c_seq[-g * u]
+            if c:
+                w = w + c * zeta_pow(n, g * u * j)
+        ws.append(w)
+    if not any(ws):
+        return None
+    den = lcm(*(w.den for w in ws))
+    return tuple(zip(*(_K.vec_scale(w.nums, den // w.den) for w in ws))), den
 
 
 def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> TruncSeries:

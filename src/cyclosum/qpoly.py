@@ -174,19 +174,21 @@ class QPoly:
             out = sum_of_products(((1, out, step), (1, coeff, 1)))
         return out
 
-    def scale_arg(self, c) -> QPoly:
-        """f(c*q) for a rational c = a/d: row i of the matrix picks up
-        a^i d^(top-i) over den * d^top."""
+    def scale_arg(self, c, factor=1) -> QPoly:
+        """factor * f(c*q) for rationals c = a/d and factor = b/e, in one
+        build: row i of the matrix picks up b a^i d^(top-i) over
+        den * e * d^top."""
         level, nums, d = _scalar_parts(c)
-        if level != 1:
+        f_level, f_nums, e = _scalar_parts(factor)
+        if level != 1 or f_level != 1:
             raise TypeError("scale_arg needs a rational factor")
-        a = nums[0]
+        a, b = nums[0], f_nums[0]
         top = len(self.rows) - 1
         flat: list[int] = []
         for i, row in enumerate(self.rows):
-            f = a**i * d ** (top - i)
+            f = b * a**i * d ** (top - i)
             flat.extend(v * f for v in row)
-        return _build(self.level, flat, self.den * d ** max(top, 0))
+        return _build(self.level, flat, self.den * e * d ** max(top, 0))
 
     def eval_at(self, x):
         """Horner evaluation at a scalar."""
@@ -381,11 +383,13 @@ def _canon(level: int, flat, den: int) -> tuple[int, tuple[tuple[int, ...], ...]
     if g > 1:
         flat = [v // g for v in flat]
         den //= g
-    if phi > 1:
-        col0 = flat[::phi]
-        if flat.count(0) - col0.count(0) == len(flat) - len(col0):
-            # every higher column vanishes: the polynomial is rational
-            return 1, tuple(zip(col0)), den
+    if phi == 1:
+        # levels 1 and 2: Q(zeta_2) = Q, so the polynomial is level 1
+        return 1, tuple(zip(flat)), den
+    col0 = flat[::phi]
+    if flat.count(0) - col0.count(0) == len(flat) - len(col0):
+        # every higher column vanishes: the polynomial is rational
+        return 1, tuple(zip(col0)), den
     return level, tuple(zip(*[iter(flat)] * phi)), den
 
 

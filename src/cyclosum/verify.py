@@ -126,7 +126,7 @@ def check_prop2(
     except ParameterCollision as exc:
         return IdentityCase("prop2", params, "skipped", reason=str(exc))
     sign = 1 if p % 2 else -1  # (-1)^(p-1)
-    lhs = (sign * m) * e.scale_arg(n)
+    lhs = e.scale_arg(n, sign * m)
     rhs = _prop2_rhs(m, n, (r + p - 1) % n, normalize_scalar(lam), c_seq)
     if perturb:
         rhs = rhs + 1
@@ -162,7 +162,7 @@ def check_section4_closed_form(m: int, n: int, r: int, p: int, lam, perturb: boo
         return IdentityCase("section4", params, "skipped", reason=str(exc))
     lam = normalize_scalar(lam)
     sign = 1 if p % 2 else -1
-    lhs = (sign * m) * e.scale_arg(n)
+    lhs = e.scale_arg(n, sign * m)
     lam_n = lam**n
     rhs = euler_phi(n) * apostol_bernoulli(m, lam).scale_arg(n)
     for i in range(m + 1):
@@ -277,7 +277,7 @@ def check_gseries_chain(
                 lhs=g[m].to_str(), rhs=expected.to_str(),
             )
     for m in range(1, order + 1):
-        expected = m * e_sum(m, n, r, p, lam, c_seq).scale_arg(n)
+        expected = e_sum(m, n, r, p, lam, c_seq).scale_arg(n, m)
         if tg[m] != expected:
             return IdentityCase(
                 "gseries", params, "fail",

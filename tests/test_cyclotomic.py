@@ -10,11 +10,13 @@ from cyclosum import _kernel as _K
 from cyclosum.arith import euler_phi
 from cyclosum.cyclotomic import (
     CycloNum,
+    _map_nums,
     _reduction_rows,
     _zeta_pow,
     cyclo_inv,
     cyclotomic_poly,
     embed_complex,
+    galois_map,
     normalize_scalar,
     zeta_pow,
 )
@@ -271,3 +273,144 @@ def test_general_products_and_sums_stay_canonical(pair):
         assert got == _general(op, a, b, n)
     _assert_canonical(-a)
     assert -a == _general("-", 0, a, n)
+
+
+# The inverse as the product of Galois conjugates over the norm, against
+# the extended Euclidean algorithm in Fraction arithmetic as the oracle.
+
+
+def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
+    rem = list(num)
+    db = len(den) - 1
+    quo = [Fraction(0)] * max(len(rem) - db, 0)
+    inv_lead = 1 / den[-1]
+    for top in range(len(rem) - 1, db - 1, -1):
+        c = rem[top]
+        if not c:
+            continue
+        f = c * inv_lead
+        quo[top - db] = f
+        for j, bv in enumerate(den):
+            rem[top - db + j] -= f * bv
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _euclid_inverse(a: CycloNum) -> CycloNum:
+    """1/a from the Bezout factor s of s*a + t*Phi_n = const, over Q."""
+    r0 = list(a.coeffs)
+    while r0 and not r0[-1]:
+        r0.pop()
+    s0 = [Fraction(1)]
+    r1 = [Fraction(c) for c in cyclotomic_poly(a.level).coeffs]
+    s1: list[Fraction] = []
+    while r1:
+        quo, rem = _frac_poly_divmod(r0, r1)
+        prod = [Fraction(0)] * (len(quo) + len(s1) - 1) if quo and s1 else []
+        for i, qv in enumerate(quo):
+            for j, sv in enumerate(s1):
+                prod[i + j] += qv * sv
+        s_next = [
+            (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
+            for i in range(max(len(s0), len(prod)))
+        ]
+        r0, s0, r1, s1 = r1, s1, rem, s_next
+    assert len(r0) == 1, "gcd(a, Phi_n) is not a constant"
+    d = euler_phi(a.level)
+    s = (s0 + [Fraction(0)] * d)[:d]
+    assert not any(s0[d:])
+    return CycloNum.from_coeffs(a.level, [c / r0[0] for c in s])
+
+
+inverse_levels = st.sampled_from((3, 4, 5, 7, 8, 9, 12, 15, 16, 21))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inverse_levels.flatmap(elements))
+def test_norm_inverse_matches_euclid(a):
+    if a == 0:
+        return
+    inv = cyclo_inv(a)
+    _assert_canonical(inv)
+    assert inv * a == 1
+    assert inv == _euclid_inverse(a)
+
+
+def test_norm_inverse_high_level():
+    # phi = 24 at the levels of the large benchmark grids
+    for n in (35, 45):
+        for a in (1 - zeta_pow(n, 1), 2 - zeta_pow(n, -4), zeta_pow(n, 7) + Fraction(1, 3) * zeta_pow(n, 2)):
+            inv = cyclo_inv(a)
+            assert inv * a == 1
+            assert inv == _euclid_inverse(a)
+
+
+def test_inverse_of_rational_element():
+    for n in (1, 2, 6):
+        assert cyclo_inv(CycloNum.of(n, Fraction(-3, 5))) == Fraction(-5, 3)
+
+
+# galois_map(d, n, t): zeta_d^j -> zeta_n^(t*j) as an integer matrix.
+
+
+def _sigma(a: CycloNum, n: int, t: int) -> CycloNum:
+    return CycloNum(n, _map_nums(a.nums, galois_map(a.level, n, t)), a.den)
+
+
+def _field_map(n: int):
+    """(d, t) with d | n, d > 1 and zeta_n^t of order d: the automorphism
+    sigma_u of level d followed by the embedding zeta_d -> zeta_n^(n/d)."""
+    return st.sampled_from([d for d in range(2, n + 1) if n % d == 0]).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.sampled_from([n // d * u for u in range(1, d) if gcd(u, d) == 1]),
+        )
+    )
+
+
+map_levels = st.sampled_from((3, 4, 5, 6, 8, 9, 12, 15))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    map_levels.flatmap(
+        lambda n: _field_map(n).flatmap(
+            lambda dt: st.tuples(st.just(n), st.just(dt), elements(dt[0]), elements(dt[0]))
+        )
+    )
+)
+def test_galois_map_is_ring_homomorphism(case):
+    n, (d, t), a, b = case
+    assert _sigma(a * b, n, t) == _sigma(a, n, t) * _sigma(b, n, t)
+    assert _sigma(a + b, n, t) == _sigma(a, n, t) + _sigma(b, n, t)
+    assert _sigma(CycloNum.of(d, 1), n, t) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    map_levels.flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from([d for d in range(1, n + 1) if n % d == 0]),
+            st.integers(0, n - 1),
+            st.sampled_from([t for t in range(1, n) if gcd(t, n) == 1]),
+        )
+    )
+)
+def test_galois_maps_compose(case):
+    # applying sigma_t2 after zeta_d -> zeta_n^t1 sends zeta_d to zeta_n^(t1 t2)
+    n, d, t1, t2 = case
+    composed = [_map_nums(row, galois_map(n, n, t2)) for row in galois_map(d, n, t1)]
+    assert composed == [list(row) for row in galois_map(d, n, t1 * t2 % n)]
+
+
+def test_embedding_agrees_with_zeta_pow():
+    # every power of zeta_d, reduced at level d or not, lands on zeta_n^(gj)
+    for n in (4, 6, 9, 12, 15, 20):
+        for d in range(1, n + 1):
+            if n % d:
+                continue
+            g = n // d
+            for j in range(-d, 2 * d):
+                assert _sigma(zeta_pow(d, j), n, g) == zeta_pow(n, g * j)

@@ -3,14 +3,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cyclosum.arith import euler_phi, moebius
-from cyclosum.appell import _bernoulli, _frob_euler
-from cyclosum.cyclotomic import cyclo_inv, zeta_pow
+from cyclosum.arith import divisors, euler_phi, moebius
+from cyclosum.appell import _bernoulli, _frob_euler, frobenius_euler
+from cyclosum.cyclotomic import cyclo_inv, galois_map, zeta_pow
 from cyclosum.dedekind import (
     _e_sum,
-    _frob_euler_row,
-    _twists,
+    _orbit_seed,
+    _orbit_weights,
     _unit_pow,
     e_sum,
     g_series_oracle,
@@ -18,9 +19,19 @@ from cyclosum.dedekind import (
     v_sum,
 )
 from cyclosum.errors import ParameterCollision
-from cyclosum.qpoly import QPoly
+from cyclosum.qpoly import QPoly, sum_of_products
 from cyclosum.spectra import PeriodicSeq, _lagrange_basis, family
 from cyclosum.verify import _prop2_rhs, _shifted_bernoulli
+
+
+def _literal_e_sum(m, n, r, p, lam, c_seq):
+    """The defining sum over k = 1..n-1, one Frobenius-Euler polynomial per k."""
+    terms = []
+    for k in range(1, n):
+        if c_seq[-k]:
+            weight = zeta_pow(n, -k * r) * (1 - zeta_pow(n, k)) ** -p * c_seq[-k]
+            terms.append((1, frobenius_euler(m - 1, p, lam, zeta_pow(n, -k)), weight))
+    return sum_of_products(terms)
 
 
 def test_e_sum_hand_value():
@@ -154,6 +165,74 @@ def test_value_keyed_caches_are_bounded():
     # default ones must not grow them without limit
     for cached in (
         _e_sum, cyclo_inv, _bernoulli, _frob_euler, _shifted_bernoulli,
-        _unit_pow, _lagrange_basis, _twists, _frob_euler_row, _prop2_rhs,
+        _unit_pow, _lagrange_basis, _orbit_seed, _orbit_weights, _prop2_rhs,
+        galois_map,
     ):
         assert cached.cache_info().maxsize is not None
+
+
+# The orbit form of _e_sum (one seed per divisor of n) against the literal sum.
+
+small_fracs = st.tuples(st.integers(-3, 3), st.integers(1, 4)).map(lambda t: Fraction(*t))
+rational_lambdas = st.sampled_from(
+    (Fraction(0), Fraction(1), Fraction(2), Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(3))
+)
+
+
+def _sequences(n):
+    rational = st.lists(small_fracs, min_size=n, max_size=n).map(lambda vs: PeriodicSeq(n, vs))
+    dedekind = st.tuples(
+        st.sampled_from(("fourier-dedekind", "apostol-dedekind")),
+        st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1]),
+    ).map(lambda t: family(t[0], n, a=t[1]))
+    return st.one_of(rational, dedekind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 15).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, 5), st.just(n), st.integers(-2, n + 2), st.integers(-1, 2),
+            rational_lambdas, _sequences(n),
+        )
+    )
+)
+def test_orbit_e_sum_matches_literal_sum(case):
+    m, n, r, p, lam, c = case
+    assume(not (lam == -1 and n % 2 == 0))
+    got = e_sum(m, n, r, p, lam, c)
+    assert got == _literal_e_sum(m, n, r, p, lam, c)
+    assert (got.level == 1) == all(isinstance(v, Fraction) for v in got.coeffs)
+
+
+def test_orbit_seeds_are_built_once_per_residue():
+    # Y_d sees r only through r mod d: r = 0..11 at n = 12 builds one seed
+    # per residue of each divisor d > 1
+    _e_sum.cache_clear()
+    _orbit_seed.cache_clear()
+    n, c = 12, family("ramanujan", 12)
+    for r in range(n):
+        assert e_sum(2, n, r, 1, 2, c) == _literal_e_sum(2, n, r, 1, 2, c)
+    assert _orbit_seed.cache_info().currsize == sum(d for d in divisors(n) if d > 1)
+
+
+def test_orbit_weights_are_keyed_on_seed_level():
+    # lam = 0 gives Y_d = (-1)^(p+1) zeta_d^(1-r-p) q^(m-1): rational for
+    # every d when r + p = 1, irrational at d > 2 otherwise, so one (n, d, C)
+    # needs its weights at level 1 first and at level d next
+    _e_sum.cache_clear()
+    _orbit_weights.cache_clear()
+    n, c = 6, family("apostol-dedekind", 6, a=1)
+    assert _orbit_seed(3, 3, 0, 1, Fraction(0)).level == 1
+    assert _orbit_seed(3, 3, 1, 1, Fraction(0)).level == 3
+    for r, p in ((0, 1), (1, 1), (3, -1), (2, 0)):
+        assert e_sum(3, n, r, p, 0, c) == _literal_e_sum(3, n, r, p, 0, c)
+
+
+def test_irrational_lambda_matches_series_oracle():
+    # sigma_u moves an irrational lambda, so these take the sum over k
+    for n, lam in ((4, 2 * zeta_pow(4, 1)), (5, zeta_pow(5, 2) - 1)):
+        c = family("fourier-dedekind", n, a=1)
+        series = g_series_oracle(n, 1, 1, lam, c, order=3)
+        for m in range(4):
+            assert series[m] == e_sum(m + 1, n, 1, 1, lam, c)

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from cyclosum.arith import euler_phi
 from cyclosum.cyclotomic import CycloNum, normalize_scalar, zeta_pow
 from cyclosum.errors import NotDivisible
-from cyclosum.qpoly import QPoly, geometric_block, q, sum_of_products
+from cyclosum.qpoly import QPoly, _build, geometric_block, q, sum_of_products
 
 rationals = st.tuples(st.integers(-50, 50), st.integers(1, 12)).map(
     lambda t: Fraction(t[0], t[1])
@@ -284,6 +284,33 @@ def test_scale_arg_refuses_irrational_factor():
         (q + 1).scale_arg(zeta_pow(3, 1))
     # a rational value held as a CycloNum is accepted
     assert (q + 1).scale_arg(CycloNum.of(3, 2)) == 2 * q + 1
+
+
+@given(level_and_two, small, small)
+def test_scale_arg_folds_rational_factor(args, c, k):
+    # k * f(c q) in one build equals the two-pass form
+    level, a, _ = args
+    p = QPoly(a)
+    got = p.scale_arg(c, k)
+    assert_canonical(got)
+    assert got == k * p.scale_arg(c)
+    assert p.scale_arg(c, CycloNum.of(level, k)) == got
+
+
+def test_scale_arg_refuses_irrational_multiplier():
+    with pytest.raises(TypeError, match="rational"):
+        (q + 1).scale_arg(2, zeta_pow(3, 1))
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_phi_one_levels_build_at_level_one(level):
+    # Q(zeta_2) = Q: a build at level 2 is the level-1 polynomial, with the
+    # same rows, equality and hash
+    p = _build(level, [2, -4, 6, 0], 8)
+    want = QPoly((Fraction(1, 4), Fraction(-1, 2), Fraction(3, 4)))
+    assert_canonical(p)
+    assert (p.level, p.rows, p.den) == (want.level, want.rows, want.den)
+    assert p == want and hash(p) == hash(want)
 
 
 @given(level_and_two)
