@@ -6,7 +6,7 @@ campaigns for the identities tying them together.
 """
 from ._kernel import BACKEND as kernel_backend
 from .appell import apostol_bernoulli, apostol_bernoulli_number, frobenius_euler
-from .cyclotomic import CycloNum, CycloPolyMod, cyclo_inv, cyclotomic_poly, embed_complex, zeta_pow
+from .cyclotomic import CycloNum, CycloPolyMod, cyclo_inv, cyclotomic_poly, zeta_pow
 from .dedekind import e_sum, g_series_oracle, ramanujan_sum, v_sum
 from .errors import (
     CyclosumError,
@@ -59,7 +59,6 @@ __all__ = [
     "dft_forward",
     "dft_inverse",
     "e_sum",
-    "embed_complex",
     "family",
     "format_rational",
     "frobenius_euler",

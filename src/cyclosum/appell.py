@@ -21,7 +21,6 @@ from math import comb
 from .cyclotomic import normalize_scalar
 from .errors import InvalidPower, ParameterCollision
 from .qpoly import QPoly, q, sum_of_products
-from .scalars import scalar_inv
 from .series import TruncSeries
 
 
@@ -44,20 +43,12 @@ def _bernoulli(m: int, lam) -> QPoly:
     # (lam-1) B_m = m q^{m-1} - lam sum_{i<m} C(m,i) B_i
     terms = [(m, QPoly.monomial(m - 1), 1)]
     terms += [(-comb(m, i), lam, _bernoulli(i, lam)) for i in range(m)]
-    return sum_of_products(terms) * scalar_inv(lam - 1)
+    return sum_of_products(terms) * (1 / (lam - 1))
 
 
 def apostol_bernoulli_number(i: int, lam):
     """B_i(lam) := B_i(0, lam), the constant coefficient."""
     return apostol_bernoulli(i, lam)[0]
-
-
-def _one_minus_pow(gamma, p: int):
-    """(1 - gamma)**p for any integer p; caller excludes gamma = 1 when p < 0."""
-    base = 1 - gamma
-    if p >= 0:
-        return base**p
-    return scalar_inv(base) ** (-p)
 
 
 def frobenius_euler(m: int, p: int, lam, gamma) -> QPoly:
@@ -75,8 +66,8 @@ def frobenius_euler(m: int, p: int, lam, gamma) -> QPoly:
 
 @lru_cache(maxsize=4096)
 def _frob_euler(m: int, p: int, lam, gamma) -> QPoly:
-    w = _one_minus_pow(gamma, p)
-    inv_lg = scalar_inv(lam - gamma)
+    w = (1 - gamma) ** p
+    inv_lg = 1 / (lam - gamma)
     if m == 0:
         return QPoly((w * inv_lg,))
     # (lam-gamma) H_m = (1-gamma)^p q^m - lam sum_{i<m} C(m,i) H_i
@@ -109,7 +100,7 @@ def series_oracle_H(m_max: int, p: int, lam, gamma) -> list[QPoly]:
     if p < 0 and gamma == 1:
         raise InvalidPower("p < 0 with gamma = 1: the (1-gamma)^p factor degenerates")
     t = m_max
-    w = _one_minus_pow(gamma, p)
+    w = (1 - gamma) ** p
     den = TruncSeries.exp_affine(lam, -gamma, t)
     s = (den.inverse() * TruncSeries.exp_linear(q, t)) * w
     return [s[i] for i in range(m_max + 1)]

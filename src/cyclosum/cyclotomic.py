@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import mpmath
-
 from . import _kernel as _K
 from .arith import divisors, euler_phi
 from .scalars import format_rational, parse_rational
@@ -403,18 +401,6 @@ def cyclo_inv(a: CycloNum) -> CycloNum:
     if any(norm[1:]) or norm[0] <= 0:
         raise ArithmeticError("Galois norm is not a positive rational")
     return _cancel(n, _K.vec_scale(prod, a.den), norm[0])
-
-
-def embed_complex(a: CycloNum, precision: int = 53) -> mpmath.mpc:
-    """Numerical value under zeta_n -> e^(2 pi i / n) at the given precision."""
-    if precision < 53:
-        raise ValueError("precision below 53 bits")
-    with mpmath.workprec(precision):
-        z = mpmath.mpc(0)
-        for j, v in enumerate(a.nums):
-            if v:
-                z += v * mpmath.expjpi(mpmath.mpf(2 * j) / a.level)
-        return z / a.den
 
 
 def normalize_scalar(x):

@@ -29,7 +29,7 @@ from typing import Iterable
 from . import _kernel as _K
 from .cyclotomic import CycloNum, _cancel, _phi, _reduction_rows
 from .errors import NotDivisible
-from .scalars import format_rational, scalar_inv
+from .scalars import format_rational
 
 _SUPERSCRIPT = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 
@@ -150,7 +150,7 @@ class QPoly:
         rem = list(self.coeffs)
         div = other.coeffs
         db = len(div) - 1
-        lead_inv = scalar_inv(div[-1])
+        lead_inv = 1 / div[-1]
         if len(rem) - 1 < db:
             raise NotDivisible("degree of dividend is below the divisor")
         qout = [0] * (len(rem) - db)

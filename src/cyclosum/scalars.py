@@ -34,13 +34,3 @@ def format_rational(value: Fraction | int) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
-
-def scalar_inv(x):
-    """Multiplicative inverse of an exact scalar.
-
-    Rationals invert through Fraction; any other scalar type is expected to
-    provide inverse().  Inverting zero raises ZeroDivisionError either way.
-    """
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1) / Fraction(x)
-    return x.inverse()

@@ -13,7 +13,6 @@ from math import comb
 
 from .errors import NotAUnit
 from .qpoly import QPoly, sum_of_products
-from .scalars import scalar_inv
 
 
 def _as_poly(v) -> QPoly:
@@ -106,7 +105,7 @@ class TruncSeries:
         a0 = self.coeffs[0]
         if a0.degree != 0:
             raise NotAUnit("series constant term is zero or not a scalar")
-        b0 = scalar_inv(a0.coeffs[0])
+        b0 = 1 / a0.coeffs[0]
         out = [QPoly((b0,))]
         # b_m = -b0 * sum_{1<=i<=m} C(m,i) a_i b_{m-i}; fold -b0 into the a_i once
         a = [None] + [c * -b0 for c in self.coeffs[1:]]

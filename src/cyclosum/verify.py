@@ -18,17 +18,19 @@ import csv
 import io
 import json
 import random
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
 from .cyclotomic import CycloNum, format_scalar, normalize_scalar
 from .dedekind import e_sum, g_series_oracle, v_sum
-from .errors import InvalidGrid, InvalidParam, ParameterCollision
+from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from .qpoly import QPoly, geometric_block, q, sum_of_products
 from .scalars import parse_rational
 from .series import TruncSeries
@@ -43,8 +45,6 @@ from .spectra import (
 )
 
 DEFAULT_SEED = 1009
-
-IDENTITIES = ("prop1", "prop2", "mult", "section4", "moebius", "gseries")
 
 
 @dataclass
@@ -287,6 +287,81 @@ def check_gseries_chain(
     return IdentityCase("gseries", params, "pass")
 
 
+@dataclass(frozen=True)
+class _Identity:
+    """What the campaign runner knows about one identity."""
+
+    checker: Callable[..., IdentityCase]
+    axes: tuple[str, ...]  # GridSpec axes, outermost first: this is the job order
+    kwargs: tuple[str, ...]  # the keyword arguments each job passes the checker
+    least: dict[str, int]  # smallest value of an axis that the checker accepts
+    defaults: dict  # GridSpec fields of the default (acceptance) grid
+
+
+_IDENTITY_TABLE = {
+    "prop1": _Identity(
+        check_prop1,
+        axes=("n", "r", "sequences"),
+        kwargs=("c_seq", "r", "seq_desc"),  # n is the period of c_seq
+        least={"n": 2},
+        defaults=dict(n=tuple(range(2, 9)), r=tuple(range(-2, 6)), sequences=("random:50",)),
+    ),
+    "prop2": _Identity(
+        check_prop2,
+        axes=("m", "n", "r", "p", "lambdas", "sequences"),
+        kwargs=("m", "n", "r", "p", "lam", "c_seq", "seq_desc"),
+        least={"m": 1, "n": 2},
+        defaults=dict(
+            m=tuple(range(1, 7)), n=tuple(range(2, 9)), r=tuple(range(0, 4)), p=(-1, 0, 1, 2),
+            lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(3), Fraction(5, 7)),
+            sequences=("delta", "ramanujan", "random:3"),
+        ),
+    ),
+    "mult": _Identity(
+        check_mult_formula,
+        axes=("m", "n", "lambdas"),
+        kwargs=("m", "n", "lam"),
+        least={"m": 0, "n": 1},
+        defaults=dict(
+            m=tuple(range(1, 7)), n=tuple(range(2, 9)),
+            lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)),
+        ),
+    ),
+    "section4": _Identity(
+        check_section4_closed_form,
+        axes=("m", "n", "rp_pairs", "lambdas"),
+        kwargs=("m", "n", "r", "p", "lam"),
+        least={"m": 1, "n": 2},
+        defaults=dict(
+            m=tuple(range(1, 6)), n=(2, 3, 4, 6), rp_pairs=((1, 0), (0, 1), (-1, 2)),
+            lambdas=(Fraction(2), Fraction(-1, 2)),
+        ),
+    ),
+    "moebius": _Identity(
+        check_moebius_interp,
+        axes=("n",),
+        kwargs=("n",),
+        least={"n": 2},
+        defaults=dict(n=tuple(range(2, 13))),
+    ),
+    "gseries": _Identity(
+        check_gseries_chain,
+        axes=("n", "r", "p", "lambdas", "sequences"),
+        kwargs=("n", "r", "p", "lam", "c_seq", "order", "seq_desc"),
+        least={"n": 2},
+        defaults=dict(
+            n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
+            lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)), sequences=("random:1",),
+        ),
+    ),
+}
+
+IDENTITIES = tuple(_IDENTITY_TABLE)
+
+# Looked up at call time, so that a wrapper stored here sees every case.
+_CHECKERS = {name: row.checker for name, row in _IDENTITY_TABLE.items()}
+
+
 @dataclass
 class GridSpec:
     """Cartesian parameter grid for one identity's campaign."""
@@ -303,25 +378,23 @@ class GridSpec:
     seed: int = DEFAULT_SEED
     perturb_index: int | None = None  # test-only mutation hook
 
-    _REQUIRED = {
-        "prop1": ("n", "r", "sequences"),
-        "prop2": ("m", "n", "r", "p", "lambdas", "sequences"),
-        "mult": ("m", "n", "lambdas"),
-        "section4": ("m", "n", "rp_pairs", "lambdas"),
-        "moebius": ("n",),
-        "gseries": ("n", "r", "p", "lambdas", "sequences"),
-    }
-
     def validate(self) -> None:
-        if self.identity not in self._REQUIRED:
+        row = _IDENTITY_TABLE.get(self.identity)
+        if row is None:
             raise InvalidGrid(f"unknown identity {self.identity!r}")
-        for axis in self._REQUIRED[self.identity]:
+        for axis in row.axes:
             if not getattr(self, axis):
                 raise InvalidGrid(f"{self.identity} grid needs a nonempty {axis} axis")
+        for axis, least in row.least.items():
+            for v in getattr(self, axis):
+                if v < least:
+                    raise InvalidGrid(
+                        f"{self.identity} grid axis {axis} needs values >= {least}, got {v}"
+                    )
         if self.identity == "section4" and any(r + p != 1 for r, p in self.rp_pairs):
             raise InvalidGrid("section4 grid requires r + p = 1 in every pair")
-        if self.identity == "gseries" and self.order < 1:
-            raise InvalidGrid("gseries grid needs order >= 1")
+        if "order" in row.kwargs and self.order < 1:
+            raise InvalidGrid(f"{self.identity} grid needs order >= 1")
 
     @classmethod
     def from_json(cls, obj: dict, identity: str | None = None) -> GridSpec:
@@ -370,9 +443,14 @@ class GridSpec:
             out["lambdas"] = [format_scalar(v) for v in self.lambdas]
         if self.sequences:
             out["sequences"] = list(self.sequences)
-        if self.identity == "gseries":
+        if "order" in _IDENTITY_TABLE[self.identity].kwargs:
             out["T"] = self.order
         return out
+
+
+def _is_int(x) -> bool:
+    # JSON true and false arrive as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _int_axis(v, name: str) -> tuple[int, ...]:
@@ -380,22 +458,22 @@ def _int_axis(v, name: str) -> tuple[int, ...]:
         return ()
     if isinstance(v, dict) and set(v) == {"min", "max"}:
         lo, hi = v["min"], v["max"]
-        if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
+        if not (_is_int(lo) and _is_int(hi) and lo <= hi):
             raise InvalidGrid(f"bad range for axis {name}: {v!r}")
         return tuple(range(lo, hi + 1))
-    if isinstance(v, list) and v and all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+    if isinstance(v, list) and v and all(_is_int(x) for x in v):
         return tuple(v)
-    raise InvalidGrid(f"axis {name} must be a nonempty integer list or a min/max range")
+    raise InvalidGrid(f"axis {name} must be a nonempty integer list or a min/max range, got {v!r}")
 
 
 def _pair_axis(v) -> tuple[tuple[int, int], ...]:
     if v is None:
         return ()
     if isinstance(v, list) and all(
-        isinstance(x, list) and len(x) == 2 and all(isinstance(y, int) for y in x) for x in v
+        isinstance(x, list) and len(x) == 2 and all(_is_int(y) for y in x) for x in v
     ):
         return tuple((x[0], x[1]) for x in v)
-    raise InvalidGrid("rp_pairs must be a list of [r, p] integer pairs")
+    raise InvalidGrid(f"rp_pairs must be a list of [r, p] integer pairs, got {v!r}")
 
 
 def _lambda_axis(v) -> tuple:
@@ -428,7 +506,7 @@ def _seq_axis(v) -> tuple[str, ...]:
 
 
 def _int_field(v, name: str, minimum: int | None = None) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or (minimum is not None and v < minimum):
+    if not _is_int(v) or (minimum is not None and v < minimum):
         raise InvalidGrid(f"bad {name}: {v!r}")
     return v
 
@@ -444,17 +522,29 @@ def random_sequence(n: int, seed: int, index: int) -> PeriodicSeq:
 def resolve_sequences(
     descs: tuple[str, ...], n: int, seed: int, identity: str = ""
 ) -> list[tuple[str, PeriodicSeq]]:
-    """Expand descriptors into (label, sequence) pairs at period n."""
+    """Expand descriptors into (label, sequence) pairs at period n.
+
+    A random count or index that is not an integer raises InvalidGrid, and a
+    file whose period is not n raises SequenceFileError; both name the
+    descriptor.
+    """
     out: list[tuple[str, PeriodicSeq]] = []
     for desc in descs:
-        if desc.startswith("random:"):
-            count = int(desc.split(":", 1)[1])
-            for i in range(1, count + 1):
-                out.append((f"random-{i}", random_sequence(n, seed, i)))
-        elif desc.startswith("random-"):
-            out.append((desc, random_sequence(n, seed, int(desc.split("-", 1)[1]))))
+        if desc.startswith(("random:", "random-")):
+            try:
+                k = int(desc[7:])
+            except ValueError:
+                msg = f"sequence {desc!r} needs an integer after {desc[:7]!r}"
+                raise InvalidGrid(msg) from None
+            if desc[6] == ":":
+                out.extend((f"random-{i}", random_sequence(n, seed, i)) for i in range(1, k + 1))
+            else:
+                out.append((desc, random_sequence(n, seed, k)))
         elif desc.startswith("file:"):
-            out.append((desc, load_sequence(desc.split(":", 1)[1])))
+            seq = load_sequence(desc[5:])
+            if seq.n != n:
+                raise SequenceFileError(f"sequence {desc!r} has period {seq.n}, but n = {n}")
+            out.append((desc, seq))
         else:
             name, params = parse_family(desc)
             if (
@@ -471,62 +561,28 @@ def resolve_sequences(
 
 
 def _enumerate_jobs(spec: GridSpec):
-    """Deterministic job list for the grid; each job is (checker kwargs)."""
-    if spec.identity == "prop1":
-        for n in spec.n:
-            seqs = resolve_sequences(spec.sequences, n, spec.seed, spec.identity)
-            for r in spec.r:
-                for desc, c_seq in seqs:
-                    yield {"c_seq": c_seq, "r": r, "seq_desc": desc}
-    elif spec.identity == "prop2":
-        for m in spec.m:
-            for n in spec.n:
-                seqs = resolve_sequences(spec.sequences, n, spec.seed, spec.identity)
-                for r in spec.r:
-                    for p in spec.p:
-                        for lam in spec.lambdas:
-                            for desc, c_seq in seqs:
-                                yield {
-                                    "m": m, "n": n, "r": r, "p": p,
-                                    "lam": lam, "c_seq": c_seq, "seq_desc": desc,
-                                }
-    elif spec.identity == "mult":
-        for m in spec.m:
-            for n in spec.n:
-                for lam in spec.lambdas:
-                    yield {"m": m, "n": n, "lam": lam}
-    elif spec.identity == "section4":
-        for m in spec.m:
-            for n in spec.n:
-                for r, p in spec.rp_pairs:
-                    for lam in spec.lambdas:
-                        yield {"m": m, "n": n, "r": r, "p": p, "lam": lam}
-    elif spec.identity == "moebius":
-        for n in spec.n:
-            yield {"n": n}
-    elif spec.identity == "gseries":
-        for n in spec.n:
-            seqs = resolve_sequences(spec.sequences, n, spec.seed, spec.identity)
-            for r in spec.r:
-                for p in spec.p:
-                    for lam in spec.lambdas:
-                        for desc, c_seq in seqs:
-                            yield {
-                                "n": n, "r": r, "p": p, "lam": lam,
-                                "c_seq": c_seq, "order": spec.order, "seq_desc": desc,
-                            }
-    else:  # pragma: no cover - validate() rejects this earlier
-        raise InvalidGrid(f"unknown identity {spec.identity!r}")
-
-
-_CHECKERS = {
-    "prop1": check_prop1,
-    "prop2": check_prop2,
-    "mult": check_mult_formula,
-    "section4": check_section4_closed_form,
-    "moebius": check_moebius_interp,
-    "gseries": check_gseries_chain,
-}
+    """One checker kwargs dict per case: the product of the identity's axes,
+    outermost first.  The sequences are resolved once per n, so the jobs at
+    one n share one PeriodicSeq object per label."""
+    row = _IDENTITY_TABLE[spec.identity]
+    seqs = {}
+    if "sequences" in row.axes:
+        seqs = {n: resolve_sequences(spec.sequences, n, spec.seed, spec.identity) for n in spec.n}
+    # the sequences axis runs over positions in the per-n lists, which have
+    # the same labels at every n
+    values = [
+        range(len(seqs[spec.n[0]])) if axis == "sequences" else getattr(spec, axis)
+        for axis in row.axes
+    ]
+    for point in product(*values):
+        at = dict(zip(row.axes, point), order=spec.order)
+        if "lambdas" in at:
+            at["lam"] = at["lambdas"]
+        if "rp_pairs" in at:
+            at["r"], at["p"] = at["rp_pairs"]
+        if "sequences" in at:
+            at["seq_desc"], at["c_seq"] = seqs[at["n"]][at["sequences"]]
+        yield {k: at[k] for k in row.kwargs}
 
 
 def _run_job(job: tuple[str, dict]) -> IdentityCase:
@@ -542,6 +598,8 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[IdentityCase]:
     """
     spec.validate()
     jobs = [(spec.identity, kwargs) for kwargs in _enumerate_jobs(spec)]
+    if spec.perturb_index is not None and 0 <= spec.perturb_index < len(jobs):
+        jobs[spec.perturb_index][1]["perturb"] = True
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(jobs) // (workers * 4))
@@ -549,52 +607,14 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[IdentityCase]:
     else:
         cases = [_run_job(job) for job in jobs]
     cases.sort(key=IdentityCase.sort_key)
-    if spec.perturb_index is not None and 0 <= spec.perturb_index < len(jobs):
-        identity, kwargs = jobs[spec.perturb_index]
-        mutated = _CHECKERS[identity](**kwargs, perturb=True)
-        key = mutated.sort_key()
-        for i, case in enumerate(cases):
-            if case.sort_key() == key:
-                cases[i] = mutated
-                break
     return cases
 
 
 def default_grid(identity: str, seed: int = DEFAULT_SEED) -> GridSpec:
     """The acceptance-scale grid for one identity."""
-    if identity == "prop1":
-        return GridSpec(
-            identity, n=tuple(range(2, 9)), r=tuple(range(-2, 6)),
-            sequences=("random:50",), seed=seed,
-        )
-    if identity == "prop2":
-        return GridSpec(
-            identity,
-            m=tuple(range(1, 7)), n=tuple(range(2, 9)),
-            r=tuple(range(0, 4)), p=(-1, 0, 1, 2),
-            lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(3), Fraction(5, 7)),
-            sequences=("delta", "ramanujan", "random:3"), seed=seed,
-        )
-    if identity == "mult":
-        return GridSpec(
-            identity, m=tuple(range(1, 7)), n=tuple(range(2, 9)),
-            lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)), seed=seed,
-        )
-    if identity == "section4":
-        return GridSpec(
-            identity, m=tuple(range(1, 6)), n=(2, 3, 4, 6),
-            rp_pairs=((1, 0), (0, 1), (-1, 2)),
-            lambdas=(Fraction(2), Fraction(-1, 2)), seed=seed,
-        )
-    if identity == "moebius":
-        return GridSpec(identity, n=tuple(range(2, 13)), seed=seed)
-    if identity == "gseries":
-        return GridSpec(
-            identity, n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
-            lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)),
-            sequences=("random:1",), order=8, seed=seed,
-        )
-    raise InvalidGrid(f"unknown identity {identity!r}")
+    if identity not in _IDENTITY_TABLE:
+        raise InvalidGrid(f"unknown identity {identity!r}")
+    return GridSpec(identity, seed=seed, **_IDENTITY_TABLE[identity].defaults)
 
 
 def build_report(campaign: str, cases: list[IdentityCase], grids: list[GridSpec]) -> dict:

@@ -225,6 +225,46 @@ def test_verify_bad_perturb_index_is_grid_error(capsys, tmp_path):
         assert "perturb_index" in err
 
 
+def _verify_grid(capsys, tmp_path, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    return run(
+        capsys, "verify", "--identity", grid["identity"], "--grid", str(path), "--workers", "1"
+    )
+
+
+def test_verify_file_period_mismatch_exits_4(capsys, tmp_path):
+    seq = tmp_path / "c.json"
+    seq.write_text(json.dumps({"n": 4, "values": ["1", "0", "2", "0"]}))
+    desc = f"file:{seq}"
+    grids = [
+        {"identity": "prop1", "n": [3], "r": [0], "sequences": [desc]},
+        {"identity": "prop2", "m": [1], "n": [3], "r": [0], "p": [1], "lambdas": ["2"], "sequences": [desc]},
+    ]
+    for grid in grids:
+        code, out, err = _verify_grid(capsys, tmp_path, grid)
+        assert (code, out) == (4, "")
+        assert desc in err and "period 4" in err
+
+
+def test_verify_bad_random_count_exits_2(capsys, tmp_path):
+    grid = {"identity": "prop1", "n": [3], "r": [0], "sequences": ["random:x"]}
+    code, _, err = _verify_grid(capsys, tmp_path, grid)
+    assert code == 2
+    assert "random:x" in err
+
+
+def test_verify_bad_axis_values_exit_2(capsys, tmp_path):
+    grids = [
+        ({"identity": "mult", "m": [2], "n": [-2], "lambdas": ["2"]}, "-2"),
+        ({"identity": "section4", "m": [1], "n": [2], "rp_pairs": [[True, False]], "lambdas": ["2"]}, "rp_pairs"),
+    ]
+    for grid, named in grids:
+        code, out, err = _verify_grid(capsys, tmp_path, grid)
+        assert (code, out) == (2, "")
+        assert "bad grid" in err and named in err
+
+
 def test_verify_rejects_nonpositive_workers(capsys):
     for workers in ("0", "-2"):
         with pytest.raises(SystemExit) as exc:
@@ -249,3 +289,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_import_loads_only_the_standard_library():
+    # __mp_main__ is the name multiprocessing gives the running __main__
+    code = (
+        "import sys; before = set(sys.modules); import cyclosum, cyclosum.cli; "
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'cyclosum', '__mp_main__'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

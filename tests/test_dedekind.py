@@ -1,18 +1,20 @@
 """Dedekind-type sums, totative power sums, Ramanujan sums."""
+import importlib
+import pkgutil
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cyclosum
 from cyclosum.arith import divisors, euler_phi, moebius
-from cyclosum.appell import _bernoulli, _frob_euler, frobenius_euler
-from cyclosum.cyclotomic import cyclo_inv, galois_map, zeta_pow
+from cyclosum.appell import frobenius_euler
+from cyclosum.cyclotomic import zeta_pow
 from cyclosum.dedekind import (
     _e_sum,
     _orbit_seed,
     _orbit_weights,
-    _unit_pow,
     e_sum,
     g_series_oracle,
     ramanujan_sum,
@@ -20,8 +22,7 @@ from cyclosum.dedekind import (
 )
 from cyclosum.errors import ParameterCollision
 from cyclosum.qpoly import QPoly, sum_of_products
-from cyclosum.spectra import PeriodicSeq, _lagrange_basis, family
-from cyclosum.verify import _prop2_rhs, _shifted_bernoulli
+from cyclosum.spectra import PeriodicSeq, family
 
 
 def _literal_e_sum(m, n, r, p, lam, c_seq):
@@ -160,15 +161,38 @@ def test_e_sum_rational_when_weights_are_galois_stable():
         assert all(isinstance(c, Fraction) for c in poly.coeffs)
 
 
+# The only caches allowed to grow without limit: each holds a bounded number
+# of entries per level or per integer, not one per caller-supplied value.
+UNBOUNDED_CACHES = {
+    "cyclosum.cyclotomic.cyclotomic_poly": "one polynomial per level",
+    "cyclosum.cyclotomic._reduction_rows": "one reduction table per level",
+    "cyclosum.cyclotomic._zeta_pow": "at most n powers per level n",
+    "cyclosum.arith.divisors": "one tuple per integer",
+    "cyclosum.arith.euler_phi": "one integer per integer",
+    "cyclosum.arith.moebius": "one integer per integer",
+    "cyclosum.arith.totatives": "one tuple per integer",
+}
+
+
+def _package_caches() -> dict:
+    """Every lru_cache wrapper defined at the top level of a cyclosum module."""
+    found = {}
+    for info in pkgutil.walk_packages(cyclosum.__path__, "cyclosum."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == info.name:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
 def test_value_keyed_caches_are_bounded():
-    # all are keyed on caller-supplied values, so grids larger than the
+    # the rest are keyed on caller-supplied values, so grids larger than the
     # default ones must not grow them without limit
-    for cached in (
-        _e_sum, cyclo_inv, _bernoulli, _frob_euler, _shifted_bernoulli,
-        _unit_pow, _lagrange_basis, _orbit_seed, _orbit_weights, _prop2_rhs,
-        galois_map,
-    ):
-        assert cached.cache_info().maxsize is not None
+    caches = _package_caches()
+    assert set(UNBOUNDED_CACHES) <= set(caches)
+    assert {"cyclosum.spectra.dft_inverse", "cyclosum.verify._prop2_rhs"} <= set(caches)
+    unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
+    assert unbounded <= set(UNBOUNDED_CACHES)
 
 
 # The orbit form of _e_sum (one seed per divisor of n) against the literal sum.

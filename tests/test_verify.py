@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from cyclosum import verify
 from cyclosum.appell import apostol_bernoulli
-from cyclosum.errors import InvalidGrid, InvalidParam
+from cyclosum.errors import InvalidGrid, InvalidParam, SequenceFileError
 from cyclosum.qpoly import QPoly
 from cyclosum.spectra import PeriodicSeq, dft_inverse, family
 from cyclosum.verify import (
     DEFAULT_SEED,
     IDENTITIES,
     GridSpec,
+    _enumerate_jobs,
     _prop2_rhs,
     build_report,
     check_gseries_chain,
@@ -119,6 +121,120 @@ def test_grid_from_json_and_validation():
         with pytest.raises(InvalidGrid, match="perturb_index"):
             GridSpec.from_json({"identity": "moebius", "n": [2], "perturb_index": bad})
     assert GridSpec.from_json({"identity": "moebius", "n": [2], "perturb_index": 0}).perturb_index == 0
+    # booleans are not integers, in pairs or in ranges
+    with pytest.raises(InvalidGrid, match=r"rp_pairs.*\[\[True, False\]\]"):
+        GridSpec.from_json({"identity": "section4", "m": [1], "n": [2], "rp_pairs": [[True, False]], "lambdas": ["2"]})
+    with pytest.raises(InvalidGrid, match="axis m.*True"):
+        GridSpec.from_json({"identity": "mult", "m": {"min": True, "max": 3}, "n": [2], "lambdas": ["2"]})
+    # the smallest m and n each checker accepts
+    small = {
+        "prop1": {"r": [0], "sequences": ["delta"]},
+        "prop2": {"m": [1], "r": [0], "p": [1], "lambdas": ["2"], "sequences": ["delta"]},
+        "mult": {"m": [0], "lambdas": ["2"]},
+        "section4": {"m": [1], "rp_pairs": [[1, 0]], "lambdas": ["2"]},
+        "moebius": {},
+        "gseries": {"r": [0], "p": [1], "lambdas": ["2"], "sequences": ["delta"]},
+    }
+    least_n = {"mult": 1}
+    for ident, axes in small.items():
+        n = least_n.get(ident, 2)
+        assert GridSpec.from_json({"identity": ident, "n": [n], **axes}).n == (n,)
+        for bad_n in (n - 1, -2):
+            with pytest.raises(InvalidGrid, match=f"axis n .*got {bad_n}"):
+                GridSpec.from_json({"identity": ident, "n": [n, bad_n], **axes})
+    for ident, bad_m in (("prop2", 0), ("section4", 0), ("mult", -1)):
+        with pytest.raises(InvalidGrid, match=f"axis m .*got {bad_m}"):
+            GridSpec.from_json({"identity": ident, "n": [2], **dict(small[ident], m=[bad_m])})
+
+
+def test_resolve_sequences_names_bad_descriptors(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n": 4, "values": ["1", "0", "0", "0"]}))
+    assert resolve_sequences((f"file:{path}",), 4, 7)[0][1].n == 4
+    with pytest.raises(SequenceFileError, match=f"file:{path}.*period 4.*n = 3"):
+        resolve_sequences((f"file:{path}",), 3, 7)
+    for desc in ("random:x", "random-", "random:1.5"):
+        with pytest.raises(InvalidGrid, match=desc):
+            resolve_sequences((desc,), 3, 7)
+
+
+HILEVEL = {
+    "identity": "prop2", "m": {"min": 1, "max": 10}, "n": [35, 45],
+    "r": [1], "p": [1], "lambdas": ["2"], "sequences": ["ramanujan", "random:1"],
+}
+
+
+def _reference_jobs(spec):
+    # the loop nests the runner used before the identity table, kept as the
+    # literal reference for the job order and the kwargs of every job
+    if spec.identity == "prop1":
+        for n in spec.n:
+            seqs = resolve_sequences(spec.sequences, n, spec.seed, spec.identity)
+            for r in spec.r:
+                for desc, c_seq in seqs:
+                    yield {"c_seq": c_seq, "r": r, "seq_desc": desc}
+    elif spec.identity == "prop2":
+        for m in spec.m:
+            for n in spec.n:
+                seqs = resolve_sequences(spec.sequences, n, spec.seed, spec.identity)
+                for r in spec.r:
+                    for p in spec.p:
+                        for lam in spec.lambdas:
+                            for desc, c_seq in seqs:
+                                yield {
+                                    "m": m, "n": n, "r": r, "p": p,
+                                    "lam": lam, "c_seq": c_seq, "seq_desc": desc,
+                                }
+    elif spec.identity == "mult":
+        for m in spec.m:
+            for n in spec.n:
+                for lam in spec.lambdas:
+                    yield {"m": m, "n": n, "lam": lam}
+    elif spec.identity == "section4":
+        for m in spec.m:
+            for n in spec.n:
+                for r, p in spec.rp_pairs:
+                    for lam in spec.lambdas:
+                        yield {"m": m, "n": n, "r": r, "p": p, "lam": lam}
+    elif spec.identity == "moebius":
+        for n in spec.n:
+            yield {"n": n}
+    elif spec.identity == "gseries":
+        for n in spec.n:
+            seqs = resolve_sequences(spec.sequences, n, spec.seed, spec.identity)
+            for r in spec.r:
+                for p in spec.p:
+                    for lam in spec.lambdas:
+                        for desc, c_seq in seqs:
+                            yield {
+                                "n": n, "r": r, "p": p, "lam": lam,
+                                "c_seq": c_seq, "order": spec.order, "seq_desc": desc,
+                            }
+
+
+@pytest.mark.parametrize("spec", [default_grid(i) for i in IDENTITIES] + [GridSpec.from_json(HILEVEL)],
+                         ids=list(IDENTITIES) + ["prop2-hilevel"])
+def test_enumerate_jobs_matches_reference_loops(spec):
+    got = [list(kw.items()) for kw in _enumerate_jobs(spec)]
+    want = [list(kw.items()) for kw in _reference_jobs(spec)]
+    assert got == want
+
+
+@pytest.mark.parametrize("spec", [default_grid("prop2"), default_grid("gseries"), GridSpec.from_json(HILEVEL)],
+                         ids=["prop2", "gseries", "prop2-hilevel"])
+def test_sequences_resolved_once_per_n(spec, monkeypatch):
+    calls = []
+
+    def counting(descs, n, seed, identity=""):
+        calls.append(n)
+        return resolve_sequences(descs, n, seed, identity)
+
+    monkeypatch.setattr(verify, "resolve_sequences", counting)
+    objects = {}
+    for kw in _enumerate_jobs(spec):
+        objects.setdefault((kw["n"], kw["seq_desc"]), set()).add(id(kw["c_seq"]))
+    assert sorted(calls) == sorted(spec.n)
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def _compose(poly: QPoly, inner: QPoly) -> QPoly:
@@ -162,16 +278,26 @@ def test_run_grid_deterministic_across_workers():
     assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
 
 
-def test_run_grid_perturb_injects_single_failure():
+def test_run_grid_perturb_injects_single_failure(monkeypatch):
     # the index picks a job in enumeration order; the mutated case keeps its
     # sorted position, so locate it by status
     spec = default_grid("mult")
     spec.perturb_index = 5
+    calls = []
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return check_mult_formula(**kwargs)
+
+    monkeypatch.setitem(verify._CHECKERS, "mult", counting)
     cases = run_grid(spec)
     failed = [c for c in cases if c.status == "fail"]
     assert len(failed) == 1
     assert failed[0].identity == "mult"
     assert failed[0].lhs != failed[0].rhs
+    # one checker call per case, the perturbed one included
+    assert len(calls) == len(cases)
+    assert [i for i, kw in enumerate(calls) if kw.get("perturb")] == [5]
 
 
 def test_report_schema_and_bytes_stable():
