@@ -30,7 +30,7 @@ from .errors import (
 )
 from .qpoly import QPoly
 from .scalars import format_rational, parse_rational
-from .spectra import dft_inverse, family, interp_poly, load_sequence, parse_family
+from .spectra import FAMILY_NAMES, dft_inverse, family, interp_poly, load_sequence, parse_family
 from .verify import (
     DEFAULT_SEED,
     IDENTITIES,
@@ -41,8 +41,6 @@ from .verify import (
     report_json_bytes,
     run_grid,
 )
-
-_FAMILY_NAMES = ("delta", "ramanujan", "fourier-dedekind", "apostol-dedekind")
 
 
 def _unicode_ok() -> bool:
@@ -85,7 +83,7 @@ def _parse_gamma(text: str):
 def _resolve_seq_arg(text: str, n: int):
     """--seq value: family shorthand, file:path, or a bare JSON path."""
     head = text.split(":", 1)[0]
-    if head in _FAMILY_NAMES:
+    if head in FAMILY_NAMES:
         name, params = parse_family(text)
         return family(name, n, **params)
     path = text.split(":", 1)[1] if head == "file" else text

@@ -254,10 +254,12 @@ class CycloNum:
 
     @classmethod
     def from_json(cls, obj: dict) -> CycloNum:
-        level = obj["level"]
-        coeffs = [parse_rational(c) for c in obj["coeffs"]]
-        if not isinstance(level, int) or level < 1:
+        level, raw = obj.get("level"), obj.get("coeffs")
+        if isinstance(level, bool) or not isinstance(level, int) or level < 1:
             raise ValueError(f"bad cyclotomic level: {level!r}")
+        if not isinstance(raw, list):
+            raise ValueError(f"cyclotomic coeffs must be a list, got {raw!r}")
+        coeffs = [parse_rational(c) for c in raw]
         if len(coeffs) != euler_phi(level):
             raise ValueError(
                 f"level {level} needs {euler_phi(level)} coefficients, got {len(coeffs)}"
@@ -272,6 +274,18 @@ class CycloNum:
 
     def __repr__(self) -> str:
         return f"CycloNum({self.canonical_str()})"
+
+
+def scalar_from_json(item):
+    """An exact scalar from JSON: "a/b", an integer (not a boolean) or a
+    {"level", "coeffs"} object.  Anything else raises ValueError."""
+    if isinstance(item, str):
+        return parse_rational(item)
+    if isinstance(item, int) and not isinstance(item, bool):
+        return Fraction(item)
+    if isinstance(item, dict):
+        return CycloNum.from_json(item)
+    raise ValueError(f"unsupported scalar {item!r}")
 
 
 def _make(level: int, nums: tuple[int, ...], den: int) -> CycloNum:

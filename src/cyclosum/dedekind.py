@@ -12,9 +12,13 @@ undefined exactly when lam hits one of the zeta^{-k} (for rational lam that
 means lam = -1 with n even); those parameters raise ParameterCollision.
 lam = 1 is perfectly legal here.
 
-For rational lam the terms fall into Galois orbits: with d = n/gcd(k, n),
-the k-th term is sigma_u of one level-d seed, so _e_sum builds one
-Frobenius-Euler polynomial per divisor d > 1 of n, not one per k.
+Since (1 - zeta^{-k})^p = (-zeta^{-k})^p (1 - zeta^k)^p, the k-th term is
+(-1)^p zeta^{-k(r+p)} H_{m-1}^{(0)}(q, lam, zeta^{-k}) C_{-k}: the sum sees
+r and p only through s = (r + p) mod n, up to the sign (-1)^p.  For
+rational lam the terms fall into Galois orbits: with d = n/gcd(k, n), the
+k-th term is sigma_u of the level-d seed H_{m-1}^{(0)}(q, lam, zeta_d^{-1}),
+and s rotates the orbit's weights.  So _e_sum builds one Frobenius-Euler
+polynomial per divisor d > 1 of n, not one per k.
 
 g_series_oracle is the independent series route: the closed form of the
 generating function whose EGF coefficient m must equal e_sum at index m+1.
@@ -56,12 +60,6 @@ def check_lambda_collision(n: int, lam):
     return lam
 
 
-@lru_cache(maxsize=512)
-def _unit_pow(n: int, k: int, e: int) -> CycloNum:
-    """(1 - zeta_n^k)**e, any integer e; k != 0 mod n keeps the base nonzero."""
-    return (1 - zeta_pow(n, k)) ** e
-
-
 def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
     """The Dedekind-type sum as a polynomial in q over Q(zeta_n)."""
     if m < 1:
@@ -71,30 +69,35 @@ def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
     if c_seq.n != n:
         raise ValueError(f"sequence period {c_seq.n} differs from n = {n}")
     lam = check_lambda_collision(n, lam)
-    return _e_sum(m, n, r % n, p, lam, c_seq)
+    poly = _e_sum(m, n, (r + p) % n, lam, c_seq)
+    return -poly if p % 2 else poly
 
 
 @lru_cache(maxsize=1024)
-def _e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
+def _e_sum(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
+    """sum_k zeta^{-ks} H_{m-1}^{(0)}(q, lam, zeta^{-k}) C_{-k}, which is
+    (-1)^p e_sum at any r, p with r + p = s mod n."""
     if not isinstance(lam, Fraction):
         # sigma_u moves an irrational lambda, so no orbit form: sum over k
         terms = []
         for k in range(1, n):
             c = c_seq[-k]
             if c:
-                h = frobenius_euler(m - 1, p, lam, zeta_pow(n, -k))
-                terms.append((1, h, zeta_pow(n, -k * r) * _unit_pow(n, k, -p) * c))
+                h = frobenius_euler(m - 1, 0, lam, zeta_pow(n, -k))
+                terms.append((1, h, zeta_pow(n, -k * s) * c))
         return sum_of_products(terms)
     # The term k with d = n/gcd(k, n), g = n/d and u = k/g is sigma_u(Y_d)
-    # C_{-gu} taken into level n by zeta_d -> zeta_n^g.  With Y_d = sum_j
-    # y_j zeta_d^j, the orbit of Y_d contributes sum_j y_j W_j, where
-    # W_j = sum_u C_{-gu} zeta_n^{guj}.
+    # zeta_d^{-us} C_{-gu} taken into level n by zeta_d -> zeta_n^g, where
+    # Y_d = H_{m-1}^{(0)}(q, lam, zeta_d^{-1}).  With Y_d = sum_j y_j zeta_d^j,
+    # the orbit of Y_d contributes sum_j y_j W_{(j-s) mod d}.
     parts = []
     for d in divisors(n)[1:]:
-        seed = _orbit_seed(m, d, r % d, p, lam)
-        weights = _orbit_weights(n, d, seed.level, c_seq) if seed else None
+        weights = _orbit_weights(n, d, c_seq)
         if weights is not None:
-            parts.append((seed, weights[0], seed.den * weights[1]))
+            seed = frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1))
+            vecs, den = weights
+            cols = tuple(zip(*(vecs[(j - s) % d] for j in range(_phi(seed.level)))))
+            parts.append((seed, cols, seed.den * den))
     if not parts:
         return QPoly()
     common = lcm(*(den for _, _, den in parts))
@@ -109,32 +112,24 @@ def _e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
     return _build(n, acc, common)
 
 
-@lru_cache(maxsize=4096)
-def _orbit_seed(m: int, d: int, r: int, p: int, lam: Fraction) -> QPoly:
-    """Y_d = zeta_d^{-r} (1 - zeta_d)^{-p} H_{m-1}^{(p)}(q, lam, zeta_d^{-1})
-    for 0 <= r < d, at level d, or at level 1 when it is rational."""
-    twist = zeta_pow(d, -r) * _unit_pow(d, 1, -p)
-    return frobenius_euler(m - 1, p, lam, zeta_pow(d, -1)) * twist
-
-
 @lru_cache(maxsize=1024)
-def _orbit_weights(n: int, d: int, level: int, c_seq: PeriodicSeq):
-    """The level-n weights W_j = sum_{u in (Z/d)^*} C_{-gu} zeta_n^{guj},
-    g = n/d, for j < phi(level), as (cols, den): cols[l][j] / den is
-    coordinate l of W_j.  None when every W_j vanishes."""
+def _orbit_weights(n: int, d: int, c_seq: PeriodicSeq):
+    """The level-n weights W_i = sum_{u in (Z/d)^*} C_{-gu} zeta_n^{gui},
+    g = n/d, for i < d, as (vecs, den): vecs[i] / den holds the coordinates
+    of W_i.  None when every W_i vanishes."""
     g = n // d
     ws = []
-    for j in range(_phi(level)):
+    for i in range(d):
         w = CycloNum.of(n, 0)
         for u in totatives(d):
             c = c_seq[-g * u]
             if c:
-                w = w + c * zeta_pow(n, g * u * j)
+                w = w + c * zeta_pow(n, g * u * i)
         ws.append(w)
     if not any(ws):
         return None
     den = lcm(*(w.den for w in ws))
-    return tuple(zip(*(_K.vec_scale(w.nums, den // w.den) for w in ws))), den
+    return tuple(_K.vec_scale(w.nums, den // w.den) for w in ws), den
 
 
 def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> TruncSeries:

@@ -14,7 +14,7 @@ from math import gcd
 from pathlib import Path
 
 from .arith import totatives
-from .cyclotomic import CycloNum, cyclo_inv, zeta_pow
+from .cyclotomic import CycloNum, cyclo_inv, scalar_from_json, zeta_pow
 from .errors import InvalidParam, SequenceFileError
 from .qpoly import QPoly
 from .scalars import format_rational, parse_rational
@@ -102,6 +102,9 @@ def dft_inverse(c_seq: PeriodicSeq) -> SpectralSeq:
     return SpectralSeq(n, out)
 
 
+FAMILY_NAMES = ("delta", "ramanujan", "fourier-dedekind", "apostol-dedekind")
+
+
 def family(name: str, n: int, a: int | None = None, c0=None) -> PeriodicSeq:
     """Built-in weight sequences.
 
@@ -145,7 +148,7 @@ def parse_family(text: str) -> tuple[str, dict]:
             if not sep or key not in ("a", "c0"):
                 raise InvalidParam(f"bad family parameter {item!r} in {text!r}")
             params[key] = int(value) if key == "a" else parse_rational(value)
-    if name not in ("delta", "ramanujan", "fourier-dedekind", "apostol-dedekind"):
+    if name not in FAMILY_NAMES:
         raise InvalidParam(f"unknown sequence family {name!r}")
     return name, params
 
@@ -198,19 +201,10 @@ def sequence_from_json(obj) -> PeriodicSeq:
         raise SequenceFileError(f"bad period: {n!r}")
     if not isinstance(raw, list) or len(raw) != n:
         raise SequenceFileError(f"period {n} needs exactly {n} values")
-    vals = []
-    for item in raw:
-        try:
-            if isinstance(item, str):
-                vals.append(parse_rational(item))
-            elif isinstance(item, int):
-                vals.append(Fraction(item))
-            elif isinstance(item, dict):
-                vals.append(CycloNum.from_json(item))
-            else:
-                raise ValueError(f"unsupported value {item!r}")
-        except ValueError as exc:
-            raise SequenceFileError(f"bad sequence value: {exc}") from exc
+    try:
+        vals = [scalar_from_json(item) for item in raw]
+    except ValueError as exc:
+        raise SequenceFileError(f"bad sequence value: {exc}") from exc
     try:
         return PeriodicSeq(n, vals)
     except ValueError as exc:

@@ -28,11 +28,10 @@ from math import factorial
 
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
-from .cyclotomic import CycloNum, format_scalar, normalize_scalar
+from .cyclotomic import format_scalar, normalize_scalar, scalar_from_json
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
-from .qpoly import QPoly, geometric_block, q, sum_of_products
-from .scalars import parse_rational
+from .qpoly import QPoly, geometric_block, sum_of_products
 from .series import TruncSeries
 from .spectra import (
     PeriodicSeq,
@@ -481,20 +480,10 @@ def _lambda_axis(v) -> tuple:
         return ()
     if not isinstance(v, list):
         raise InvalidGrid("lambdas must be a list")
-    out = []
-    for item in v:
-        try:
-            if isinstance(item, str):
-                out.append(parse_rational(item))
-            elif isinstance(item, int) and not isinstance(item, bool):
-                out.append(Fraction(item))
-            elif isinstance(item, dict):
-                out.append(CycloNum.from_json(item))
-            else:
-                raise ValueError(f"unsupported lambda {item!r}")
-        except ValueError as exc:
-            raise InvalidGrid(f"bad lambda entry: {exc}") from exc
-    return tuple(out)
+    try:
+        return tuple(scalar_from_json(item) for item in v)
+    except ValueError as exc:
+        raise InvalidGrid(f"bad lambda entry: {exc}") from exc
 
 
 def _seq_axis(v) -> tuple[str, ...]:
@@ -524,9 +513,9 @@ def resolve_sequences(
 ) -> list[tuple[str, PeriodicSeq]]:
     """Expand descriptors into (label, sequence) pairs at period n.
 
-    A random count or index that is not an integer raises InvalidGrid, and a
-    file whose period is not n raises SequenceFileError; both name the
-    descriptor.
+    A random count that is not a positive integer, or an index that is not
+    an integer, raises InvalidGrid, and a file whose period is not n raises
+    SequenceFileError; both name the descriptor.
     """
     out: list[tuple[str, PeriodicSeq]] = []
     for desc in descs:
@@ -537,6 +526,8 @@ def resolve_sequences(
                 msg = f"sequence {desc!r} needs an integer after {desc[:7]!r}"
                 raise InvalidGrid(msg) from None
             if desc[6] == ":":
+                if k < 1:
+                    raise InvalidGrid(f"sequence {desc!r} needs a positive count")
                 out.extend((f"random-{i}", random_sequence(n, seed, i)) for i in range(1, k + 1))
             else:
                 out.append((desc, random_sequence(n, seed, k)))

@@ -104,6 +104,14 @@ def test_esum_file_period_mismatch(capsys, tmp_path):
     assert "period" in err
 
 
+def test_interp_boolean_sequence_value_exits_4(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"n": 3, "values": [True, False, "1/2"]}))
+    code, out, err = run(capsys, "interp", "--n", "3", "--r", "0", "--seq", str(path))
+    assert (code, out) == (4, "")
+    assert "True" in err
+
+
 def test_esum_bad_family_exit_and_diagnostic(capsys):
     code, _, err = run(
         capsys,
@@ -248,16 +256,18 @@ def test_verify_file_period_mismatch_exits_4(capsys, tmp_path):
 
 
 def test_verify_bad_random_count_exits_2(capsys, tmp_path):
-    grid = {"identity": "prop1", "n": [3], "r": [0], "sequences": ["random:x"]}
-    code, _, err = _verify_grid(capsys, tmp_path, grid)
-    assert code == 2
-    assert "random:x" in err
+    for desc in ("random:x", "random:0"):
+        grid = {"identity": "prop1", "n": [3], "r": [0], "sequences": [desc]}
+        code, _, err = _verify_grid(capsys, tmp_path, grid)
+        assert code == 2
+        assert desc in err
 
 
 def test_verify_bad_axis_values_exit_2(capsys, tmp_path):
     grids = [
         ({"identity": "mult", "m": [2], "n": [-2], "lambdas": ["2"]}, "-2"),
         ({"identity": "section4", "m": [1], "n": [2], "rp_pairs": [[True, False]], "lambdas": ["2"]}, "rp_pairs"),
+        ({"identity": "mult", "m": [2], "n": [2], "lambdas": [{"level": True, "coeffs": ["2"]}]}, "level: True"),
     ]
     for grid, named in grids:
         code, out, err = _verify_grid(capsys, tmp_path, grid)

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cyclosum
-from cyclosum.arith import divisors, euler_phi, moebius
+from cyclosum.arith import euler_phi, moebius
 from cyclosum.appell import frobenius_euler
 from cyclosum.cyclotomic import zeta_pow
 from cyclosum.dedekind import (
     _e_sum,
-    _orbit_seed,
-    _orbit_weights,
     e_sum,
     g_series_oracle,
     ramanujan_sum,
@@ -229,28 +227,22 @@ def test_orbit_e_sum_matches_literal_sum(case):
     assert (got.level == 1) == all(isinstance(v, Fraction) for v in got.coeffs)
 
 
-def test_orbit_seeds_are_built_once_per_residue():
-    # Y_d sees r only through r mod d: r = 0..11 at n = 12 builds one seed
-    # per residue of each divisor d > 1
+@pytest.mark.parametrize("n", (3, 4, 6, 12))
+@pytest.mark.parametrize(
+    "lam, c_name",
+    # lam = 0 makes the seed -zeta_d q^(m-1): one nonzero coordinate, which
+    # the shift rotates through every weight
+    ((Fraction(2), "ramanujan"), (Fraction(0), "apostol-dedekind")),
+    ids=("lambda2-ramanujan", "lambda0-apostol-dedekind"),
+)
+def test_e_sum_is_built_once_per_shift(n, lam, c_name):
+    m, c = 3, family(c_name, n, a=1)
     _e_sum.cache_clear()
-    _orbit_seed.cache_clear()
-    n, c = 12, family("ramanujan", 12)
-    for r in range(n):
-        assert e_sum(2, n, r, 1, 2, c) == _literal_e_sum(2, n, r, 1, 2, c)
-    assert _orbit_seed.cache_info().currsize == sum(d for d in divisors(n) if d > 1)
-
-
-def test_orbit_weights_are_keyed_on_seed_level():
-    # lam = 0 gives Y_d = (-1)^(p+1) zeta_d^(1-r-p) q^(m-1): rational for
-    # every d when r + p = 1, irrational at d > 2 otherwise, so one (n, d, C)
-    # needs its weights at level 1 first and at level d next
-    _e_sum.cache_clear()
-    _orbit_weights.cache_clear()
-    n, c = 6, family("apostol-dedekind", 6, a=1)
-    assert _orbit_seed(3, 3, 0, 1, Fraction(0)).level == 1
-    assert _orbit_seed(3, 3, 1, 1, Fraction(0)).level == 3
-    for r, p in ((0, 1), (1, 1), (3, -1), (2, 0)):
-        assert e_sum(3, n, r, p, 0, c) == _literal_e_sum(3, n, r, p, 0, c)
+    for r in range(n + 2):
+        for p in range(-1, 3):
+            assert e_sum(m, n, r, p, lam, c) == _literal_e_sum(m, n, r, p, lam, c)
+    # r + p runs through every residue mod n; each one is built once
+    assert _e_sum.cache_info().misses == n
 
 
 def test_irrational_lambda_matches_series_oracle():

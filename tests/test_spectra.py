@@ -230,6 +230,7 @@ def test_sequence_json_rejects_garbage(tmp_path):
         {"n": 1, "values": ["1"]},
         {"n": 2, "values": ["1", "0.5"]},
         {"n": 2, "values": ["1", None]},
+        {"n": 2, "values": ["1", True]},
     ):
         with pytest.raises(SequenceFileError):
             sequence_from_json(bad)

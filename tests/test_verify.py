@@ -126,6 +126,10 @@ def test_grid_from_json_and_validation():
         GridSpec.from_json({"identity": "section4", "m": [1], "n": [2], "rp_pairs": [[True, False]], "lambdas": ["2"]})
     with pytest.raises(InvalidGrid, match="axis m.*True"):
         GridSpec.from_json({"identity": "mult", "m": {"min": True, "max": 3}, "n": [2], "lambdas": ["2"]})
+    # a lambda object needs an integer level, not a boolean, and a list of coeffs
+    for bad in ({"level": True, "coeffs": ["2"]}, {"level": 3}, {"level": 1, "coeffs": "2"}):
+        with pytest.raises(InvalidGrid, match="bad lambda entry"):
+            GridSpec.from_json({"identity": "mult", "m": [2], "n": [2], "lambdas": [bad]})
     # the smallest m and n each checker accepts
     small = {
         "prop1": {"r": [0], "sequences": ["delta"]},
@@ -153,7 +157,7 @@ def test_resolve_sequences_names_bad_descriptors(tmp_path):
     assert resolve_sequences((f"file:{path}",), 4, 7)[0][1].n == 4
     with pytest.raises(SequenceFileError, match=f"file:{path}.*period 4.*n = 3"):
         resolve_sequences((f"file:{path}",), 3, 7)
-    for desc in ("random:x", "random-", "random:1.5"):
+    for desc in ("random:x", "random-", "random:1.5", "random:0", "random:-2"):
         with pytest.raises(InvalidGrid, match=desc):
             resolve_sequences((desc,), 3, 7)
 
