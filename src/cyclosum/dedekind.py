@@ -28,14 +28,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, mul
 
 from . import _kernel as _K
 from .appell import frobenius_euler
 from .arith import divisors, totatives
 from .cyclotomic import CycloNum, _phi, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
-from .qpoly import QPoly, _build, q, sum_of_products
+from .qpoly import QPoly, q, sum_of_matrix_products, sum_of_products
 from .series import TruncSeries
 from .spectra import PeriodicSeq
 
@@ -97,19 +96,8 @@ def _e_sum(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
             seed = frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1))
             vecs, den = weights
             cols = tuple(zip(*(vecs[(j - s) % d] for j in range(_phi(seed.level)))))
-            parts.append((seed, cols, seed.den * den))
-    if not parts:
-        return QPoly()
-    common = lcm(*(den for _, _, den in parts))
-    acc: list[int] = []
-    for seed, cols, den in parts:
-        flat = [sum(map(mul, row, col)) for row in seed.rows for col in cols]
-        if common != den:
-            flat = _K.vec_scale(flat, common // den)
-        if len(flat) > len(acc):
-            acc, flat = flat, acc
-        acc[: len(flat)] = map(add, acc, flat)
-    return _build(n, acc, common)
+            parts.append((seed.rows, cols, seed.den * den))
+    return sum_of_matrix_products(n, parts)
 
 
 @lru_cache(maxsize=1024)

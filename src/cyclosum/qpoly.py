@@ -15,15 +15,18 @@ A rational operand is lifted into the other operand's level; two different
 irrational levels refuse arithmetic, as CycloNum does.  Every product goes
 through sum_of_products, which accumulates the unreduced row products of a
 whole sum over one common denominator, reduces each row modulo Phi_level
-once and cancels the matrix once.  Single coefficients come out through
+once and cancels the matrix once.  A sum whose factors are already integer
+matrices, such as a fixed basis weighted by a rotated spectrum, goes
+through sum_of_matrix_products, which builds it once from the integer
+matrix products.  Single coefficients come out through
 ``coeffs`` and ``[i]`` as a Fraction when rational and a CycloNum otherwise.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
-from operator import add
+from math import comb, gcd, lcm
+from operator import add, mul
 from typing import Iterable
 
 from . import _kernel as _K
@@ -107,7 +110,11 @@ class QPoly:
     __radd__ = __add__
 
     def __neg__(self) -> QPoly:
-        return _build(self.level, [-v for v in chain.from_iterable(self.rows)], self.den)
+        # negation keeps the level, the trailing row and the gcd: still canonical
+        p = object.__new__(QPoly)
+        p.level, p.den = self.level, self.den
+        p.rows = tuple(tuple(-v for v in row) for row in self.rows)
+        return p
 
     def __sub__(self, other) -> QPoly:
         if not isinstance(other, _SCALARS):
@@ -167,12 +174,20 @@ class QPoly:
         return QPoly(qout)
 
     def shift(self, c) -> QPoly:
-        """f(q + c), exactly, by Horner composition with (q + c)."""
-        step = QPoly((c, 1))
-        out = QPoly()
-        for coeff in reversed(self.coeffs):
-            out = sum_of_products(((1, out, step), (1, coeff, 1)))
-        return out
+        """f(q + c) for a rational c = a/b, in one build (a Taylor shift):
+        row i of the matrix is sum_{k >= i} C(k, i) a^(k-i) b^(top-k+i) row_k
+        over den * b^top."""
+        level, nums, b = _scalar_parts(c)
+        if level != 1:
+            raise TypeError("shift needs a rational argument")
+        a = nums[0]
+        rows = self.rows
+        top = len(rows) - 1
+        flat: list[int] = []
+        for i in range(top + 1):
+            weights = [comb(k, i) * a ** (k - i) * b ** (top - k + i) for k in range(i, top + 1)]
+            flat.extend(sum(map(mul, weights, col)) for col in zip(*rows[i:]))
+        return _build(self.level, flat, self.den * b ** max(top, 0))
 
     def scale_arg(self, c, factor=1) -> QPoly:
         """factor * f(c*q) for rationals c = a/d and factor = b/e, in one
@@ -303,6 +318,27 @@ def sum_of_products(terms) -> QPoly:
         seg = acc[i : i + stride]
         flat.extend(_K.reduce_cyclo(seg, rows, phi) if any(seg[phi:]) else seg[:phi])
     return _build(level, flat, common)
+
+
+def sum_of_matrix_products(level: int, parts) -> QPoly:
+    """The sum of R @ M / den over the (R, cols, den) parts, as one
+    canonical QPoly at `level`.
+
+    R is an integer matrix with one row per power of q; M is an integer
+    matrix given by its phi(level) columns, each as long as a row of R, so
+    row i of R @ M holds the numerators of the coefficient of q^i.  The
+    parts are lifted to one common denominator and built once.
+    """
+    common = lcm(*(den for _, _, den in parts))
+    acc: list[int] = []
+    for rows, cols, den in parts:
+        flat = [sum(map(mul, row, col)) for row in rows for col in cols]
+        if common != den:
+            flat = _K.vec_scale(flat, common // den)
+        if len(flat) > len(acc):
+            acc, flat = flat, acc
+        acc[: len(flat)] = map(add, acc, flat)
+    return _build(level, acc, common)
 
 
 def _flat(p: QPoly, phi: int, stride: int) -> list[int]:

@@ -24,14 +24,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
+from typing import NamedTuple
 
+from . import _kernel as _K
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
 from .cyclotomic import format_scalar, normalize_scalar, scalar_from_json
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
-from .qpoly import QPoly, geometric_block, sum_of_products
+from .qpoly import QPoly, geometric_block, sum_of_matrix_products, sum_of_products
 from .series import TruncSeries
 from .spectra import (
     PeriodicSeq,
@@ -90,9 +92,42 @@ def check_prop1(c_seq: PeriodicSeq, r: int, seq_desc: str = "custom", perturb: b
     return _compare("prop1", params, lhs, rhs)
 
 
-@lru_cache(maxsize=2048)
-def _shifted_bernoulli(m: int, lam_n, j: int, n: int) -> QPoly:
-    return apostol_bernoulli(m, lam_n).shift(Fraction(j, n))
+class _Basis(NamedTuple):
+    """The Apostol-Bernoulli pieces of the prop2 and mult right sides."""
+
+    scaled: QPoly  # A = B_m(nq, lam)
+    shifts: tuple[QPoly, ...]  # V_j = lam^j B_m(q + j/n, lam^n) for j < n
+    # for rational lam, (rows, den): row i holds the numerators of q^i in
+    # A, -n^m V_0, ..., -n^m V_{n-1} over den; None for irrational lam
+    matrix: tuple | None
+
+
+@lru_cache(maxsize=1024)
+def _bernoulli_basis(m: int, n: int, lam) -> _Basis:
+    """A and the V_j of (m, n, lam), shared by every sequence and shift."""
+    scaled = apostol_bernoulli(m, lam).scale_arg(n)
+    b = apostol_bernoulli(m, lam**n)
+    shifts = tuple(b.shift(Fraction(j, n)) * lam**j for j in range(n))
+    if not isinstance(lam, Fraction):
+        return _Basis(scaled, shifts, None)
+    polys = (scaled,) + shifts
+    weights = (1,) + (-(n**m),) * n
+    den = lcm(*(v.den for v in polys))
+    size = max(len(v) for v in polys)
+    cols = [
+        [w * (den // v.den) * row[0] for row in v.rows] + [0] * (size - len(v))
+        for v, w in zip(polys, weights)
+    ]
+    return _Basis(scaled, shifts, (tuple(zip(*cols)), den))
+
+
+@lru_cache(maxsize=256)
+def _spectrum_matrix(c_seq: PeriodicSeq):
+    """C_0 and the spectrum K = dft_inverse(C) over one den, as (cols, den):
+    column t holds coordinate t of C_0, K_0, ..., K_{n-1}."""
+    vals = (c_seq[0],) + tuple(dft_inverse(c_seq))
+    den = lcm(*(v.den for v in vals))
+    return tuple(zip(*(_K.vec_scale(v.nums, den // v.den) for v in vals))), den
 
 
 @lru_cache(maxsize=1024)
@@ -100,16 +135,21 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     """C_0 B_m(nq, lam) - n^m sum_j K_{j-s} lam^j B_m(q+j/n, lam^n).
 
     The right side of prop2 sees r and p only through s = (r+p-1) mod n,
-    so pairs sharing s share one cached polynomial.
+    so pairs sharing s share one cached polynomial.  For rational lam it is
+    the basis matrix of (m, n, lam) times the spectrum matrix of C with its
+    K rows rotated by s, built once.
     """
-    kseq = dft_inverse(c_seq)
-    lam_n = lam**n
-    terms = [(1, c_seq[0], apostol_bernoulli(m, lam).scale_arg(n))]
-    for j in range(n):
-        w = kseq[j - s] * lam**j
-        if w:
-            terms.append((-(n**m), _shifted_bernoulli(m, lam_n, j, n), w))
-    return sum_of_products(terms)
+    basis = _bernoulli_basis(m, n, lam)
+    if basis.matrix is None:
+        kseq = dft_inverse(c_seq)
+        terms = [(1, c_seq[0], basis.scaled)]
+        terms += [(-(n**m), v, kseq[j - s]) for j, v in enumerate(basis.shifts)]
+        return sum_of_products(terms)
+    rows, den = basis.matrix
+    spec, spec_den = _spectrum_matrix(c_seq)
+    # entry 1 + j of a rotated column is coordinate t of K_{(j-s) mod n}
+    cols = tuple(c[:1] + c[n + 1 - s :] + c[1 : n + 1 - s] for c in spec)
+    return sum_of_matrix_products(n, ((rows, cols, den * spec_den),))
 
 
 def check_prop2(
@@ -135,11 +175,9 @@ def check_prop2(
 def check_mult_formula(m: int, n: int, lam, perturb: bool = False) -> IdentityCase:
     """B_m(nq, lam) = n^(m-1) sum_j lam^j B_m(q + j/n, lam^n)."""
     params = {"m": m, "n": n, "lambda": format_scalar(lam)}
-    lam = normalize_scalar(lam)
-    lhs = apostol_bernoulli(m, lam).scale_arg(n)
-    lam_n = lam**n
-    scale = Fraction(n) ** (m - 1)
-    rhs = sum_of_products([(scale, _shifted_bernoulli(m, lam_n, j, n), lam**j) for j in range(n)])
+    basis = _bernoulli_basis(m, n, normalize_scalar(lam))
+    lhs = basis.scaled
+    rhs = sum_of_products([(Fraction(n) ** (m - 1), v, 1) for v in basis.shifts])
     if perturb:
         rhs = rhs + 1
     return _compare("mult", params, lhs, rhs)

@@ -313,6 +313,52 @@ def test_phi_one_levels_build_at_level_one(level):
     assert p == want and hash(p) == hash(want)
 
 
+def _horner_shift(p, c):
+    """p(q + c) by Horner composition with q + c: one product per coefficient."""
+    step = QPoly((c, 1))
+    out = QPoly()
+    for coeff in reversed(p.coeffs):
+        out = sum_of_products(((1, out, step), (1, coeff, 1)))
+    return out
+
+
+shift_args = st.one_of(st.integers(-5, 5), small)  # integers, negatives, non-integer rationals
+
+
+@given(level_and_two, shift_args)
+def test_taylor_shift_matches_horner(args, c):
+    level, a, _ = args
+    p = QPoly(a)
+    got = p.shift(c)
+    assert_canonical(got)
+    want = _horner_shift(p, c)
+    assert got == want and hash(got) == hash(want)
+    # a rational value held as a CycloNum shifts the same way
+    assert p.shift(CycloNum.of(level, c)) == want
+
+
+def test_shift_refuses_irrational_argument():
+    for c in (zeta_pow(3, 1), zeta_pow(4, 1) + 1):
+        with pytest.raises(TypeError, match="rational"):
+            (q**2 + 1).shift(c)
+    with pytest.raises(TypeError):
+        q.shift(0.5)
+
+
+@given(level_and_two)
+def test_negation_is_canonical(args):
+    # negating a canonical matrix keeps it canonical, so -p skips _build
+    level, a, _ = args
+    p = QPoly(a)
+    neg = -p
+    assert_canonical(neg)
+    want = _build(p.level, [-v for row in p.rows for v in row], p.den)
+    assert (neg.level, neg.rows, neg.den) == (want.level, want.rows, want.den)
+    assert neg == want and hash(neg) == hash(want)
+    assert -neg == p and hash(-neg) == hash(p)
+    assert neg == QPoly([-v for v in a])
+
+
 @given(level_and_two)
 def test_pickle_round_trip(args):
     level, a, _ = args

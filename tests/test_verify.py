@@ -1,8 +1,10 @@
 """Identity checkers, grid specs, campaign runner, reports."""
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclosum import verify
 from cyclosum.appell import apostol_bernoulli
@@ -13,8 +15,10 @@ from cyclosum.verify import (
     DEFAULT_SEED,
     IDENTITIES,
     GridSpec,
+    _bernoulli_basis,
     _enumerate_jobs,
     _prop2_rhs,
+    _spectrum_matrix,
     build_report,
     check_gseries_chain,
     check_moebius_interp,
@@ -265,14 +269,93 @@ def _literal_prop2_rhs(m, n, r, p, lam, c_seq):
 def test_prop2_right_side_is_built_once_per_shift(n):
     m, lam = 3, Fraction(-1, 2)
     c_seq = random_sequence(n, DEFAULT_SEED, 1)
-    _prop2_rhs.cache_clear()
+    for cache in (_prop2_rhs, _bernoulli_basis, _spectrum_matrix):
+        cache.cache_clear()
     for r in range(n + 2):
         for p in range(-1, 3):
             assert check_prop2(m, n, r, p, lam, c_seq).status == "pass"
             cached = _prop2_rhs(m, n, (r + p - 1) % n, lam, c_seq)
             assert cached == _literal_prop2_rhs(m, n, r, p, lam, c_seq)
-    # r + p - 1 runs through every residue mod n; each one is built once
+    # r + p - 1 runs through every residue mod n; each one is built once,
+    # from one basis for (m, n, lam) and one spectrum matrix for c_seq
     assert _prop2_rhs.cache_info().misses == n
+    assert _bernoulli_basis.cache_info().misses == 1
+    assert _spectrum_matrix.cache_info().misses == 1
+    # a second sequence reuses the basis; a second lambda reuses the spectrum
+    _prop2_rhs(m, n, 0, lam, family("ramanujan", n))
+    _prop2_rhs(m, n, 0, Fraction(2), c_seq)
+    assert _bernoulli_basis.cache_info().misses == 2
+    assert _spectrum_matrix.cache_info().misses == 2
+
+
+small_fracs = st.tuples(st.integers(-4, 4), st.integers(1, 5)).map(lambda t: Fraction(*t))
+
+
+def _prop2_sequences(n):
+    named = st.sampled_from(("delta", "ramanujan")).map(lambda name: family(name, n))
+    rand = st.integers(1, 3).map(lambda i: random_sequence(n, DEFAULT_SEED, i))
+    # irrational C_k for k != 0, and a chosen C_0
+    dedekind = st.tuples(
+        st.sampled_from(("fourier-dedekind", "apostol-dedekind")),
+        st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1]),
+        small_fracs,
+    ).map(lambda t: family(t[0], n, a=t[1], c0=t[2]))
+    return st.one_of(named, rand, dedekind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, 6),
+            st.just(n),
+            st.one_of(
+                st.sampled_from((Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(5, 7), Fraction(3), Fraction(-1))),
+                small_fracs,
+            ),
+            _prop2_sequences(n),
+        )
+    )
+)
+def test_prop2_right_side_matches_literal(case):
+    m, n, lam, c_seq = case
+    for s in range(n):
+        assert _prop2_rhs(m, n, s, lam, c_seq) == _literal_prop2_rhs(m, n, s + 1, 0, lam, c_seq)
+
+
+IRRATIONAL_LAMBDAS = (
+    ({"level": 3, "coeffs": ["2", "1"]}, 3),
+    ({"level": 4, "coeffs": ["1", "1"]}, 4),
+    ({"level": 6, "coeffs": ["3", "-1"]}, 6),
+)
+
+
+@pytest.mark.parametrize("lam, n", IRRATIONAL_LAMBDAS, ids=("level3", "level4", "level6"))
+def test_prop2_and_mult_pass_at_irrational_lambda(lam, n):
+    # the right sides take the literal sum over the cached basis here
+    prop2 = GridSpec.from_json({
+        "identity": "prop2", "m": {"min": 1, "max": 4}, "n": [n], "r": [0, 1, 2], "p": [-1, 0, 1, 2],
+        "lambdas": [lam], "sequences": ["delta", "ramanujan", "random:2", "fourier-dedekind:a=1,c0=1"],
+    })
+    cases = run_grid(prop2, workers=1)
+    assert len(cases) == 240 and all(c.status == "pass" for c in cases)
+    mult = GridSpec.from_json({"identity": "mult", "m": {"min": 0, "max": 4}, "n": [n], "lambdas": [lam]})
+    cases = run_grid(mult, workers=1)
+    assert len(cases) == 5 and all(c.status == "pass" for c in cases)
+
+
+def test_mult_passes_at_least_values_and_lambda_minus_one():
+    # m = 0, n = 1 are the least values mult accepts; at lambda = -1 and
+    # even n, lambda^n = 1, so A has degree m - 1 and each V_j degree m
+    for grid in (
+        {"identity": "mult", "m": [0, 1, 2], "n": [1, 2, 3], "lambdas": ["1", "2", "-1/2"]},
+        {"identity": "mult", "m": {"min": 0, "max": 6}, "n": [2, 4], "lambdas": ["-1", "1", "2", "-1/2"]},
+    ):
+        cases = run_grid(GridSpec.from_json(grid), workers=1)
+        assert cases and all(c.status == "pass" for c in cases)
+    basis = _bernoulli_basis(3, 4, Fraction(-1))
+    assert basis.scaled.degree == 2 and {v.degree for v in basis.shifts} == {3}
+    assert len(basis.matrix[0]) == 4
 
 
 def test_run_grid_deterministic_across_workers():
