@@ -27,12 +27,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from . import _kernel as _K
 from .appell import frobenius_euler
 from .arith import divisors, totatives
-from .cyclotomic import CycloNum, _phi, normalize_scalar, zeta_pow
+from .cyclotomic import CycloNum, _phi, common_den, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
 from .qpoly import QPoly, q, sum_of_matrix_products, sum_of_products
 from .series import TruncSeries
@@ -116,8 +114,7 @@ def _orbit_weights(n: int, d: int, c_seq: PeriodicSeq):
         ws.append(w)
     if not any(ws):
         return None
-    den = lcm(*(w.den for w in ws))
-    return tuple(_K.vec_scale(w.nums, den // w.den) for w in ws), den
+    return common_den(ws)
 
 
 def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> TruncSeries:

@@ -176,7 +176,10 @@ class QPoly:
     def shift(self, c) -> QPoly:
         """f(q + c) for a rational c = a/b, in one build (a Taylor shift):
         row i of the matrix is sum_{k >= i} C(k, i) a^(k-i) b^(top-k+i) row_k
-        over den * b^top."""
+        over den * b^top.
+
+        c may be an int, a Fraction or a rational CycloNum.  An irrational
+        CycloNum raises TypeError, as in scale_arg."""
         level, nums, b = _scalar_parts(c)
         if level != 1:
             raise TypeError("shift needs a rational argument")

@@ -27,16 +27,16 @@ from itertools import product
 from math import factorial, lcm
 from typing import NamedTuple
 
-from . import _kernel as _K
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
-from .cyclotomic import format_scalar, normalize_scalar, scalar_from_json
+from .cyclotomic import common_den, format_scalar, normalize_scalar, scalar_from_json
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from .qpoly import QPoly, geometric_block, sum_of_matrix_products, sum_of_products
 from .series import TruncSeries
 from .spectra import (
     PeriodicSeq,
+    SpectralSeq,
     dft_inverse,
     family,
     interp_poly,
@@ -97,19 +97,21 @@ class _Basis(NamedTuple):
 
     scaled: QPoly  # A = B_m(nq, lam)
     shifts: tuple[QPoly, ...]  # V_j = lam^j B_m(q + j/n, lam^n) for j < n
-    # for rational lam, (rows, den): row i holds the numerators of q^i in
-    # A, -n^m V_0, ..., -n^m V_{n-1} over den; None for irrational lam
-    matrix: tuple | None
 
 
 @lru_cache(maxsize=1024)
 def _bernoulli_basis(m: int, n: int, lam) -> _Basis:
     """A and the V_j of (m, n, lam), shared by every sequence and shift."""
-    scaled = apostol_bernoulli(m, lam).scale_arg(n)
     b = apostol_bernoulli(m, lam**n)
     shifts = tuple(b.shift(Fraction(j, n)) * lam**j for j in range(n))
-    if not isinstance(lam, Fraction):
-        return _Basis(scaled, shifts, None)
+    return _Basis(apostol_bernoulli(m, lam).scale_arg(n), shifts)
+
+
+@lru_cache(maxsize=1024)
+def _basis_matrix(m: int, n: int, lam: Fraction):
+    """The basis of a rational lam as one integer matrix, (rows, den): row i
+    holds the numerators of q^i in A, -n^m V_0, ..., -n^m V_{n-1} over den."""
+    scaled, shifts = _bernoulli_basis(m, n, lam)
     polys = (scaled,) + shifts
     weights = (1,) + (-(n**m),) * n
     den = lcm(*(v.den for v in polys))
@@ -118,16 +120,15 @@ def _bernoulli_basis(m: int, n: int, lam) -> _Basis:
         [w * (den // v.den) * row[0] for row in v.rows] + [0] * (size - len(v))
         for v, w in zip(polys, weights)
     ]
-    return _Basis(scaled, shifts, (tuple(zip(*cols)), den))
+    return tuple(zip(*cols)), den
 
 
 @lru_cache(maxsize=256)
-def _spectrum_matrix(c_seq: PeriodicSeq):
-    """C_0 and the spectrum K = dft_inverse(C) over one den, as (cols, den):
-    column t holds coordinate t of C_0, K_0, ..., K_{n-1}."""
-    vals = (c_seq[0],) + tuple(dft_inverse(c_seq))
-    den = lcm(*(v.den for v in vals))
-    return tuple(zip(*(_K.vec_scale(v.nums, den // v.den) for v in vals))), den
+def _spectrum_matrix(c0, kseq: SpectralSeq):
+    """C_0 and the spectrum K over one den, as (cols, den): column t holds
+    coordinate t of C_0, K_0, ..., K_{n-1}."""
+    vecs, den = common_den((c0,) + tuple(kseq))
+    return tuple(zip(*vecs)), den
 
 
 @lru_cache(maxsize=1024)
@@ -139,14 +140,14 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     the basis matrix of (m, n, lam) times the spectrum matrix of C with its
     K rows rotated by s, built once.
     """
-    basis = _bernoulli_basis(m, n, lam)
-    if basis.matrix is None:
-        kseq = dft_inverse(c_seq)
-        terms = [(1, c_seq[0], basis.scaled)]
-        terms += [(-(n**m), v, kseq[j - s]) for j, v in enumerate(basis.shifts)]
+    kseq = dft_inverse(c_seq)
+    if not isinstance(lam, Fraction):
+        scaled, shifts = _bernoulli_basis(m, n, lam)
+        terms = [(1, c_seq[0], scaled)]
+        terms += [(-(n**m), v, kseq[j - s]) for j, v in enumerate(shifts)]
         return sum_of_products(terms)
-    rows, den = basis.matrix
-    spec, spec_den = _spectrum_matrix(c_seq)
+    rows, den = _basis_matrix(m, n, lam)
+    spec, spec_den = _spectrum_matrix(c_seq[0], kseq)
     # entry 1 + j of a rotated column is coordinate t of K_{(j-s) mod n}
     cols = tuple(c[:1] + c[n + 1 - s :] + c[1 : n + 1 - s] for c in spec)
     return sum_of_matrix_products(n, ((rows, cols, den * spec_den),))
@@ -175,9 +176,8 @@ def check_prop2(
 def check_mult_formula(m: int, n: int, lam, perturb: bool = False) -> IdentityCase:
     """B_m(nq, lam) = n^(m-1) sum_j lam^j B_m(q + j/n, lam^n)."""
     params = {"m": m, "n": n, "lambda": format_scalar(lam)}
-    basis = _bernoulli_basis(m, n, normalize_scalar(lam))
-    lhs = basis.scaled
-    rhs = sum_of_products([(Fraction(n) ** (m - 1), v, 1) for v in basis.shifts])
+    lhs, shifts = _bernoulli_basis(m, n, normalize_scalar(lam))
+    rhs = sum_of_products([(Fraction(n) ** (m - 1), v, 1) for v in shifts])
     if perturb:
         rhs = rhs + 1
     return _compare("mult", params, lhs, rhs)

@@ -15,6 +15,7 @@ from cyclosum.verify import (
     DEFAULT_SEED,
     IDENTITIES,
     GridSpec,
+    _basis_matrix,
     _bernoulli_basis,
     _enumerate_jobs,
     _prop2_rhs,
@@ -269,7 +270,7 @@ def _literal_prop2_rhs(m, n, r, p, lam, c_seq):
 def test_prop2_right_side_is_built_once_per_shift(n):
     m, lam = 3, Fraction(-1, 2)
     c_seq = random_sequence(n, DEFAULT_SEED, 1)
-    for cache in (_prop2_rhs, _bernoulli_basis, _spectrum_matrix):
+    for cache in (_prop2_rhs, _bernoulli_basis, _basis_matrix, _spectrum_matrix):
         cache.cache_clear()
     for r in range(n + 2):
         for p in range(-1, 3):
@@ -280,12 +281,18 @@ def test_prop2_right_side_is_built_once_per_shift(n):
     # from one basis for (m, n, lam) and one spectrum matrix for c_seq
     assert _prop2_rhs.cache_info().misses == n
     assert _bernoulli_basis.cache_info().misses == 1
+    assert _basis_matrix.cache_info().misses == 1
     assert _spectrum_matrix.cache_info().misses == 1
     # a second sequence reuses the basis; a second lambda reuses the spectrum
     _prop2_rhs(m, n, 0, lam, family("ramanujan", n))
     _prop2_rhs(m, n, 0, Fraction(2), c_seq)
     assert _bernoulli_basis.cache_info().misses == 2
+    assert _basis_matrix.cache_info().misses == 2
     assert _spectrum_matrix.cache_info().misses == 2
+    # mult reads the basis polynomials and never builds the matrix
+    assert check_mult_formula(m, n, Fraction(3)).status == "pass"
+    assert _bernoulli_basis.cache_info().misses == 3
+    assert _basis_matrix.cache_info().misses == 2
 
 
 small_fracs = st.tuples(st.integers(-4, 4), st.integers(1, 5)).map(lambda t: Fraction(*t))
@@ -355,7 +362,7 @@ def test_mult_passes_at_least_values_and_lambda_minus_one():
         assert cases and all(c.status == "pass" for c in cases)
     basis = _bernoulli_basis(3, 4, Fraction(-1))
     assert basis.scaled.degree == 2 and {v.degree for v in basis.shifts} == {3}
-    assert len(basis.matrix[0]) == 4
+    assert len(_basis_matrix(3, 4, Fraction(-1))[0]) == 4
 
 
 def test_run_grid_deterministic_across_workers():
