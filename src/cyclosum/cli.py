@@ -201,7 +201,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cases = []
     for spec in grids:
         cases.extend(run_grid(spec, workers=args.workers))
-    cases.sort(key=lambda c: c.sort_key())
+    # run_grid sorts each identity's cases; a stable sort on the name merges them
+    cases.sort(key=lambda c: c.identity)
     report = build_report(args.identity, cases, grids)
     data = report_csv_bytes(report) if args.format == "csv" else report_json_bytes(report)
     summary = report["summary"]

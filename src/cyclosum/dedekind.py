@@ -22,6 +22,10 @@ polynomial per divisor d > 1 of n, not one per k.
 
 g_series_oracle is the independent series route: the closed form of the
 generating function whose EGF coefficient m must equal e_sum at index m+1.
+Its terms T_k = e^{qt}/(lam e^t - zeta^{-k}) depend only on (n, k, lam, T)
+and are cached on those values; the sequence and (r, p) enter only as the
+scalar weights (-1)^p zeta^{-k(r+p)} C_{-k} of one weighted sum.  The
+oracle reads neither e_sum nor the Frobenius-Euler recurrence.
 """
 from __future__ import annotations
 
@@ -33,7 +37,7 @@ from .arith import divisors, totatives
 from .cyclotomic import CycloNum, _phi, common_den, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
 from .qpoly import QPoly, q, sum_of_matrix_products, sum_of_products
-from .series import TruncSeries
+from .series import TruncSeries, weighted_sum
 from .spectra import PeriodicSeq
 
 __all__ = ["e_sum", "g_series_oracle", "v_sum", "ramanujan_sum"]
@@ -127,15 +131,20 @@ def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int)
     if order < 0:
         raise ValueError("order must be >= 0")
     lam = check_lambda_collision(n, lam)
-    eq = TruncSeries.exp_linear(q, order)
-    acc = TruncSeries.zero(order)
+    sign = -1 if p % 2 else 1
+    terms = []
     for k in range(1, n):
         w = zeta_pow(n, -k * (r + p)) * c_seq[-k]
-        if not w:
-            continue
-        den = TruncSeries.exp_affine(lam, -zeta_pow(n, -k), order)
-        acc = acc + (den.inverse() * eq) * w
-    return acc * (-1 if p % 2 else 1)
+        if w:
+            terms.append((_oracle_term(n, k, lam, order), sign * w))
+    return weighted_sum(terms, order)
+
+
+@lru_cache(maxsize=1024)
+def _oracle_term(n: int, k: int, lam, order: int) -> TruncSeries:
+    """T_k = e^{qt}/(lam e^t - zeta_n^{-k}), truncated; lam normalized."""
+    den = TruncSeries.exp_affine(lam, -zeta_pow(n, -k), order)
+    return den.inverse() * TruncSeries.exp_linear(q, order)
 
 
 def v_sum(n: int, k: int, lam):

@@ -4,7 +4,9 @@ A TruncSeries of order T stores, for each m <= T, the full value multiplying
 t^m/m!.  Coefficients are QPoly values in q (plain scalars are wrapped on
 the way in), so generating functions like e^{qt}/(lam*e^t - 1) stay exact
 and polynomial-valued.  The Cauchy product therefore carries binomial
-weights, and multiplying by t shifts with a factor of m.
+weights, and multiplying by t shifts with a factor of m.  weighted_sum
+builds a scalar-weighted sum of series with one sum_of_products per
+coefficient.
 """
 from __future__ import annotations
 
@@ -137,3 +139,17 @@ class TruncSeries:
     def __repr__(self) -> str:
         inner = ", ".join(c.to_str() for c in self.coeffs)
         return f"TruncSeries[{self.order}]({inner})"
+
+
+def weighted_sum(terms, order: int) -> TruncSeries:
+    """The sum of w * S over the (S, w) terms, truncated at `order`.
+
+    Each S is a TruncSeries of order at least `order` and each w an exact
+    scalar; coefficient m is one sum_of_products over the terms.  No terms
+    give the zero series of that order.
+    """
+    terms = tuple(terms)
+    return TruncSeries(
+        [sum_of_products([(1, s.coeffs[m], w) for s, w in terms]) for m in range(order + 1)],
+        order,
+    )

@@ -16,7 +16,7 @@ from pathlib import Path
 from .arith import totatives
 from .cyclotomic import CycloNum, cyclo_inv, scalar_from_json, zeta_pow
 from .errors import InvalidParam, SequenceFileError
-from .qpoly import QPoly
+from .qpoly import QPoly, sum_of_products
 from .scalars import format_rational, parse_rational
 
 
@@ -182,12 +182,9 @@ def lagrange_oracle(c_seq: PeriodicSeq, r: int) -> QPoly:
     of the two is the interpolation proposition itself.
     """
     n = c_seq.n
-    acc = QPoly.zero()
-    for k, basis in enumerate(_lagrange_basis(n)):
-        w = zeta_pow(n, -k * r) * c_seq[-k]
-        if w:
-            acc = acc + basis * w
-    return acc
+    return sum_of_products(
+        [(1, basis, zeta_pow(n, -k * r) * c_seq[-k]) for k, basis in enumerate(_lagrange_basis(n))]
+    )
 
 
 def sequence_from_json(obj) -> PeriodicSeq:

@@ -33,7 +33,7 @@ from .cyclotomic import common_den, format_scalar, normalize_scalar, scalar_from
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from .qpoly import QPoly, geometric_block, sum_of_matrix_products, sum_of_products
-from .series import TruncSeries
+from .series import TruncSeries, weighted_sum
 from .spectra import (
     PeriodicSeq,
     SpectralSeq,
@@ -250,10 +250,10 @@ def check_moebius_interp(n: int, perturb: bool = False) -> IdentityCase:
     return IdentityCase("moebius", params, "pass")
 
 
+@lru_cache(maxsize=256)
 def _t_over_exp_affine(lam, s: int, order: int) -> TruncSeries:
-    """t / (lam e^{st} - 1).  For lam = 1 the constant term of the
-    denominator vanishes, so divide t through before inverting."""
-    lam = normalize_scalar(lam)
+    """t / (lam e^{st} - 1), lam normalized.  For lam = 1 the constant term
+    of the denominator vanishes, so divide t through before inverting."""
     if lam == 1:
         den = TruncSeries(
             [Fraction(s ** (k + 1), k + 1) for k in range(order + 1)], order
@@ -261,6 +261,44 @@ def _t_over_exp_affine(lam, s: int, order: int) -> TruncSeries:
         return den.inverse()
     den = TruncSeries([lam - 1] + [lam * Fraction(s) ** k for k in range(1, order + 1)], order)
     return den.inverse().mul_t()
+
+
+@lru_cache(maxsize=256)
+def _exp_q(c: int, order: int) -> TruncSeries:
+    """e^{cqt}."""
+    return TruncSeries.exp_linear(QPoly((0, c)), order)
+
+
+@lru_cache(maxsize=256)
+def _gseries_left_base(lam, n: int, order: int) -> TruncSeries:
+    """L = t e^{nqt} / (lam e^t - 1), lam normalized."""
+    return _t_over_exp_affine(lam, 1, order) * _exp_q(n, order)
+
+
+@lru_cache(maxsize=256)
+def _gseries_right_terms(n: int, lam, order: int) -> tuple[TruncSeries, ...]:
+    """R_j = n lam^j e^{(j+nq)t} t / (lam^n e^{nt} - 1) for j < n, lam
+    normalized."""
+    base = _t_over_exp_affine(normalize_scalar(lam**n), n, order)
+    return tuple(
+        (TruncSeries.exp_linear(QPoly((j, n)), order) * base) * (n * lam**j)
+        for j in range(n)
+    )
+
+
+def _gseries_sides(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, g: TruncSeries, order: int):
+    """(tg, lhs, rhs) of the series identity for the G series g, lam
+    normalized: tg = t g e^{(n-1)qt}, lhs = C_0 L + (-1)^p tg and
+    rhs = sum_j K_{j-(r+p-1)} R_j, each sum built once from cached series."""
+    tg = (g * _exp_q(n - 1, order)).mul_t()
+    sign_p = -1 if p % 2 else 1  # (-1)^p
+    lhs = weighted_sum(((_gseries_left_base(lam, n, order), c_seq[0]), (tg, sign_p)), order)
+    kseq = dft_inverse(c_seq)
+    s = r + p - 1
+    rhs = weighted_sum(
+        ((rj, kseq[j - s]) for j, rj in enumerate(_gseries_right_terms(n, lam, order))), order
+    )
+    return tg, lhs, rhs
 
 
 def check_gseries_chain(
@@ -284,18 +322,7 @@ def check_gseries_chain(
     except ParameterCollision as exc:
         return IdentityCase("gseries", params, "skipped", reason=str(exc))
     lam = normalize_scalar(lam)
-    sign_p = -1 if p % 2 else 1  # (-1)^p
-    nq = QPoly((0, n))
-    tg = (g * TruncSeries.exp_linear(QPoly((0, n - 1)), order)).mul_t()
-    lhs = c_seq[0] * (_t_over_exp_affine(lam, 1, order) * TruncSeries.exp_linear(nq, order)) + sign_p * tg
-    kseq = dft_inverse(c_seq)
-    base = _t_over_exp_affine(lam**n, n, order)
-    acc = TruncSeries.zero(order)
-    for j in range(n):
-        w = kseq[j - r - p + 1] * lam**j
-        if w:
-            acc = acc + TruncSeries.exp_linear(QPoly((j, n)), order) * w
-    rhs = (acc * base) * n
+    tg, lhs, rhs = _gseries_sides(n, r, p, lam, c_seq, g, order)
     if perturb:
         rhs = rhs + TruncSeries.one(order)
     for m in range(order + 1):

@@ -13,14 +13,17 @@ from cyclosum.appell import frobenius_euler
 from cyclosum.cyclotomic import zeta_pow
 from cyclosum.dedekind import (
     _e_sum,
+    _oracle_term,
     e_sum,
     g_series_oracle,
     ramanujan_sum,
     v_sum,
 )
 from cyclosum.errors import ParameterCollision
-from cyclosum.qpoly import QPoly, sum_of_products
+from cyclosum.qpoly import QPoly, q, sum_of_products
+from cyclosum.series import TruncSeries
 from cyclosum.spectra import PeriodicSeq, family
+from cyclosum.verify import DEFAULT_SEED, default_grid, random_sequence, resolve_sequences, run_grid
 
 
 def _literal_e_sum(m, n, r, p, lam, c_seq):
@@ -252,3 +255,71 @@ def test_irrational_lambda_matches_series_oracle():
         series = g_series_oracle(n, 1, 1, lam, c, order=3)
         for m in range(4):
             assert series[m] == e_sum(m + 1, n, 1, 1, lam, c)
+
+
+# The oracle's cached terms T_k against the per-k loop that rebuilds them.
+
+def _literal_g_series(n, r, p, lam, c_seq, order):
+    """(-1)^p sum_k zeta^{-k(r+p)} C_{-k} e^{qt}/(lam e^t - zeta^{-k}), one
+    inverse and two products per k, summed term by term."""
+    eq = TruncSeries.exp_linear(q, order)
+    acc = TruncSeries.zero(order)
+    for k in range(1, n):
+        w = zeta_pow(n, -k * (r + p)) * c_seq[-k]
+        if not w:
+            continue
+        den = TruncSeries.exp_affine(lam, -zeta_pow(n, -k), order)
+        acc = acc + (den.inverse() * eq) * w
+    return acc * (-1 if p % 2 else 1)
+
+
+def _series_lambdas(n):
+    rational = st.sampled_from((Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(5, 7)))
+    if n % 3:
+        return rational
+    # 2 + zeta_3, an irrational value of Q(zeta_3) written at level n
+    return st.one_of(rational, st.just(2 + zeta_pow(n, n // 3)))
+
+
+def _series_sequences(n):
+    ram = st.just(family("ramanujan", n))
+    rand = st.integers(1, 3).map(lambda i: random_sequence(n, DEFAULT_SEED, i))
+    fourier = st.tuples(
+        st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1]), small_fracs
+    ).map(lambda t: family("fourier-dedekind", n, a=t[0], c0=t[1]))
+    return st.one_of(ram, rand, fourier)
+
+
+def series_cases(least_order=0):
+    """(n, r, p, lambda, C, T) with n <= 12 and T <= 6; the checker tests
+    in test_verify.py draw from it too."""
+    return st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(-2, n + 2), st.integers(-1, 2),
+            _series_lambdas(n), _series_sequences(n), st.integers(least_order, 6),
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_cases())
+def test_g_series_oracle_matches_per_k_loop(case):
+    n, r, p, lam, c, order = case
+    assert g_series_oracle(n, r, p, lam, c, order) == _literal_g_series(n, r, p, lam, c, order)
+
+
+def test_oracle_terms_are_built_once_per_grid_value():
+    spec = default_grid("gseries")
+    _oracle_term.cache_clear()
+    assert all(case.status == "pass" for case in run_grid(spec))
+    # one T_k per (n, k, lambda, T) that some sequence weights; the
+    # sequence and (r, p) only scale it
+    used = {
+        (n, k, lam)
+        for n in spec.n
+        for _, c in resolve_sequences(spec.sequences, n, spec.seed)
+        for k in range(1, n)
+        if c[-k]
+        for lam in spec.lambdas
+    }
+    assert _oracle_term.cache_info().misses == len(used)

@@ -3,11 +3,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cyclosum.cyclotomic import CycloNum
 from cyclosum.errors import NotAUnit
 from cyclosum.qpoly import QPoly, q
-from cyclosum.series import TruncSeries
+from cyclosum.series import TruncSeries, weighted_sum
 
 fracs = st.tuples(st.integers(-20, 20), st.integers(1, 8)).map(
     lambda t: Fraction(t[0], t[1])
@@ -110,3 +111,59 @@ def test_binomial_weights_visible_in_product():
     b = TruncSeries.exp_linear(1, 4)
     prod = a * b
     assert [p[0] for p in prod.coeffs] == [comb(m, 1) for m in range(5)]
+
+
+# weighted_sum against repeated series + and scalar *
+
+LEVEL = 5
+level_nums = st.lists(fracs, min_size=4, max_size=4)
+# a coefficient is rational or in Q(zeta_5), so one series mixes both
+coeff_polys = st.one_of(
+    st.lists(fracs, max_size=3).map(QPoly),
+    st.lists(level_nums, max_size=3).map(
+        lambda rows: QPoly(tuple(CycloNum.from_coeffs(LEVEL, row) for row in rows))
+    ),
+)
+weights = st.one_of(
+    st.integers(-5, 5),
+    fracs,
+    level_nums.map(lambda row: CycloNum.from_coeffs(LEVEL, row)),
+)
+
+
+def _repeated_sum(terms, order):
+    acc = TruncSeries.zero(order)
+    for s, w in terms:
+        acc = acc + s * w
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda order: st.tuples(
+            st.just(order),
+            st.lists(
+                st.tuples(
+                    # a series may run past the order; the sum truncates it
+                    st.integers(order, order + 2).flatmap(
+                        lambda t: st.lists(coeff_polys, min_size=t + 1, max_size=t + 1)
+                    ).map(TruncSeries),
+                    weights,
+                ),
+                max_size=4,
+            ),
+        )
+    )
+)
+def test_weighted_sum_matches_repeated_add_and_scale(case):
+    order, terms = case
+    got = weighted_sum(terms, order)
+    assert got.order == order
+    assert got == _repeated_sum(terms, order)
+
+
+def test_weighted_sum_of_no_terms_is_zero():
+    for order in (0, 3):
+        assert weighted_sum([], order) == TruncSeries.zero(order)
+        assert weighted_sum([], order).order == order

@@ -124,11 +124,16 @@ def test_forward_inverts_cyclotomic_spectrum():
             "prop2", m=(2,), n=(3,), r=(0, 1, 2), p=(0, 1, 2), lambdas=(Fraction(2),),
             sequences=("ramanujan", "random:1"), perturb_index=9,
         ),
+        # gseries cases sharing (n, lambda) share every cached series factor
+        GridSpec(
+            "gseries", n=(3,), r=(0, 1, 2), p=(0, 1), lambdas=(Fraction(2),),
+            sequences=("ramanujan", "random:1"), order=4, perturb_index=7,
+        ),
     ],
-    ids=["prop1", "prop2", "prop2-shared-shift"],
+    ids=["prop1", "prop2", "prop2-shared-shift", "gseries-shared-series"],
 )
 def test_cached_spectrum_never_hides_perturbation(spec):
-    # the second run finds every spectrum in the cache already
+    # the second run finds every spectrum and series in the cache already
     for _ in range(2):
         statuses = [case.status for case in run_grid(spec)]
         assert statuses.count("fail") == 1

@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from cyclosum import verify
 from cyclosum.appell import apostol_bernoulli
+from cyclosum.cyclotomic import normalize_scalar
+from cyclosum.dedekind import g_series_oracle
 from cyclosum.errors import InvalidGrid, InvalidParam, SequenceFileError
 from cyclosum.qpoly import QPoly
+from cyclosum.series import TruncSeries
 from cyclosum.spectra import PeriodicSeq, dft_inverse, family
 from cyclosum.verify import (
     DEFAULT_SEED,
@@ -18,8 +21,13 @@ from cyclosum.verify import (
     _basis_matrix,
     _bernoulli_basis,
     _enumerate_jobs,
+    _exp_q,
+    _gseries_left_base,
+    _gseries_right_terms,
+    _gseries_sides,
     _prop2_rhs,
     _spectrum_matrix,
+    _t_over_exp_affine,
     build_report,
     check_gseries_chain,
     check_moebius_interp,
@@ -34,6 +42,8 @@ from cyclosum.verify import (
     resolve_sequences,
     run_grid,
 )
+
+from test_dedekind import series_cases
 
 RAM4 = family("ramanujan", 4)
 
@@ -363,6 +373,57 @@ def test_mult_passes_at_least_values_and_lambda_minus_one():
     basis = _bernoulli_basis(3, 4, Fraction(-1))
     assert basis.scaled.degree == 2 and {v.degree for v in basis.shifts} == {3}
     assert len(_basis_matrix(3, 4, Fraction(-1))[0]) == 4
+
+
+def _literal_t_over_exp_affine(lam, s, order):
+    # t / (lam e^{st} - 1), t divided through first when lam = 1
+    if lam == 1:
+        den = TruncSeries([Fraction(s ** (k + 1), k + 1) for k in range(order + 1)], order)
+        return den.inverse()
+    den = TruncSeries([lam - 1] + [lam * Fraction(s) ** k for k in range(1, order + 1)], order)
+    return den.inverse().mul_t()
+
+
+def _literal_gseries_sides(n, r, p, lam, c_seq, g, order):
+    """(tg, lhs, rhs) with every series factor rebuilt for the case."""
+    sign_p = -1 if p % 2 else 1
+    nq = QPoly((0, n))
+    tg = (g * TruncSeries.exp_linear(QPoly((0, n - 1)), order)).mul_t()
+    lhs = c_seq[0] * (_literal_t_over_exp_affine(lam, 1, order) * TruncSeries.exp_linear(nq, order)) + sign_p * tg
+    kseq = dft_inverse(c_seq)
+    base = _literal_t_over_exp_affine(normalize_scalar(lam**n), n, order)
+    acc = TruncSeries.zero(order)
+    for j in range(n):
+        w = kseq[j - r - p + 1] * lam**j
+        if w:
+            acc = acc + TruncSeries.exp_linear(QPoly((j, n)), order) * w
+    return tg, lhs, (acc * base) * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_cases(least_order=1))
+def test_gseries_sides_match_per_case_construction(case):
+    n, r, p, lam, c_seq, order = case
+    g = g_series_oracle(n, r, p, lam, c_seq, order)
+    lam = normalize_scalar(lam)
+    assert _gseries_sides(n, r, p, lam, c_seq, g, order) == _literal_gseries_sides(n, r, p, lam, c_seq, g, order)
+    assert check_gseries_chain(n, r, p, lam, c_seq, order).status == "pass"
+
+
+def test_gseries_series_are_built_once_per_grid_value():
+    spec = default_grid("gseries")
+    for cache in (_t_over_exp_affine, _exp_q, _gseries_left_base, _gseries_right_terms):
+        cache.cache_clear()
+    assert all(case.status == "pass" for case in run_grid(spec))
+    pairs = len(spec.n) * len(spec.lambdas)
+    # one right-term tuple and one left base per (n, lambda, T), whatever
+    # the sequence and (r, p)
+    assert _gseries_right_terms.cache_info().misses == pairs
+    assert _gseries_left_base.cache_info().misses == pairs
+    # t/(lam e^t - 1) per lambda and t/(lam^n e^{nt} - 1) per (n, lambda)
+    assert _t_over_exp_affine.cache_info().misses == len(spec.lambdas) + pairs
+    # e^{cqt} for c in {n} and {n - 1}
+    assert _exp_q.cache_info().misses == len(set(spec.n) | {n - 1 for n in spec.n})
 
 
 def test_run_grid_deterministic_across_workers():
