@@ -1,11 +1,13 @@
-"""Reference implementation of the integer-vector kernels.
+"""The integer-vector primitives.
 
 A cyclotomic number is carried as a vector of integer numerators over one
 shared denominator; the functions here are the numerator-vector loops that
-every exact multiplication and reduction bottoms out in.  The compiled
-module ``cyclosum._kernel._fast``, built from the committed ``_fast.c``,
-provides the same five entry points with the same semantics;
-tests/test_kernel_parity.py builds it and pins parity between the two.
+every exact multiplication and reduction bottoms out in.
+
+Call sites bind this module and look the functions up through it
+(``_K.conv(...)``), so a profiler can wrap the module attributes:
+perfbench/tracer.py rebinds the five names here, and perfbench/child.py
+times ``conv`` and ``reduce_cyclo`` through this module.
 
 All inputs are plain lists/tuples of Python ints (arbitrary precision), and
 outputs are new lists.  Nothing here mutates its arguments.

@@ -4,8 +4,7 @@ Elements are reduced residues modulo the n-th cyclotomic polynomial, stored
 as phi(n) integer numerators over one shared positive denominator.  Working
 mod Phi_n (a field) rather than mod x^n - 1 (a ring with zero divisors)
 keeps every nonzero element invertible, which the weighted root-of-unity
-sums rely on.  The integer-vector loops go through the selected kernel
-backend; see cyclosum._kernel.
+sums rely on.  The integer-vector loops go through cyclosum._kernel.
 
 Levels never mix: a rational embeds into any level, but zeta_m and zeta_n
 of different levels refuse arithmetic rather than coerce.

@@ -332,16 +332,17 @@ def check_gseries_chain(
                 reason=f"series sides differ at coefficient {m}",
                 lhs=lhs[m].to_str(), rhs=rhs[m].to_str(),
             )
+    # sums[i] is the index-(i + 1) sum: both chains read indices 1 .. order + 1
+    sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
     for m in range(order + 1):
-        expected = e_sum(m + 1, n, r, p, lam, c_seq)
-        if g[m] != expected:
+        if g[m] != sums[m]:
             return IdentityCase(
                 "gseries", params, "fail",
                 reason=f"G coefficient {m} differs from the index-{m + 1} sum",
-                lhs=g[m].to_str(), rhs=expected.to_str(),
+                lhs=g[m].to_str(), rhs=sums[m].to_str(),
             )
     for m in range(1, order + 1):
-        expected = e_sum(m, n, r, p, lam, c_seq).scale_arg(n, m)
+        expected = sums[m - 1].scale_arg(n, m)
         if tg[m] != expected:
             return IdentityCase(
                 "gseries", params, "fail",

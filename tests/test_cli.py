@@ -306,8 +306,11 @@ def test_import_loads_only_the_standard_library():
     code = (
         "import sys; before = set(sys.modules); import cyclosum, cyclosum.cli; "
         "tops = {m.partition('.')[0] for m in set(sys.modules) - before}; "
-        "print(sorted(tops - set(sys.stdlib_module_names) - {'cyclosum', '__mp_main__'}))"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'cyclosum', '__mp_main__'})); "
+        "print(sorted(name for name, mod in sys.modules.items() if name.partition('.')[0] == 'cyclosum' "
+        "and not str(getattr(mod, '__file__', '')).endswith('.py')), cyclosum.kernel_backend)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    # no stray built extension: every cyclosum module is loaded from source
+    assert proc.stdout == "[]\n[] python\n"
