@@ -80,12 +80,6 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=256)
-def _phi(level: int) -> int:
-    """phi(level): the number of coordinates of a level-`level` element."""
-    return cyclotomic_poly(level).degree
-
-
 class CycloNum:
     """Element of Q(zeta_n): integer numerators nums over a positive den,
     fully cancelled, zero normalized to all-zero nums over 1.
@@ -98,7 +92,7 @@ class CycloNum:
     __slots__ = ("level", "nums", "den")
 
     def __init__(self, level: int, nums, den: int = 1):
-        d = _phi(level)
+        d = euler_phi(level)
         ns = list(nums)
         if len(ns) != d:
             raise ValueError(f"level {level} needs {d} coordinates, got {len(ns)}")
@@ -126,7 +120,7 @@ class CycloNum:
                 raise ValueError("cross-level cyclotomic coercion")
             value = r
         value = Fraction(value)
-        return _make(level, (value.numerator,) + (0,) * (_phi(level) - 1), value.denominator)
+        return _make(level, (value.numerator,) + (0,) * (euler_phi(level) - 1), value.denominator)
 
     @classmethod
     def from_coeffs(cls, level: int, coeffs) -> CycloNum:
@@ -358,13 +352,15 @@ def _same_level(a: CycloNum, b: CycloNum) -> None:
 
 def zeta_pow(n: int, k: int) -> CycloNum:
     """zeta_n^(k mod n) as a reduced level-n element."""
+    if n < 1:
+        raise ValueError("cyclotomic level must be >= 1")
     return _zeta_pow(n, k % n)
 
 
 @lru_cache(maxsize=None)
 def _zeta_pow(n: int, k: int) -> CycloNum:
     """zeta_pow for 0 <= k < n: at most n entries per level."""
-    d = _phi(n)
+    d = euler_phi(n)
     if k == 0:
         return CycloNum.of(n, 1)
     if k < d:
@@ -382,7 +378,7 @@ def galois_map(d: int, n: int, t: int) -> tuple[tuple[int, ...], ...]:
     the automorphism sigma_t for d = n and gcd(t, n) = 1, and the embedding
     of level d into level n for t = n/d.
     """
-    return tuple(zeta_pow(n, t * j).nums for j in range(_phi(d)))
+    return tuple(zeta_pow(n, t * j).nums for j in range(euler_phi(d)))
 
 
 def _map_nums(nums, matrix) -> list[int]:

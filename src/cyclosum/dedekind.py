@@ -33,8 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .appell import frobenius_euler
-from .arith import divisors, totatives
-from .cyclotomic import CycloNum, _phi, common_den, normalize_scalar, zeta_pow
+from .arith import divisors, euler_phi, totatives
+from .cyclotomic import CycloNum, common_den, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
 from .qpoly import QPoly, q, sum_of_matrix_products, sum_of_products
 from .series import TruncSeries, weighted_sum
@@ -97,7 +97,7 @@ def _e_sum(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
         if weights is not None:
             seed = frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1))
             vecs, den = weights
-            cols = tuple(zip(*(vecs[(j - s) % d] for j in range(_phi(seed.level)))))
+            cols = tuple(zip(*(vecs[(j - s) % d] for j in range(euler_phi(seed.level)))))
             parts.append((seed.rows, cols, seed.den * den))
     return sum_of_matrix_products(n, parts)
 

@@ -30,7 +30,8 @@ from operator import add, mul
 from typing import Iterable
 
 from . import _kernel as _K
-from .cyclotomic import CycloNum, _cancel, _phi, _reduction_rows
+from .arith import euler_phi
+from .cyclotomic import CycloNum, _cancel, _reduction_rows
 from .errors import NotDivisible
 from .scalars import format_rational
 
@@ -46,7 +47,7 @@ class QPoly:
         parts = [_scalar_parts(c) for c in coeffs]
         level = _join_levels(lv for lv, _, _ in parts)
         den = lcm(*(d for _, _, d in parts))
-        lift = (0,) * (_phi(level) - 1)
+        lift = (0,) * (euler_phi(level) - 1)
         flat: list[int] = []
         for lv, nums, d in parts:
             f = den // d
@@ -287,7 +288,7 @@ def sum_of_products(terms) -> QPoly:
         return QPoly()
     level = _join_levels(p.level for _, _, polys in work for p in polys)
     common = lcm(*(den for _, den, _ in work))
-    phi = _phi(level)
+    phi = euler_phi(level)
     stride = 2 * phi - 1 if wide else phi
     acc = [0]
     for num, den, polys in work:
@@ -409,7 +410,7 @@ def _scalar(level: int, row: tuple[int, ...], den: int):
 def _canon(level: int, flat, den: int) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """Canonical (level, rows, den) of the row-major numerators `flat`
     (phi(level) per row) over den > 0."""
-    phi = _phi(level)
+    phi = euler_phi(level)
     n = len(flat)
     while n and not flat[n - 1]:
         n -= 1

@@ -139,17 +139,22 @@ def family(name: str, n: int, a: int | None = None, c0=None) -> PeriodicSeq:
 
 
 def parse_family(text: str) -> tuple[str, dict]:
-    """Parse a shorthand like "ramanujan" or "fourier-dedekind:a=3,c0=1/2"."""
+    """Parse a shorthand like "ramanujan" or "fourier-dedekind:a=3,c0=1/2".
+    Only the two Dedekind families take parameters, a and c0, each once."""
     name, _, tail = text.partition(":")
-    params: dict = {}
-    if tail:
-        for item in tail.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or key not in ("a", "c0"):
-                raise InvalidParam(f"bad family parameter {item!r} in {text!r}")
-            params[key] = int(value) if key == "a" else parse_rational(value)
     if name not in FAMILY_NAMES:
         raise InvalidParam(f"unknown sequence family {name!r}")
+    known = ("a", "c0") if name.endswith("-dedekind") else ()
+    params: dict = {}
+    for item in tail.split(",") if tail else ():
+        key, sep, value = item.partition("=")
+        bad = InvalidParam(f"bad family parameter {item!r} in {text!r}")
+        if not sep or key not in known or key in params:
+            raise bad
+        try:
+            params[key] = int(value) if key == "a" else parse_rational(value)
+        except ValueError:
+            raise bad from None
     return name, params
 
 

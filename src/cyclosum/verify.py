@@ -2,10 +2,11 @@
 runner and report serialization.
 
 Every checker builds both sides of one identity through independent code
-paths and compares canonical forms exactly; a pass is an algebraic
-equality, never a tolerance check.  Parameter collisions (lambda hitting a
-root of unity that the sum divides by) are recorded as skipped, anything
-else that disagrees is a failure.
+paths and returns them as (reason, lhs, rhs) comparisons.  The runner's
+judge labels each case, compares canonical forms exactly (a pass is an
+algebraic equality, never a tolerance check) and records a parameter
+collision (lambda hitting a root of unity that the sum divides by) as
+skipped; any comparison whose sides differ is a failure.
 
 Campaigns are deterministic: random sequences are derived from the grid
 seed alone, cases are sorted by parameter key before reporting, and report
@@ -76,20 +77,14 @@ class IdentityCase:
         return (self.identity, parts)
 
 
-def _compare(identity: str, params: dict, lhs: QPoly, rhs: QPoly) -> IdentityCase:
-    if lhs == rhs:
-        return IdentityCase(identity, params, "pass")
-    return IdentityCase(identity, params, "fail", lhs=lhs.to_str(), rhs=rhs.to_str())
+# What a checker returns: (reason, lhs, rhs) comparisons in the order they
+# are judged, reason None where one comparison is the whole identity.
+Comparisons = tuple[tuple[str | None, QPoly, QPoly], ...]
 
 
-def check_prop1(c_seq: PeriodicSeq, r: int, seq_desc: str = "custom", perturb: bool = False) -> IdentityCase:
+def check_prop1(c_seq: PeriodicSeq, r: int) -> Comparisons:
     """Spectrum path vs Lagrange path for the interpolation polynomial."""
-    params = {"n": c_seq.n, "r": r, "seq": seq_desc}
-    lhs = interp_poly(dft_inverse(c_seq), r)
-    rhs = lagrange_oracle(c_seq, r)
-    if perturb:
-        rhs = rhs + 1
-    return _compare("prop1", params, lhs, rhs)
+    return ((None, interp_poly(dft_inverse(c_seq), r), lagrange_oracle(c_seq, r)),)
 
 
 class _Basis(NamedTuple):
@@ -153,50 +148,26 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     return sum_of_matrix_products(n, ((rows, cols, den * spec_den),))
 
 
-def check_prop2(
-    m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq, seq_desc: str = "custom", perturb: bool = False
-) -> IdentityCase:
+def check_prop2(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> Comparisons:
     """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n)."""
-    params = {
-        "m": m, "n": n, "r": r, "p": p,
-        "lambda": format_scalar(lam), "seq": seq_desc,
-    }
-    try:
-        e = e_sum(m, n, r, p, lam, c_seq)
-    except ParameterCollision as exc:
-        return IdentityCase("prop2", params, "skipped", reason=str(exc))
     sign = 1 if p % 2 else -1  # (-1)^(p-1)
-    lhs = e.scale_arg(n, sign * m)
+    lhs = e_sum(m, n, r, p, lam, c_seq).scale_arg(n, sign * m)
     rhs = _prop2_rhs(m, n, (r + p - 1) % n, normalize_scalar(lam), c_seq)
-    if perturb:
-        rhs = rhs + 1
-    return _compare("prop2", params, lhs, rhs)
+    return ((None, lhs, rhs),)
 
 
-def check_mult_formula(m: int, n: int, lam, perturb: bool = False) -> IdentityCase:
+def check_mult_formula(m: int, n: int, lam) -> Comparisons:
     """B_m(nq, lam) = n^(m-1) sum_j lam^j B_m(q + j/n, lam^n)."""
-    params = {"m": m, "n": n, "lambda": format_scalar(lam)}
     lhs, shifts = _bernoulli_basis(m, n, normalize_scalar(lam))
-    rhs = sum_of_products([(Fraction(n) ** (m - 1), v, 1) for v in shifts])
-    if perturb:
-        rhs = rhs + 1
-    return _compare("mult", params, lhs, rhs)
+    return ((None, lhs, sum_of_products([(Fraction(n) ** (m - 1), v, 1) for v in shifts])),)
 
 
-def check_section4_closed_form(m: int, n: int, r: int, p: int, lam, perturb: bool = False) -> IdentityCase:
+def check_section4_closed_form(m: int, n: int, r: int, p: int, lam) -> Comparisons:
     """The r+p=1 specialization with ramanujan weights, assembled from
     Bernoulli numbers and totative power sums on the right side."""
     if r + p != 1:
         raise ValueError("closed form requires r + p = 1")
-    params = {
-        "m": m, "n": n, "r": r, "p": p,
-        "lambda": format_scalar(lam), "seq": "ramanujan",
-    }
-    c_seq = family("ramanujan", n)
-    try:
-        e = e_sum(m, n, r, p, lam, c_seq)
-    except ParameterCollision as exc:
-        return IdentityCase("section4", params, "skipped", reason=str(exc))
+    e = e_sum(m, n, r, p, lam, family("ramanujan", n))
     lam = normalize_scalar(lam)
     sign = 1 if p % 2 else -1
     lhs = e.scale_arg(n, sign * m)
@@ -214,15 +185,12 @@ def check_section4_closed_form(m: int, n: int, r: int, p: int, lam, perturb: boo
             w = coeff * b_i * v_sum(n, k, lam)
             if w:
                 rhs = rhs - QPoly.monomial(m - i - k, w)
-    if perturb:
-        rhs = rhs + 1
-    return _compare("section4", params, lhs, rhs)
+    return ((None, lhs, rhs),)
 
 
-def check_moebius_interp(n: int, perturb: bool = False) -> IdentityCase:
+def check_moebius_interp(n: int) -> Comparisons:
     """The totative indicator polynomial four ways: direct, spectral, and
     the two divisor-sum forms built by exact division."""
-    params = {"n": n}
     coeffs = [0] * n
     for j in totatives(n):
         if j < n:
@@ -238,16 +206,10 @@ def check_moebius_interp(n: int, perturb: bool = False) -> IdentityCase:
         block = geometric_block(n, d)
         f1 = f1 + mu * block
         f2 = f2 + mu * (block * QPoly.monomial(d, 1))
-    if perturb:
-        f1 = f1 + 1
-    for label, other in (("spectral", spectral), ("divisor-sum", f1), ("divisor-sum-shifted", f2)):
-        if direct != other:
-            return IdentityCase(
-                "moebius", params, "fail",
-                reason=f"{label} form disagrees with the totative indicator",
-                lhs=direct.to_str(), rhs=other.to_str(),
-            )
-    return IdentityCase("moebius", params, "pass")
+    return tuple(
+        (f"{label} form disagrees with the totative indicator", direct, other)
+        for label, other in (("divisor-sum", f1), ("spectral", spectral), ("divisor-sum-shifted", f2))
+    )
 
 
 @lru_cache(maxsize=256)
@@ -301,9 +263,7 @@ def _gseries_sides(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, g: TruncSeri
     return tg, lhs, rhs
 
 
-def check_gseries_chain(
-    n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int, seq_desc: str = "custom", perturb: bool = False
-) -> IdentityCase:
+def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> Comparisons:
     """The generating-series identity chain, modulo t^(order+1).
 
     Three layers in one case: the series identity tying C_0/(lam e^t - 1),
@@ -313,52 +273,30 @@ def check_gseries_chain(
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
-    params = {
-        "n": n, "r": r, "p": p,
-        "lambda": format_scalar(lam), "seq": seq_desc, "T": order,
-    }
-    try:
-        g = g_series_oracle(n, r, p, lam, c_seq, order)
-    except ParameterCollision as exc:
-        return IdentityCase("gseries", params, "skipped", reason=str(exc))
+    g = g_series_oracle(n, r, p, lam, c_seq, order)
     lam = normalize_scalar(lam)
     tg, lhs, rhs = _gseries_sides(n, r, p, lam, c_seq, g, order)
-    if perturb:
-        rhs = rhs + TruncSeries.one(order)
-    for m in range(order + 1):
-        if lhs[m] != rhs[m]:
-            return IdentityCase(
-                "gseries", params, "fail",
-                reason=f"series sides differ at coefficient {m}",
-                lhs=lhs[m].to_str(), rhs=rhs[m].to_str(),
-            )
     # sums[i] is the index-(i + 1) sum: both chains read indices 1 .. order + 1
     sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
-    for m in range(order + 1):
-        if g[m] != sums[m]:
-            return IdentityCase(
-                "gseries", params, "fail",
-                reason=f"G coefficient {m} differs from the index-{m + 1} sum",
-                lhs=g[m].to_str(), rhs=sums[m].to_str(),
-            )
-    for m in range(1, order + 1):
-        expected = sums[m - 1].scale_arg(n, m)
-        if tg[m] != expected:
-            return IdentityCase(
-                "gseries", params, "fail",
-                reason=f"t-shifted chain coefficient {m} differs from m times the index-{m} sum",
-                lhs=tg[m].to_str(), rhs=expected.to_str(),
-            )
-    return IdentityCase("gseries", params, "pass")
+    return (
+        *((f"series sides differ at coefficient {m}", lhs[m], rhs[m]) for m in range(order + 1)),
+        *((f"G coefficient {m} differs from the index-{m + 1} sum", g[m], sums[m]) for m in range(order + 1)),
+        *(
+            (f"t-shifted chain coefficient {m} differs from m times the index-{m} sum",
+             tg[m], sums[m - 1].scale_arg(n, m))
+            for m in range(1, order + 1)
+        ),
+    )
 
 
 @dataclass(frozen=True)
 class _Identity:
     """What the campaign runner knows about one identity."""
 
-    checker: Callable[..., IdentityCase]
+    checker: Callable[..., Comparisons]
     axes: tuple[str, ...]  # GridSpec axes, outermost first: this is the job order
     kwargs: tuple[str, ...]  # the keyword arguments each job passes the checker
+    params: Callable[[dict], dict]  # a job's kwargs -> the case's report params
     least: dict[str, int]  # smallest value of an axis that the checker accepts
     defaults: dict  # GridSpec fields of the default (acceptance) grid
 
@@ -368,6 +306,7 @@ _IDENTITY_TABLE = {
         check_prop1,
         axes=("n", "r", "sequences"),
         kwargs=("c_seq", "r", "seq_desc"),  # n is the period of c_seq
+        params=lambda kw: {"n": kw["c_seq"].n, "r": kw["r"], "seq": kw["seq_desc"]},
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 9)), r=tuple(range(-2, 6)), sequences=("random:50",)),
     ),
@@ -375,6 +314,8 @@ _IDENTITY_TABLE = {
         check_prop2,
         axes=("m", "n", "r", "p", "lambdas", "sequences"),
         kwargs=("m", "n", "r", "p", "lam", "c_seq", "seq_desc"),
+        params=lambda kw: {"m": kw["m"], "n": kw["n"], "r": kw["r"], "p": kw["p"],
+                           "lambda": format_scalar(kw["lam"]), "seq": kw["seq_desc"]},
         least={"m": 1, "n": 2},
         defaults=dict(
             m=tuple(range(1, 7)), n=tuple(range(2, 9)), r=tuple(range(0, 4)), p=(-1, 0, 1, 2),
@@ -386,6 +327,7 @@ _IDENTITY_TABLE = {
         check_mult_formula,
         axes=("m", "n", "lambdas"),
         kwargs=("m", "n", "lam"),
+        params=lambda kw: {"m": kw["m"], "n": kw["n"], "lambda": format_scalar(kw["lam"])},
         least={"m": 0, "n": 1},
         defaults=dict(
             m=tuple(range(1, 7)), n=tuple(range(2, 9)),
@@ -396,6 +338,8 @@ _IDENTITY_TABLE = {
         check_section4_closed_form,
         axes=("m", "n", "rp_pairs", "lambdas"),
         kwargs=("m", "n", "r", "p", "lam"),
+        params=lambda kw: {"m": kw["m"], "n": kw["n"], "r": kw["r"], "p": kw["p"],
+                           "lambda": format_scalar(kw["lam"]), "seq": "ramanujan"},
         least={"m": 1, "n": 2},
         defaults=dict(
             m=tuple(range(1, 6)), n=(2, 3, 4, 6), rp_pairs=((1, 0), (0, 1), (-1, 2)),
@@ -406,6 +350,7 @@ _IDENTITY_TABLE = {
         check_moebius_interp,
         axes=("n",),
         kwargs=("n",),
+        params=lambda kw: {"n": kw["n"]},
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 13))),
     ),
@@ -413,6 +358,8 @@ _IDENTITY_TABLE = {
         check_gseries_chain,
         axes=("n", "r", "p", "lambdas", "sequences"),
         kwargs=("n", "r", "p", "lam", "c_seq", "order", "seq_desc"),
+        params=lambda kw: {"n": kw["n"], "r": kw["r"], "p": kw["p"], "lambda": format_scalar(kw["lam"]),
+                           "seq": kw["seq_desc"], "T": kw["order"]},
         least={"n": 2},
         defaults=dict(
             n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
@@ -643,8 +590,23 @@ def _enumerate_jobs(spec: GridSpec):
 
 
 def _run_job(job: tuple[str, dict]) -> IdentityCase:
+    """Label, run and decide one case; the job's kwargs are consumed.  A
+    parameter collision skips the case, and the first comparison whose sides
+    differ fails it; a perturbed job gets 1 added to its first right side."""
     identity, kwargs = job
-    return _CHECKERS[identity](**kwargs)
+    params = _IDENTITY_TABLE[identity].params(kwargs)
+    perturb = kwargs.pop("perturb", False)
+    kwargs.pop("seq_desc", None)
+    try:
+        comparisons = _CHECKERS[identity](**kwargs)
+    except ParameterCollision as exc:
+        return IdentityCase(identity, params, "skipped", reason=str(exc))
+    for i, (reason, lhs, rhs) in enumerate(comparisons):
+        if perturb and not i:
+            rhs = rhs + 1
+        if lhs != rhs:
+            return IdentityCase(identity, params, "fail", reason, lhs.to_str(), rhs.to_str())
+    return IdentityCase(identity, params, "pass")
 
 
 def run_grid(spec: GridSpec, workers: int = 1) -> list[IdentityCase]:
@@ -655,7 +617,12 @@ def run_grid(spec: GridSpec, workers: int = 1) -> list[IdentityCase]:
     """
     spec.validate()
     jobs = [(spec.identity, kwargs) for kwargs in _enumerate_jobs(spec)]
-    if spec.perturb_index is not None and 0 <= spec.perturb_index < len(jobs):
+    if spec.perturb_index is not None:
+        if not 0 <= spec.perturb_index < len(jobs):
+            raise InvalidGrid(
+                f"perturb_index {spec.perturb_index} is outside 0 .. {len(jobs) - 1}: "
+                f"the grid has {len(jobs)} cases"
+            )
         jobs[spec.perturb_index][1]["perturb"] = True
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

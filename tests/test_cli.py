@@ -38,6 +38,10 @@ def test_bad_rational_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "poly", "--m", "2", "--lambda", "0.5")
     assert code == 2
     assert "bad arguments" in err
+    # a root of unity of level 0 is a bad flag, not a failed identity
+    code, _, err = run(capsys, "hpoly", "--m", "1", "--p", "1", "--lambda", "2", "--gamma", "zeta:0:1")
+    assert code == 2
+    assert "bad arguments" in err and "level" in err
 
 
 def test_hpoly(capsys):
@@ -120,6 +124,13 @@ def test_esum_bad_family_exit_and_diagnostic(capsys):
     )
     assert code == 4
     assert "gcd(2, 4) = 2" in err
+    for desc in ("fourier-dedekind:a=x", "ramanujan:c0=5", "fourier-dedekind:a=1,a=2"):
+        code, _, err = run(
+            capsys,
+            "esum", "--m", "1", "--n", "4", "--r", "0", "--p", "1", "--lambda", "1", "--seq", desc,
+        )
+        assert code == 4
+        assert desc in err
 
 
 def test_esum_collision_exit(capsys):
@@ -223,7 +234,8 @@ def test_verify_grid_with_all_is_rejected(capsys, tmp_path):
 
 def test_verify_bad_perturb_index_is_grid_error(capsys, tmp_path):
     path = tmp_path / "grid.json"
-    for bad in ("0", True):
+    # the grid has one case, so 1 and -1 are out of range
+    for bad in ("0", True, 1, -1):
         grid = {"identity": "mult", "m": [1], "n": [2], "lambdas": ["2"], "perturb_index": bad}
         path.write_text(json.dumps(grid))
         code, _, err = run(

@@ -2,6 +2,7 @@
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -187,6 +188,11 @@ def test_parse_family_shorthand():
         parse_family("gauss")
     with pytest.raises(InvalidParam):
         parse_family("ramanujan:b=2")
+    # a bad value, a parameter the family does not take, or a repeated one
+    for desc in ("fourier-dedekind:a=x", "fourier-dedekind:a=1,c0=x", "ramanujan:c0=5", "delta:a=1",
+                 "fourier-dedekind:a=1,a=2"):
+        with pytest.raises(InvalidParam, match=re.escape(repr(desc))):
+            parse_family(desc)
 
 
 def test_interp_frozen_oracle():

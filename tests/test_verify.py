@@ -10,7 +10,7 @@ from cyclosum import verify
 from cyclosum.appell import apostol_bernoulli
 from cyclosum.cyclotomic import normalize_scalar
 from cyclosum.dedekind import g_series_oracle
-from cyclosum.errors import InvalidGrid, InvalidParam, SequenceFileError
+from cyclosum.errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from cyclosum.qpoly import QPoly
 from cyclosum.series import TruncSeries
 from cyclosum.spectra import PeriodicSeq, dft_inverse, family
@@ -26,13 +26,12 @@ from cyclosum.verify import (
     _gseries_right_terms,
     _gseries_sides,
     _prop2_rhs,
+    _run_job,
     _spectrum_matrix,
     _t_over_exp_affine,
     build_report,
     check_gseries_chain,
-    check_moebius_interp,
     check_mult_formula,
-    check_prop1,
     check_prop2,
     check_section4_closed_form,
     default_grid,
@@ -45,30 +44,70 @@ from cyclosum.verify import (
 
 from test_dedekind import series_cases
 
+RAM3 = family("ramanujan", 3)
 RAM4 = family("ramanujan", 4)
 
 
+def _sides_agree(comparisons):
+    return all(lhs == rhs for _, lhs, rhs in comparisons)
+
+
+# one job per identity, with the reason its first comparison fails under
+JUDGED_JOBS = [
+    ("prop1", {"c_seq": random_sequence(5, 1, 1), "r": 2, "seq_desc": "random-1"}, None),
+    ("prop2", {"m": 2, "n": 3, "r": 1, "p": 1, "lam": 2, "c_seq": RAM3, "seq_desc": "ramanujan"}, None),
+    ("mult", {"m": 3, "n": 4, "lam": Fraction(-1, 2)}, None),
+    ("section4", {"m": 3, "n": 4, "r": 1, "p": 0, "lam": 2}, None),
+    ("moebius", {"n": 6}, "divisor-sum form disagrees with the totative indicator"),
+    ("gseries", {"n": 3, "r": 1, "p": 1, "lam": 2, "c_seq": RAM3, "order": 4, "seq_desc": "ramanujan"},
+     "series sides differ at coefficient 0"),
+]
+
+
 def test_checkers_pass_and_perturb_fails():
-    probes = [
-        lambda p: check_prop1(random_sequence(5, 1, 1), 2, "random-1", perturb=p),
-        lambda p: check_prop2(2, 3, 1, 1, 2, family("ramanujan", 3), "ramanujan", perturb=p),
-        lambda p: check_mult_formula(3, 4, Fraction(-1, 2), perturb=p),
-        lambda p: check_section4_closed_form(3, 4, 1, 0, 2, perturb=p),
-        lambda p: check_moebius_interp(6, perturb=p),
-        lambda p: check_gseries_chain(3, 1, 1, 2, family("ramanujan", 3), 4, "ramanujan", perturb=p),
-    ]
-    for probe in probes:
-        good = probe(False)
-        assert good.status == "pass", good.reason
-        bad = probe(True)
-        assert bad.status == "fail"
-        assert bad.lhs is not None and bad.rhs is not None
+    for identity, kwargs, reason in JUDGED_JOBS:
+        good = _run_job((identity, dict(kwargs)))
+        assert (good.status, good.reason, good.lhs, good.rhs) == ("pass", None, None, None), identity
+        bad = _run_job((identity, dict(kwargs, perturb=True)))
+        assert bad.params == good.params
+        # the judge adds 1 to the right side of the checker's first comparison
+        args = {k: v for k, v in kwargs.items() if k != "seq_desc"}
+        comparisons = verify._CHECKERS[identity](**args)
+        assert _sides_agree(comparisons)
+        first, lhs, rhs = comparisons[0]
+        assert first == reason
+        assert (bad.status, bad.reason, bad.lhs, bad.rhs) == ("fail", reason, lhs.to_str(), (rhs + 1).to_str())
+        assert bad.lhs != bad.rhs
 
 
 def test_prop2_collision_becomes_skip():
-    case = check_prop2(2, 4, 0, 1, -1, RAM4, "ramanujan")
+    with pytest.raises(ParameterCollision):
+        check_prop2(2, 4, 0, 1, -1, RAM4)
+    spec = GridSpec.from_json({
+        "identity": "prop2", "m": [2], "n": [4], "r": [0], "p": [1], "lambdas": ["-1"], "sequences": ["ramanujan"],
+    })
+    [case] = run_grid(spec)
     assert case.status == "skipped"
     assert "zeta_4" in case.reason
+    assert case.lhs is None and case.rhs is None
+    assert case.params == {"m": 2, "n": 4, "r": 0, "p": 1, "lambda": "-1", "seq": "ramanujan"}
+
+
+# the params of the first sorted case of each default grid
+FIRST_PARAMS = {
+    "prop1": {"n": 2, "r": -2, "seq": "random-1"},
+    "prop2": {"m": 1, "n": 2, "r": 0, "p": -1, "lambda": "-1/2", "seq": "delta"},
+    "mult": {"m": 1, "n": 2, "lambda": "-1/2"},
+    "section4": {"m": 1, "n": 2, "r": 1, "p": 0, "lambda": "-1/2", "seq": "ramanujan"},
+    "moebius": {"n": 2},
+    "gseries": {"n": 2, "r": 0, "p": -1, "lambda": "-1/2", "seq": "random-1", "T": 8},
+}
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_report_labels_of_default_grids(identity):
+    case = run_grid(default_grid(identity))[0]
+    assert case.params == FIRST_PARAMS[identity]
 
 
 def test_section4_requires_unit_row_sum():
@@ -77,13 +116,13 @@ def test_section4_requires_unit_row_sum():
 
 
 def test_case_sort_orders_numerically():
-    a = check_moebius_interp(2)
-    b = check_moebius_interp(10)
+    a = _run_job(("moebius", {"n": 2}))
+    b = _run_job(("moebius", {"n": 10}))
     assert a.sort_key() < b.sort_key()
 
 
 def test_case_json_omits_empty_fields():
-    case = check_mult_formula(2, 3, 2)
+    case = _run_job(("mult", {"m": 2, "n": 3, "lam": 2}))
     obj = case.to_json()
     assert set(obj) == {"identity", "params", "status"}
 
@@ -284,7 +323,7 @@ def test_prop2_right_side_is_built_once_per_shift(n):
         cache.cache_clear()
     for r in range(n + 2):
         for p in range(-1, 3):
-            assert check_prop2(m, n, r, p, lam, c_seq).status == "pass"
+            assert _sides_agree(check_prop2(m, n, r, p, lam, c_seq))
             cached = _prop2_rhs(m, n, (r + p - 1) % n, lam, c_seq)
             assert cached == _literal_prop2_rhs(m, n, r, p, lam, c_seq)
     # r + p - 1 runs through every residue mod n; each one is built once,
@@ -300,7 +339,7 @@ def test_prop2_right_side_is_built_once_per_shift(n):
     assert _basis_matrix.cache_info().misses == 2
     assert _spectrum_matrix.cache_info().misses == 2
     # mult reads the basis polynomials and never builds the matrix
-    assert check_mult_formula(m, n, Fraction(3)).status == "pass"
+    assert _sides_agree(check_mult_formula(m, n, Fraction(3)))
     assert _bernoulli_basis.cache_info().misses == 3
     assert _basis_matrix.cache_info().misses == 2
 
@@ -407,7 +446,7 @@ def test_gseries_sides_match_per_case_construction(case):
     g = g_series_oracle(n, r, p, lam, c_seq, order)
     lam = normalize_scalar(lam)
     assert _gseries_sides(n, r, p, lam, c_seq, g, order) == _literal_gseries_sides(n, r, p, lam, c_seq, g, order)
-    assert check_gseries_chain(n, r, p, lam, c_seq, order).status == "pass"
+    assert _sides_agree(check_gseries_chain(n, r, p, lam, c_seq, order))
 
 
 def test_gseries_series_are_built_once_per_grid_value():
@@ -450,9 +489,13 @@ def test_run_grid_perturb_injects_single_failure(monkeypatch):
     assert len(failed) == 1
     assert failed[0].identity == "mult"
     assert failed[0].lhs != failed[0].rhs
-    # one checker call per case, the perturbed one included
+    # job 5 is (m, n, lambda) = (1, 3, -1/2): m outermost, then n, then lambda
+    assert [c.params for c in failed] == [{"m": 1, "n": 3, "lambda": "-1/2"}]
+    assert list(_enumerate_jobs(spec))[5] == {"m": 1, "n": 3, "lam": Fraction(-1, 2)}
+    # one checker call per case, the perturbed one included, and the judge
+    # keeps its own keys from the checker
     assert len(calls) == len(cases)
-    assert [i for i, kw in enumerate(calls) if kw.get("perturb")] == [5]
+    assert all(set(kw) == {"m", "n", "lam"} for kw in calls)
 
 
 def test_report_schema_and_bytes_stable():
