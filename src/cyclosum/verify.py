@@ -126,14 +126,11 @@ def _spectrum_matrix(c0, kseq: SpectralSeq):
     return tuple(zip(*vecs)), den
 
 
-@lru_cache(maxsize=1024)
 def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     """C_0 B_m(nq, lam) - n^m sum_j K_{j-s} lam^j B_m(q+j/n, lam^n).
 
-    The right side of prop2 sees r and p only through s = (r+p-1) mod n,
-    so pairs sharing s share one cached polynomial.  For rational lam it is
-    the basis matrix of (m, n, lam) times the spectrum matrix of C with its
-    K rows rotated by s, built once.
+    For rational lam this is the basis matrix of (m, n, lam) times the
+    spectrum matrix of C with its K rows rotated by s.
     """
     kseq = dft_inverse(c_seq)
     if not isinstance(lam, Fraction):
@@ -149,11 +146,21 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
 
 
 def check_prop2(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> Comparisons:
-    """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n)."""
-    sign = 1 if p % 2 else -1  # (-1)^(p-1)
-    lhs = e_sum(m, n, r, p, lam, c_seq).scale_arg(n, sign * m)
-    rhs = _prop2_rhs(m, n, (r + p - 1) % n, normalize_scalar(lam), c_seq)
-    return ((None, lhs, rhs),)
+    """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n).
+
+    Both sides see r and p only through s = (r + p) mod n, so every case
+    sharing (m, n, s, lam, C) reads one cached comparison.
+    """
+    return _prop2_sides(m, n, (r + p) % n, normalize_scalar(lam), c_seq)
+
+
+@lru_cache(maxsize=1024)
+def _prop2_sides(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> Comparisons:
+    """The prop2 comparison at r + p = s mod n, lam normalized.  The left
+    side is -m E_s(nq) with E_s = e_sum at (r, p) = (s, 0), since e_sum
+    carries (-1)^p and (-1)^(p-1) (-1)^p = -1."""
+    lhs = e_sum(m, n, s, 0, lam, c_seq).scale_arg(n, -m)
+    return ((None, lhs, _prop2_rhs(m, n, (s - 1) % n, lam, c_seq)),)
 
 
 def check_mult_formula(m: int, n: int, lam) -> Comparisons:
@@ -270,11 +277,21 @@ def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: 
     the G series and the K-weighted right side together; the G coefficients
     against e_sum at shifted index; and the t-shifted chain coefficients
     against m times e_sum at nq.
+
+    Both routes see r and p only through s = (r + p) mod n and the parity
+    of p, and no reason names r or p, so every case sharing (n, s, p mod 2,
+    lam, C, order) reads one cached tuple, built at p in {0, 1} and
+    r = (s - p) mod n.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
+    return _gseries_chain(n, (r + p - p % 2) % n, p % 2, normalize_scalar(lam), c_seq, order)
+
+
+@lru_cache(maxsize=256)
+def _gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> Comparisons:
+    """check_gseries_chain at its reduced (r, p), lam normalized."""
     g = g_series_oracle(n, r, p, lam, c_seq, order)
-    lam = normalize_scalar(lam)
     tg, lhs, rhs = _gseries_sides(n, r, p, lam, c_seq, g, order)
     # sums[i] is the index-(i + 1) sum: both chains read indices 1 .. order + 1
     sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
@@ -452,7 +469,9 @@ class GridSpec:
         if self.rp_pairs:
             out["rp_pairs"] = [list(pair) for pair in self.rp_pairs]
         if self.lambdas:
-            out["lambdas"] = [format_scalar(v) for v in self.lambdas]
+            # in the forms _lambda_axis reads back
+            out["lambdas"] = [format_scalar(v) if isinstance(normalize_scalar(v), Fraction) else v.to_json()
+                              for v in self.lambdas]
         if self.sequences:
             out["sequences"] = list(self.sequences)
         if "order" in _IDENTITY_TABLE[self.identity].kwargs:
@@ -653,8 +672,34 @@ def build_report(campaign: str, cases: list[IdentityCase], grids: list[GridSpec]
     }
 
 
+# Any indent sends json.dumps to its pure-Python encoder, so the case list,
+# nearly all of a report, is laid out here from C-encoded pieces: strings,
+# and each params object (its values are scalars) by _PARAMS.
+_string = json.encoder.encode_basestring_ascii
+_PARAMS = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "))
+
+
+def _params_text(params: dict) -> str:
+    return "{\n        " + _PARAMS.encode(params)[1:-1] + "\n      }" if params else "{}"
+
+
+def _case_text(case: dict) -> str:
+    return "    {\n" + ",\n".join([
+        f"      {_string(key)}: {_params_text(value) if key == 'params' else _string(value)}"
+        for key, value in sorted(case.items())
+    ]) + "\n    }"
+
+
 def report_json_bytes(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    """Exactly json.dumps(report, sort_keys=True, indent=2) + "\\n", encoded."""
+    # only "campaign", whose encoded value escapes every quote, sorts before
+    # "cases", so the first '"cases": []' in the envelope is the key
+    head, tail = json.dumps(dict(report, cases=[]), sort_keys=True, indent=2).split('"cases": []', 1)
+    cases = "[]"
+    if report["cases"]:
+        cases = "[\n" + ",\n".join(map(_case_text, report["cases"])) + "\n  ]"
+    return (head + '"cases": ' + cases + tail + "\n").encode()
+
 
 _CSV_COLUMNS = (
     "identity", "m", "n", "r", "p", "lambda", "seq", "T",

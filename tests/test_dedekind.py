@@ -23,7 +23,9 @@ from cyclosum.errors import ParameterCollision
 from cyclosum.qpoly import QPoly, q, sum_of_products
 from cyclosum.series import TruncSeries
 from cyclosum.spectra import PeriodicSeq, family
-from cyclosum.verify import DEFAULT_SEED, default_grid, random_sequence, resolve_sequences, run_grid
+from cyclosum.verify import (
+    DEFAULT_SEED, _gseries_chain, default_grid, random_sequence, resolve_sequences, run_grid,
+)
 
 
 def _literal_e_sum(m, n, r, p, lam, c_seq):
@@ -191,7 +193,9 @@ def test_value_keyed_caches_are_bounded():
     # default ones must not grow them without limit
     caches = _package_caches()
     assert set(UNBOUNDED_CACHES) <= set(caches)
-    assert {"cyclosum.spectra.dft_inverse", "cyclosum.verify._prop2_rhs"} <= set(caches)
+    assert {
+        "cyclosum.spectra.dft_inverse", "cyclosum.verify._prop2_sides", "cyclosum.verify._gseries_chain",
+    } <= set(caches)
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded <= set(UNBOUNDED_CACHES)
 
@@ -311,6 +315,7 @@ def test_g_series_oracle_matches_per_k_loop(case):
 def test_oracle_terms_are_built_once_per_grid_value():
     spec = default_grid("gseries")
     _oracle_term.cache_clear()
+    _gseries_chain.cache_clear()  # else earlier campaigns answer every case
     assert all(case.status == "pass" for case in run_grid(spec))
     # one T_k per (n, k, lambda, T) that some sequence weights; the
     # sequence and (r, p) only scale it

@@ -1,4 +1,5 @@
 """DFT pairs, sequence families, and interpolation over roots of unity."""
+import dataclasses
 import json
 import os
 import pickle
@@ -139,6 +140,9 @@ def test_cached_spectrum_never_hides_perturbation(spec):
         statuses = [case.status for case in run_grid(spec)]
         assert statuses.count("fail") == 1
         assert statuses.count("pass") == len(statuses) - 1
+    # the judge's perturbation never reaches a cached comparison
+    clean = run_grid(dataclasses.replace(spec, perturb_index=None))
+    assert all(case.status == "pass" for case in clean)
 
 
 def test_delta_family():

@@ -1,15 +1,16 @@
 """Identity checkers, grid specs, campaign runner, reports."""
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclosum import verify
 from cyclosum.appell import apostol_bernoulli
 from cyclosum.cyclotomic import normalize_scalar
-from cyclosum.dedekind import g_series_oracle
+from cyclosum.dedekind import e_sum, g_series_oracle
 from cyclosum.errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from cyclosum.qpoly import QPoly
 from cyclosum.series import TruncSeries
@@ -22,10 +23,12 @@ from cyclosum.verify import (
     _bernoulli_basis,
     _enumerate_jobs,
     _exp_q,
+    _gseries_chain,
     _gseries_left_base,
     _gseries_right_terms,
     _gseries_sides,
     _prop2_rhs,
+    _prop2_sides,
     _run_job,
     _spectrum_matrix,
     _t_over_exp_affine,
@@ -81,16 +84,18 @@ def test_checkers_pass_and_perturb_fails():
 
 
 def test_prop2_collision_becomes_skip():
-    with pytest.raises(ParameterCollision):
+    reason = "lambda = zeta_4^(-2): the k=2 term of the sum divides by zero"
+    with pytest.raises(ParameterCollision, match=rf"^{re.escape(reason)}$"):
         check_prop2(2, 4, 0, 1, -1, RAM4)
     spec = GridSpec.from_json({
-        "identity": "prop2", "m": [2], "n": [4], "r": [0], "p": [1], "lambdas": ["-1"], "sequences": ["ramanujan"],
+        "identity": "prop2", "m": [2], "n": [4], "r": [0, 1], "p": [0, 1], "lambdas": ["-1"], "sequences": ["ramanujan"],
     })
-    [case] = run_grid(spec)
-    assert case.status == "skipped"
-    assert "zeta_4" in case.reason
-    assert case.lhs is None and case.rhs is None
-    assert case.params == {"m": 2, "n": 4, "r": 0, "p": 1, "lambda": "-1", "seq": "ramanujan"}
+    _prop2_sides.cache_clear()
+    cases = run_grid(spec)
+    # every (r, p) skips with the same reason, and a collision is never cached
+    assert {(c.status, c.reason, c.lhs, c.rhs) for c in cases} == {("skipped", reason, None, None)}
+    assert _prop2_sides.cache_info().currsize == 0
+    assert {"m": 2, "n": 4, "r": 0, "p": 1, "lambda": "-1", "seq": "ramanujan"} in [c.params for c in cases]
 
 
 # the params of the first sorted case of each default grid
@@ -319,22 +324,27 @@ def _literal_prop2_rhs(m, n, r, p, lam, c_seq):
 def test_prop2_right_side_is_built_once_per_shift(n):
     m, lam = 3, Fraction(-1, 2)
     c_seq = random_sequence(n, DEFAULT_SEED, 1)
-    for cache in (_prop2_rhs, _bernoulli_basis, _basis_matrix, _spectrum_matrix):
+    for cache in (_prop2_sides, _bernoulli_basis, _basis_matrix, _spectrum_matrix):
         cache.cache_clear()
     for r in range(n + 2):
         for p in range(-1, 3):
-            assert _sides_agree(check_prop2(m, n, r, p, lam, c_seq))
-            cached = _prop2_rhs(m, n, (r + p - 1) % n, lam, c_seq)
-            assert cached == _literal_prop2_rhs(m, n, r, p, lam, c_seq)
-    # r + p - 1 runs through every residue mod n; each one is built once,
+            [(reason, lhs, rhs)] = check_prop2(m, n, r, p, lam, c_seq)
+            # every (r, p) sharing r + p mod n reads one cached comparison,
+            # equal to the literal construction at this (r, p)
+            assert reason is None and lhs == rhs
+            sign = 1 if p % 2 else -1  # (-1)^(p-1)
+            assert lhs == e_sum(m, n, r, p, lam, c_seq).scale_arg(n, sign * m)
+            assert rhs == _literal_prop2_rhs(m, n, r, p, lam, c_seq)
+    # r + p runs through every residue mod n; each one is built once,
     # from one basis for (m, n, lam) and one spectrum matrix for c_seq
-    assert _prop2_rhs.cache_info().misses == n
+    assert _prop2_sides.cache_info().misses == n
+    assert _prop2_sides.cache_info().hits == (n + 2) * 4 - n
     assert _bernoulli_basis.cache_info().misses == 1
     assert _basis_matrix.cache_info().misses == 1
     assert _spectrum_matrix.cache_info().misses == 1
     # a second sequence reuses the basis; a second lambda reuses the spectrum
-    _prop2_rhs(m, n, 0, lam, family("ramanujan", n))
-    _prop2_rhs(m, n, 0, Fraction(2), c_seq)
+    _prop2_sides(m, n, 0, lam, family("ramanujan", n))
+    _prop2_sides(m, n, 0, Fraction(2), c_seq)
     assert _bernoulli_basis.cache_info().misses == 2
     assert _basis_matrix.cache_info().misses == 2
     assert _spectrum_matrix.cache_info().misses == 2
@@ -342,6 +352,30 @@ def test_prop2_right_side_is_built_once_per_shift(n):
     assert _sides_agree(check_mult_formula(m, n, Fraction(3)))
     assert _bernoulli_basis.cache_info().misses == 3
     assert _basis_matrix.cache_info().misses == 2
+
+
+def test_prop2_grid_builds_one_comparison_per_reduced_key(monkeypatch):
+    spec = GridSpec.from_json({
+        "identity": "prop2", "m": [1, 3], "n": [3, 4], "r": [0, 1, 2, 5], "p": [-1, 0, 1, 2],
+        "lambdas": ["2", "-1/2", "1"], "sequences": ["ramanujan", "random:1"],
+    })
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dft_inverse(*args)
+
+    monkeypatch.setattr(verify, "dft_inverse", counting)
+    _prop2_sides.cache_clear()
+    cases = run_grid(spec)
+    assert all(case.status == "pass" for case in cases)
+    keys = {(c.params["m"], c.params["n"], (c.params["r"] + c.params["p"]) % c.params["n"],
+             c.params["lambda"], c.params["seq"]) for c in cases}
+    assert len(keys) == 2 * (3 + 4) * 3 * 2 < len(cases)
+    assert _prop2_sides.cache_info().misses == len(keys)
+    assert _prop2_sides.cache_info().hits == len(cases) - len(keys)
+    # each miss reads the spectrum once, as the right side is built
+    assert len(calls) == len(keys)
 
 
 small_fracs = st.tuples(st.integers(-4, 4), st.integers(1, 5)).map(lambda t: Fraction(*t))
@@ -445,15 +479,32 @@ def test_gseries_sides_match_per_case_construction(case):
     n, r, p, lam, c_seq, order = case
     g = g_series_oracle(n, r, p, lam, c_seq, order)
     lam = normalize_scalar(lam)
-    assert _gseries_sides(n, r, p, lam, c_seq, g, order) == _literal_gseries_sides(n, r, p, lam, c_seq, g, order)
-    assert _sides_agree(check_gseries_chain(n, r, p, lam, c_seq, order))
+    tg, lhs, rhs = _literal_gseries_sides(n, r, p, lam, c_seq, g, order)
+    assert _gseries_sides(n, r, p, lam, c_seq, g, order) == (tg, lhs, rhs)
+    # the comparisons cached on the reduced (r, p) carry the sides of this (r, p)
+    comparisons = check_gseries_chain(n, r, p, lam, c_seq, order)
+    assert _sides_agree(comparisons)
+    sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
+    literal = (
+        [(lhs[m], rhs[m]) for m in range(order + 1)]
+        + [(g[m], sums[m]) for m in range(order + 1)]
+        + [(tg[m], sums[m - 1].scale_arg(n, m)) for m in range(1, order + 1)]
+    )
+    assert [(a, b) for _, a, b in comparisons] == literal
 
 
 def test_gseries_series_are_built_once_per_grid_value():
     spec = default_grid("gseries")
-    for cache in (_t_over_exp_affine, _exp_q, _gseries_left_base, _gseries_right_terms):
+    for cache in (_t_over_exp_affine, _exp_q, _gseries_left_base, _gseries_right_terms, _gseries_chain):
         cache.cache_clear()
-    assert all(case.status == "pass" for case in run_grid(spec))
+    cases = run_grid(spec)
+    assert all(case.status == "pass" for case in cases)
+    # one comparison tuple per (n, (r + p) mod n, p mod 2, lambda, C, T)
+    keys = {(c.params["n"], (c.params["r"] + c.params["p"]) % c.params["n"], c.params["p"] % 2,
+             c.params["lambda"], c.params["seq"]) for c in cases}
+    assert (len(cases), len(keys)) == (96, 54)
+    assert _gseries_chain.cache_info().misses == len(keys)
+    assert _gseries_chain.cache_info().hits == len(cases) - len(keys)
     pairs = len(spec.n) * len(spec.lambdas)
     # one right-term tuple and one left base per (n, lambda, T), whatever
     # the sequence and (r, p)
@@ -513,6 +564,48 @@ def test_report_schema_and_bytes_stable():
     assert len(csv_data.splitlines()) == len(cases) + 1
 
 
+def _dumps_oracle(report) -> bytes:
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+
+
+# quotes, backslashes, control characters, non-ASCII and the text the
+# writer splits the envelope at
+awkward_text = st.one_of(
+    st.sampled_from(('"cases": []', '"', "\\", "\x00\x1f\n\t", "é", "λ = ζ₃", "\U0001f600", "")),
+    st.text(max_size=12),
+)
+report_cases = st.builds(
+    verify.IdentityCase,
+    identity=awkward_text,
+    params=st.dictionaries(
+        awkward_text, st.one_of(st.integers(-10**30, 10**30), awkward_text, st.booleans(), st.none()), max_size=6
+    ),
+    status=st.sampled_from(("pass", "fail", "skipped")),
+    reason=st.none() | awkward_text,
+    lhs=st.none() | awkward_text,
+    rhs=st.none() | awkward_text,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(awkward_text, st.lists(report_cases, max_size=4), st.lists(st.sampled_from(IDENTITIES), max_size=2))
+@example('"cases": []', [], [])
+@example("prop2", [verify.IdentityCase("prop2", {}, "fail", "r\u00e9ason", "-1", '"\\')], ["prop2"])
+def test_report_json_bytes_equal_json_dumps(campaign, cases, grids):
+    report = build_report(campaign, cases, [default_grid(i) for i in grids])
+    assert report_json_bytes(report) == _dumps_oracle(report)
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_report_json_bytes_equal_json_dumps_on_default_grids(identity):
+    for perturb in (None, 0):
+        spec = default_grid(identity)
+        spec.perturb_index = perturb
+        report = build_report(identity, run_grid(spec), [spec])
+        assert report["summary"]["fail"] == (perturb is not None)
+        assert report_json_bytes(report) == _dumps_oracle(report)
+
+
 def test_default_grids_cover_all_identities():
     assert set(IDENTITIES) == {"prop1", "prop2", "mult", "section4", "moebius", "gseries"}
     for ident in IDENTITIES:
@@ -523,6 +616,7 @@ def test_default_grids_cover_all_identities():
 
 
 def test_grid_echo_roundtrips():
-    spec = default_grid("gseries")
-    again = GridSpec.from_json(json.loads(json.dumps(spec.to_json())))
-    assert again == spec
+    irrational = {"identity": "mult", "m": [1], "n": [3], "lambdas": [{"level": 3, "coeffs": ["2", "1"]}]}
+    for spec in (default_grid("gseries"), GridSpec.from_json(irrational)):
+        again = GridSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert again == spec
