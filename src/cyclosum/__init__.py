@@ -18,7 +18,7 @@ from .errors import (
     SequenceFileError,
 )
 from .qpoly import QPoly
-from .scalars import Rational, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 from .series import TruncSeries
 from .spectra import (
     PeriodicSeq,
@@ -49,7 +49,6 @@ __all__ = [
     "ParameterCollision",
     "PeriodicSeq",
     "QPoly",
-    "Rational",
     "SequenceFileError",
     "SpectralSeq",
     "TruncSeries",

@@ -369,7 +369,6 @@ def _zeta_pow(n: int, k: int) -> CycloNum:
     return base**k
 
 
-@lru_cache(maxsize=1024)
 def galois_map(d: int, n: int, t: int) -> tuple[tuple[int, ...], ...]:
     """The phi(d) x phi(n) integer matrix sending zeta_d^j to zeta_n^(t*j):
     row j is zeta_pow(n, t*j).nums.

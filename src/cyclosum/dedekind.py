@@ -1,5 +1,6 @@
 """Weighted sums over the nontrivial n-th roots of unity and their
-generating series, plus totative power sums and Ramanujan sums.
+generating series, plus totative power sums.  Ramanujan sums live in
+spectra, beside the weight family they build, and are exported here too.
 
 The central object is
 
@@ -38,7 +39,7 @@ from .cyclotomic import CycloNum, common_den, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
 from .qpoly import QPoly, q, sum_of_matrix_products, sum_of_products
 from .series import TruncSeries, weighted_sum
-from .spectra import PeriodicSeq
+from .spectra import PeriodicSeq, ramanujan_sum
 
 __all__ = ["e_sum", "g_series_oracle", "v_sum", "ramanujan_sum"]
 
@@ -158,17 +159,3 @@ def v_sum(n: int, k: int, lam):
     for j in totatives(n):
         acc = j**k * lam**j + acc
     return acc
-
-
-def ramanujan_sum(n: int, k: int) -> Fraction:
-    """c_n(k) = sum over totatives j of zeta_n^{kj}; rational by Galois
-    invariance (the totative powers permute under every automorphism)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    acc = CycloNum.of(n, 0)
-    for j in totatives(n):
-        acc = acc + zeta_pow(n, k * j)
-    r = acc.is_rational()
-    if r is None:
-        raise ArithmeticError(f"c_{n}({k}) came out irrational; reduction bug")
-    return r

@@ -102,6 +102,20 @@ def dft_inverse(c_seq: PeriodicSeq) -> SpectralSeq:
     return SpectralSeq(n, out)
 
 
+def ramanujan_sum(n: int, k: int) -> Fraction:
+    """c_n(k) = sum over totatives j of zeta_n^{kj}; rational by Galois
+    invariance (the totative powers permute under every automorphism)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    acc = CycloNum.of(n, 0)
+    for j in totatives(n):
+        acc = acc + zeta_pow(n, k * j)
+    r = acc.is_rational()
+    if r is None:
+        raise ArithmeticError(f"c_{n}({k}) came out irrational; reduction bug")
+    return r
+
+
 FAMILY_NAMES = ("delta", "ramanujan", "fourier-dedekind", "apostol-dedekind")
 
 
@@ -116,13 +130,7 @@ def family(name: str, n: int, a: int | None = None, c0=None) -> PeriodicSeq:
     if name == "delta":
         return PeriodicSeq(n, [n] + [0] * (n - 1))
     if name == "ramanujan":
-        out = []
-        for k in range(n):
-            acc = CycloNum.of(n, 0)
-            for j in totatives(n):
-                acc = acc + zeta_pow(n, k * j)
-            out.append(acc)
-        return PeriodicSeq(n, out)
+        return PeriodicSeq(n, [ramanujan_sum(n, k) for k in range(n)])
     if name in ("fourier-dedekind", "apostol-dedekind"):
         if a is None:
             raise InvalidParam(f"family {name} needs parameter a")

@@ -69,12 +69,10 @@ class IdentityCase:
         return out
 
     def sort_key(self) -> tuple:
-        # ints ordered numerically, strings lexically, per sorted param name
-        parts = tuple(
-            (k, 0, v, "") if isinstance(v, int) else (k, 1, 0, str(v))
-            for k, v in sorted(self.params.items())
-        )
-        return (self.identity, parts)
+        # the values by sorted param name: one identity's cases share one
+        # params builder, so a name holds ints (ordered numerically) or
+        # strings (lexically) in every case
+        return (self.identity, *[self.params[k] for k in sorted(self.params)])
 
 
 # What a checker returns: (reason, lhs, rhs) comparisons in the order they
@@ -94,9 +92,9 @@ class _Basis(NamedTuple):
     shifts: tuple[QPoly, ...]  # V_j = lam^j B_m(q + j/n, lam^n) for j < n
 
 
-@lru_cache(maxsize=1024)
 def _bernoulli_basis(m: int, n: int, lam) -> _Basis:
-    """A and the V_j of (m, n, lam), shared by every sequence and shift."""
+    """A and the V_j of (m, n, lam).  Uncached: a rational lam reads them
+    once through _basis_matrix, and mult's cases never repeat a key."""
     b = apostol_bernoulli(m, lam**n)
     shifts = tuple(b.shift(Fraction(j, n)) * lam**j for j in range(n))
     return _Basis(apostol_bernoulli(m, lam).scale_arg(n), shifts)
@@ -219,7 +217,6 @@ def check_moebius_interp(n: int) -> Comparisons:
     )
 
 
-@lru_cache(maxsize=256)
 def _t_over_exp_affine(lam, s: int, order: int) -> TruncSeries:
     """t / (lam e^{st} - 1), lam normalized.  For lam = 1 the constant term
     of the denominator vanishes, so divide t through before inverting."""
@@ -233,41 +230,18 @@ def _t_over_exp_affine(lam, s: int, order: int) -> TruncSeries:
 
 
 @lru_cache(maxsize=256)
-def _exp_q(c: int, order: int) -> TruncSeries:
-    """e^{cqt}."""
-    return TruncSeries.exp_linear(QPoly((0, c)), order)
-
-
-@lru_cache(maxsize=256)
-def _gseries_left_base(lam, n: int, order: int) -> TruncSeries:
-    """L = t e^{nqt} / (lam e^t - 1), lam normalized."""
-    return _t_over_exp_affine(lam, 1, order) * _exp_q(n, order)
-
-
-@lru_cache(maxsize=256)
-def _gseries_right_terms(n: int, lam, order: int) -> tuple[TruncSeries, ...]:
-    """R_j = n lam^j e^{(j+nq)t} t / (lam^n e^{nt} - 1) for j < n, lam
-    normalized."""
+def _gseries_terms(n: int, lam, order: int) -> tuple[TruncSeries, tuple[TruncSeries, ...], TruncSeries]:
+    """The series of the gseries identity that depend on (n, lam, order)
+    alone, lam normalized: the left base L = t e^{nqt} / (lam e^t - 1), the
+    right terms R_j = n lam^j e^{(j+nq)t} t / (lam^n e^{nt} - 1) for j < n,
+    and e^{(n-1)qt}."""
+    left = _t_over_exp_affine(lam, 1, order) * TruncSeries.exp_linear(QPoly((0, n)), order)
     base = _t_over_exp_affine(normalize_scalar(lam**n), n, order)
-    return tuple(
+    right = tuple(
         (TruncSeries.exp_linear(QPoly((j, n)), order) * base) * (n * lam**j)
         for j in range(n)
     )
-
-
-def _gseries_sides(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, g: TruncSeries, order: int):
-    """(tg, lhs, rhs) of the series identity for the G series g, lam
-    normalized: tg = t g e^{(n-1)qt}, lhs = C_0 L + (-1)^p tg and
-    rhs = sum_j K_{j-(r+p-1)} R_j, each sum built once from cached series."""
-    tg = (g * _exp_q(n - 1, order)).mul_t()
-    sign_p = -1 if p % 2 else 1  # (-1)^p
-    lhs = weighted_sum(((_gseries_left_base(lam, n, order), c_seq[0]), (tg, sign_p)), order)
-    kseq = dft_inverse(c_seq)
-    s = r + p - 1
-    rhs = weighted_sum(
-        ((rj, kseq[j - s]) for j, rj in enumerate(_gseries_right_terms(n, lam, order))), order
-    )
-    return tg, lhs, rhs
+    return left, right, TruncSeries.exp_linear(QPoly((0, n - 1)), order)
 
 
 def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> Comparisons:
@@ -290,9 +264,15 @@ def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: 
 
 @lru_cache(maxsize=256)
 def _gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> Comparisons:
-    """check_gseries_chain at its reduced (r, p), lam normalized."""
+    """check_gseries_chain at its reduced (r, p), lam normalized.  The
+    series sides are lhs = C_0 L + (-1)^p tg with tg = t g e^{(n-1)qt}, and
+    rhs = sum_j K_{j-(r+p-1)} R_j, each one weighted sum of _gseries_terms."""
     g = g_series_oracle(n, r, p, lam, c_seq, order)
-    tg, lhs, rhs = _gseries_sides(n, r, p, lam, c_seq, g, order)
+    left, right, exp_shift = _gseries_terms(n, lam, order)
+    tg = (g * exp_shift).mul_t()
+    lhs = weighted_sum(((left, c_seq[0]), (tg, -1 if p else 1)), order)  # p is 0 or 1
+    kseq = dft_inverse(c_seq)
+    rhs = weighted_sum(((rj, kseq[j - r - p + 1]) for j, rj in enumerate(right)), order)
     # sums[i] is the index-(i + 1) sum: both chains read indices 1 .. order + 1
     sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
     return (

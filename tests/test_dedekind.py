@@ -177,6 +177,28 @@ UNBOUNDED_CACHES = {
 }
 
 
+# Every other cache, with its key: bounded, because the key holds values a
+# caller supplies, so grids larger than the default ones must not grow them
+# without limit.  A new cache is added here with its key.
+BOUNDED_CACHES = {
+    "cyclosum.appell._bernoulli": "(m, lambda)",
+    "cyclosum.appell._frob_euler": "(m, p, lambda, gamma)",
+    "cyclosum.cyclotomic.cyclo_inv": "the element",
+    "cyclosum.cyclotomic.format_scalar": "the scalar",
+    "cyclosum.dedekind._excluded_lambdas": "n",
+    "cyclosum.dedekind._e_sum": "(m, n, (r + p) mod n, lambda, C)",
+    "cyclosum.dedekind._orbit_weights": "(n, d, C)",
+    "cyclosum.dedekind._oracle_term": "(n, k, lambda, T)",
+    "cyclosum.spectra.dft_inverse": "C",
+    "cyclosum.spectra._lagrange_basis": "n",
+    "cyclosum.verify._basis_matrix": "(m, n, lambda)",
+    "cyclosum.verify._spectrum_matrix": "(C_0, K)",
+    "cyclosum.verify._prop2_sides": "(m, n, (r + p) mod n, lambda, C)",
+    "cyclosum.verify._gseries_terms": "(n, lambda, T)",
+    "cyclosum.verify._gseries_chain": "(n, (r + p) mod n, p mod 2, lambda, C, T)",
+}
+
+
 def _package_caches() -> dict:
     """Every lru_cache wrapper defined at the top level of a cyclosum module."""
     found = {}
@@ -189,15 +211,10 @@ def _package_caches() -> dict:
 
 
 def test_value_keyed_caches_are_bounded():
-    # the rest are keyed on caller-supplied values, so grids larger than the
-    # default ones must not grow them without limit
     caches = _package_caches()
-    assert set(UNBOUNDED_CACHES) <= set(caches)
-    assert {
-        "cyclosum.spectra.dft_inverse", "cyclosum.verify._prop2_sides", "cyclosum.verify._gseries_chain",
-    } <= set(caches)
+    assert set(caches) == set(UNBOUNDED_CACHES) | set(BOUNDED_CACHES)
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
-    assert unbounded <= set(UNBOUNDED_CACHES)
+    assert unbounded == set(UNBOUNDED_CACHES)
 
 
 # The orbit form of _e_sum (one seed per divisor of n) against the literal sum.

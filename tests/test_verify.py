@@ -1,5 +1,6 @@
 """Identity checkers, grid specs, campaign runner, reports."""
 import json
+import random
 import re
 from fractions import Fraction
 from math import gcd
@@ -19,19 +20,16 @@ from cyclosum.verify import (
     DEFAULT_SEED,
     IDENTITIES,
     GridSpec,
+    IdentityCase,
     _basis_matrix,
     _bernoulli_basis,
     _enumerate_jobs,
-    _exp_q,
     _gseries_chain,
-    _gseries_left_base,
-    _gseries_right_terms,
-    _gseries_sides,
+    _gseries_terms,
     _prop2_rhs,
     _prop2_sides,
     _run_job,
     _spectrum_matrix,
-    _t_over_exp_affine,
     build_report,
     check_gseries_chain,
     check_mult_formula,
@@ -120,10 +118,24 @@ def test_section4_requires_unit_row_sum():
         check_section4_closed_form(2, 4, 1, 1, 2)
 
 
+def _tagged_sort_key(case):
+    # ints ordered numerically, strings lexically, per sorted param name
+    parts = tuple(
+        (k, 0, v, "") if isinstance(v, int) else (k, 1, 0, str(v))
+        for k, v in sorted(case.params.items())
+    )
+    return (case.identity, parts)
+
+
 def test_case_sort_orders_numerically():
     a = _run_job(("moebius", {"n": 2}))
     b = _run_job(("moebius", {"n": 10}))
     assert a.sort_key() < b.sort_key()
+    # the flat key orders a shuffled default grid as the tagged key does
+    for identity in IDENTITIES:
+        cases = run_grid(default_grid(identity))
+        random.Random(identity).shuffle(cases)
+        assert sorted(cases, key=IdentityCase.sort_key) == sorted(cases, key=_tagged_sort_key)
 
 
 def test_case_json_omits_empty_fields():
@@ -324,7 +336,7 @@ def _literal_prop2_rhs(m, n, r, p, lam, c_seq):
 def test_prop2_right_side_is_built_once_per_shift(n):
     m, lam = 3, Fraction(-1, 2)
     c_seq = random_sequence(n, DEFAULT_SEED, 1)
-    for cache in (_prop2_sides, _bernoulli_basis, _basis_matrix, _spectrum_matrix):
+    for cache in (_prop2_sides, _basis_matrix, _spectrum_matrix):
         cache.cache_clear()
     for r in range(n + 2):
         for p in range(-1, 3):
@@ -339,18 +351,15 @@ def test_prop2_right_side_is_built_once_per_shift(n):
     # from one basis for (m, n, lam) and one spectrum matrix for c_seq
     assert _prop2_sides.cache_info().misses == n
     assert _prop2_sides.cache_info().hits == (n + 2) * 4 - n
-    assert _bernoulli_basis.cache_info().misses == 1
     assert _basis_matrix.cache_info().misses == 1
     assert _spectrum_matrix.cache_info().misses == 1
     # a second sequence reuses the basis; a second lambda reuses the spectrum
     _prop2_sides(m, n, 0, lam, family("ramanujan", n))
     _prop2_sides(m, n, 0, Fraction(2), c_seq)
-    assert _bernoulli_basis.cache_info().misses == 2
     assert _basis_matrix.cache_info().misses == 2
     assert _spectrum_matrix.cache_info().misses == 2
     # mult reads the basis polynomials and never builds the matrix
     assert _sides_agree(check_mult_formula(m, n, Fraction(3)))
-    assert _bernoulli_basis.cache_info().misses == 3
     assert _basis_matrix.cache_info().misses == 2
 
 
@@ -422,7 +431,7 @@ IRRATIONAL_LAMBDAS = (
 
 @pytest.mark.parametrize("lam, n", IRRATIONAL_LAMBDAS, ids=("level3", "level4", "level6"))
 def test_prop2_and_mult_pass_at_irrational_lambda(lam, n):
-    # the right sides take the literal sum over the cached basis here
+    # the right sides take the literal sum over the basis polynomials here
     prop2 = GridSpec.from_json({
         "identity": "prop2", "m": {"min": 1, "max": 4}, "n": [n], "r": [0, 1, 2], "p": [-1, 0, 1, 2],
         "lambdas": [lam], "sequences": ["delta", "ramanujan", "random:2", "fourier-dedekind:a=1,c0=1"],
@@ -480,7 +489,6 @@ def test_gseries_sides_match_per_case_construction(case):
     g = g_series_oracle(n, r, p, lam, c_seq, order)
     lam = normalize_scalar(lam)
     tg, lhs, rhs = _literal_gseries_sides(n, r, p, lam, c_seq, g, order)
-    assert _gseries_sides(n, r, p, lam, c_seq, g, order) == (tg, lhs, rhs)
     # the comparisons cached on the reduced (r, p) carry the sides of this (r, p)
     comparisons = check_gseries_chain(n, r, p, lam, c_seq, order)
     assert _sides_agree(comparisons)
@@ -495,7 +503,7 @@ def test_gseries_sides_match_per_case_construction(case):
 
 def test_gseries_series_are_built_once_per_grid_value():
     spec = default_grid("gseries")
-    for cache in (_t_over_exp_affine, _exp_q, _gseries_left_base, _gseries_right_terms, _gseries_chain):
+    for cache in (_gseries_terms, _gseries_chain):
         cache.cache_clear()
     cases = run_grid(spec)
     assert all(case.status == "pass" for case in cases)
@@ -505,15 +513,8 @@ def test_gseries_series_are_built_once_per_grid_value():
     assert (len(cases), len(keys)) == (96, 54)
     assert _gseries_chain.cache_info().misses == len(keys)
     assert _gseries_chain.cache_info().hits == len(cases) - len(keys)
-    pairs = len(spec.n) * len(spec.lambdas)
-    # one right-term tuple and one left base per (n, lambda, T), whatever
-    # the sequence and (r, p)
-    assert _gseries_right_terms.cache_info().misses == pairs
-    assert _gseries_left_base.cache_info().misses == pairs
-    # t/(lam e^t - 1) per lambda and t/(lam^n e^{nt} - 1) per (n, lambda)
-    assert _t_over_exp_affine.cache_info().misses == len(spec.lambdas) + pairs
-    # e^{cqt} for c in {n} and {n - 1}
-    assert _exp_q.cache_info().misses == len(set(spec.n) | {n - 1 for n in spec.n})
+    # one set of series per (n, lambda, T), whatever the sequence and (r, p)
+    assert _gseries_terms.cache_info().misses == len(spec.n) * len(spec.lambdas) == 12
 
 
 def test_run_grid_deterministic_across_workers():
