@@ -21,7 +21,7 @@ from math import comb
 from .cyclotomic import normalize_scalar
 from .errors import InvalidPower, ParameterCollision
 from .qpoly import QPoly, q, sum_of_products
-from .series import TruncSeries
+from .series import TruncSeries, t_over_exp_affine
 
 
 def apostol_bernoulli(m: int, lam) -> QPoly:
@@ -78,16 +78,7 @@ def _frob_euler(m: int, p: int, lam, gamma) -> QPoly:
 
 def series_oracle_B(m_max: int, lam) -> list[QPoly]:
     """B_0..B_{m_max} read off the EGF t e^{qt}/(lam e^t - 1) directly."""
-    lam = normalize_scalar(lam)
-    t = m_max
-    eq = TruncSeries.exp_linear(q, t)
-    if lam == 1:
-        # divide t through first: (e^t - 1)/t has coefficient 1/(k+1)
-        den = TruncSeries([Fraction(1, k + 1) for k in range(t + 1)], t)
-        s = den.inverse() * eq
-    else:
-        den = TruncSeries.exp_affine(lam, -1, t)
-        s = (den.inverse() * eq).mul_t()
+    s = t_over_exp_affine(normalize_scalar(lam), 1, m_max) * TruncSeries.exp_linear(q, m_max)
     return [s[i] for i in range(m_max + 1)]
 
 

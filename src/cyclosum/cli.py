@@ -2,7 +2,8 @@
 campaigns.
 
 Exit codes: 0 success, 1 identity failure in a campaign, 2 usage or grid
-errors, 3 parameter collision, 4 input-file or sequence-family error.
+errors, 3 parameter collision, 4 input-file or sequence-family error, 5 a
+campaign worker process died.
 Output is deterministic for fixed flags and seed; human format upgrades to
 Unicode superscripts only when stdout can encode them, while json and csv
 are the stable interfaces.
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -313,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidPower, ValueError, json.JSONDecodeError) as exc:
         print(f"bad arguments: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:
+        print(f"campaign worker died: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -153,3 +153,14 @@ def weighted_sum(terms, order: int) -> TruncSeries:
         [sum_of_products([(1, s.coeffs[m], w) for s, w in terms]) for m in range(order + 1)],
         order,
     )
+
+
+def t_over_exp_affine(lam, s: int, order: int) -> TruncSeries:
+    """t / (lam e^{st} - 1), truncated; lam normalized.  For lam = 1 the
+    constant term of the denominator vanishes, so divide t through before
+    inverting."""
+    if lam == 1:
+        den = TruncSeries([Fraction(s ** (k + 1), k + 1) for k in range(order + 1)], order)
+        return den.inverse()
+    den = TruncSeries([lam - 1] + [lam * Fraction(s) ** k for k in range(1, order + 1)], order)
+    return den.inverse().mul_t()

@@ -2,7 +2,8 @@
 runner and report serialization.
 
 Every checker builds both sides of one identity through independent code
-paths and returns them as (reason, lhs, rhs) comparisons.  The runner's
+paths and returns them as (reason, lhs, rhs) comparisons.  The runner
+calls it once per key, the values a case's comparisons depend on, and its
 judge labels each case, compares canonical forms exactly (a pass is an
 algebraic equality, never a tolerance check) and records a parameter
 collision (lambda hitting a root of unity that the sum divides by) as
@@ -34,7 +35,7 @@ from .cyclotomic import common_den, format_scalar, normalize_scalar, scalar_from
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from .qpoly import QPoly, geometric_block, sum_of_matrix_products, sum_of_products
-from .series import TruncSeries, weighted_sum
+from .series import TruncSeries, t_over_exp_affine, weighted_sum
 from .spectra import (
     PeriodicSeq,
     SpectralSeq,
@@ -144,21 +145,11 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
 
 
 def check_prop2(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> Comparisons:
-    """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n).
-
-    Both sides see r and p only through s = (r + p) mod n, so every case
-    sharing (m, n, s, lam, C) reads one cached comparison.
-    """
-    return _prop2_sides(m, n, (r + p) % n, normalize_scalar(lam), c_seq)
-
-
-@lru_cache(maxsize=1024)
-def _prop2_sides(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> Comparisons:
-    """The prop2 comparison at r + p = s mod n, lam normalized.  The left
-    side is -m E_s(nq) with E_s = e_sum at (r, p) = (s, 0), since e_sum
-    carries (-1)^p and (-1)^(p-1) (-1)^p = -1."""
-    lhs = e_sum(m, n, s, 0, lam, c_seq).scale_arg(n, -m)
-    return ((None, lhs, _prop2_rhs(m, n, (s - 1) % n, lam, c_seq)),)
+    """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n)."""
+    sign = 1 if p % 2 else -1  # (-1)^(p-1)
+    lhs = e_sum(m, n, r, p, lam, c_seq).scale_arg(n, sign * m)
+    rhs = _prop2_rhs(m, n, (r + p - 1) % n, normalize_scalar(lam), c_seq)
+    return ((None, lhs, rhs),)
 
 
 def check_mult_formula(m: int, n: int, lam) -> Comparisons:
@@ -217,26 +208,14 @@ def check_moebius_interp(n: int) -> Comparisons:
     )
 
 
-def _t_over_exp_affine(lam, s: int, order: int) -> TruncSeries:
-    """t / (lam e^{st} - 1), lam normalized.  For lam = 1 the constant term
-    of the denominator vanishes, so divide t through before inverting."""
-    if lam == 1:
-        den = TruncSeries(
-            [Fraction(s ** (k + 1), k + 1) for k in range(order + 1)], order
-        )
-        return den.inverse()
-    den = TruncSeries([lam - 1] + [lam * Fraction(s) ** k for k in range(1, order + 1)], order)
-    return den.inverse().mul_t()
-
-
 @lru_cache(maxsize=256)
 def _gseries_terms(n: int, lam, order: int) -> tuple[TruncSeries, tuple[TruncSeries, ...], TruncSeries]:
     """The series of the gseries identity that depend on (n, lam, order)
     alone, lam normalized: the left base L = t e^{nqt} / (lam e^t - 1), the
     right terms R_j = n lam^j e^{(j+nq)t} t / (lam^n e^{nt} - 1) for j < n,
     and e^{(n-1)qt}."""
-    left = _t_over_exp_affine(lam, 1, order) * TruncSeries.exp_linear(QPoly((0, n)), order)
-    base = _t_over_exp_affine(normalize_scalar(lam**n), n, order)
+    left = t_over_exp_affine(lam, 1, order) * TruncSeries.exp_linear(QPoly((0, n)), order)
+    base = t_over_exp_affine(normalize_scalar(lam**n), n, order)
     right = tuple(
         (TruncSeries.exp_linear(QPoly((j, n)), order) * base) * (n * lam**j)
         for j in range(n)
@@ -252,25 +231,16 @@ def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: 
     against e_sum at shifted index; and the t-shifted chain coefficients
     against m times e_sum at nq.
 
-    Both routes see r and p only through s = (r + p) mod n and the parity
-    of p, and no reason names r or p, so every case sharing (n, s, p mod 2,
-    lam, C, order) reads one cached tuple, built at p in {0, 1} and
-    r = (s - p) mod n.
+    The series sides are lhs = C_0 L + (-1)^p t g e^{(n-1)qt} and
+    rhs = sum_j K_{j-(r+p-1)} R_j, over _gseries_terms.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
-    return _gseries_chain(n, (r + p - p % 2) % n, p % 2, normalize_scalar(lam), c_seq, order)
-
-
-@lru_cache(maxsize=256)
-def _gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> Comparisons:
-    """check_gseries_chain at its reduced (r, p), lam normalized.  The
-    series sides are lhs = C_0 L + (-1)^p tg with tg = t g e^{(n-1)qt}, and
-    rhs = sum_j K_{j-(r+p-1)} R_j, each one weighted sum of _gseries_terms."""
     g = g_series_oracle(n, r, p, lam, c_seq, order)
+    lam = normalize_scalar(lam)
     left, right, exp_shift = _gseries_terms(n, lam, order)
     tg = (g * exp_shift).mul_t()
-    lhs = weighted_sum(((left, c_seq[0]), (tg, -1 if p else 1)), order)  # p is 0 or 1
+    lhs = weighted_sum(((left, c_seq[0]), (tg, -1 if p % 2 else 1)), order)
     kseq = dft_inverse(c_seq)
     rhs = weighted_sum(((rj, kseq[j - r - p + 1]) for j, rj in enumerate(right)), order)
     # sums[i] is the index-(i + 1) sum: both chains read indices 1 .. order + 1
@@ -294,6 +264,7 @@ class _Identity:
     axes: tuple[str, ...]  # GridSpec axes, outermost first: this is the job order
     kwargs: tuple[str, ...]  # the keyword arguments each job passes the checker
     params: Callable[[dict], dict]  # a job's kwargs -> the case's report params
+    key: Callable[[dict], tuple]  # a job's kwargs -> the values its comparisons depend on
     least: dict[str, int]  # smallest value of an axis that the checker accepts
     defaults: dict  # GridSpec fields of the default (acceptance) grid
 
@@ -304,6 +275,7 @@ _IDENTITY_TABLE = {
         axes=("n", "r", "sequences"),
         kwargs=("c_seq", "r", "seq_desc"),  # n is the period of c_seq
         params=lambda kw: {"n": kw["c_seq"].n, "r": kw["r"], "seq": kw["seq_desc"]},
+        key=lambda kw: (kw["c_seq"], kw["r"] % kw["c_seq"].n),
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 9)), r=tuple(range(-2, 6)), sequences=("random:50",)),
     ),
@@ -313,6 +285,8 @@ _IDENTITY_TABLE = {
         kwargs=("m", "n", "r", "p", "lam", "c_seq", "seq_desc"),
         params=lambda kw: {"m": kw["m"], "n": kw["n"], "r": kw["r"], "p": kw["p"],
                            "lambda": format_scalar(kw["lam"]), "seq": kw["seq_desc"]},
+        # the left side is -m E_s(nq) for every p, as e_sum carries (-1)^p
+        key=lambda kw: (kw["m"], kw["n"], (kw["r"] + kw["p"]) % kw["n"], normalize_scalar(kw["lam"]), kw["c_seq"]),
         least={"m": 1, "n": 2},
         defaults=dict(
             m=tuple(range(1, 7)), n=tuple(range(2, 9)), r=tuple(range(0, 4)), p=(-1, 0, 1, 2),
@@ -325,6 +299,7 @@ _IDENTITY_TABLE = {
         axes=("m", "n", "lambdas"),
         kwargs=("m", "n", "lam"),
         params=lambda kw: {"m": kw["m"], "n": kw["n"], "lambda": format_scalar(kw["lam"])},
+        key=lambda kw: (kw["m"], kw["n"], normalize_scalar(kw["lam"])),
         least={"m": 0, "n": 1},
         defaults=dict(
             m=tuple(range(1, 7)), n=tuple(range(2, 9)),
@@ -337,6 +312,7 @@ _IDENTITY_TABLE = {
         kwargs=("m", "n", "r", "p", "lam"),
         params=lambda kw: {"m": kw["m"], "n": kw["n"], "r": kw["r"], "p": kw["p"],
                            "lambda": format_scalar(kw["lam"]), "seq": "ramanujan"},
+        key=lambda kw: (kw["m"], kw["n"], normalize_scalar(kw["lam"])),  # r + p = 1, as in prop2
         least={"m": 1, "n": 2},
         defaults=dict(
             m=tuple(range(1, 6)), n=(2, 3, 4, 6), rp_pairs=((1, 0), (0, 1), (-1, 2)),
@@ -348,6 +324,7 @@ _IDENTITY_TABLE = {
         axes=("n",),
         kwargs=("n",),
         params=lambda kw: {"n": kw["n"]},
+        key=lambda kw: (kw["n"],),
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 13))),
     ),
@@ -357,6 +334,9 @@ _IDENTITY_TABLE = {
         kwargs=("n", "r", "p", "lam", "c_seq", "order", "seq_desc"),
         params=lambda kw: {"n": kw["n"], "r": kw["r"], "p": kw["p"], "lambda": format_scalar(kw["lam"]),
                            "seq": kw["seq_desc"], "T": kw["order"]},
+        # no reason text names r or p
+        key=lambda kw: (kw["n"], (kw["r"] + kw["p"]) % kw["n"], kw["p"] % 2,
+                        normalize_scalar(kw["lam"]), kw["c_seq"], kw["order"]),
         least={"n": 2},
         defaults=dict(
             n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
@@ -588,47 +568,58 @@ def _enumerate_jobs(spec: GridSpec):
         yield {k: at[k] for k in row.kwargs}
 
 
-def _run_job(job: tuple[str, dict]) -> IdentityCase:
-    """Label, run and decide one case; the job's kwargs are consumed.  A
-    parameter collision skips the case, and the first comparison whose sides
-    differ fails it; a perturbed job gets 1 added to its first right side."""
-    identity, kwargs = job
-    params = _IDENTITY_TABLE[identity].params(kwargs)
-    perturb = kwargs.pop("perturb", False)
-    kwargs.pop("seq_desc", None)
+def _run_group(job: tuple[str, list[dict]]) -> list[IdentityCase]:
+    """Run the checker once, on the first case's kwargs, and decide every case
+    of the key: a collision skips them all, the first comparison whose sides
+    differ fails one, and a perturbed one gets 1 added to its first rhs."""
+    identity, group = job
+    params = _IDENTITY_TABLE[identity].params
+    kwargs = {k: v for k, v in group[0].items() if k not in ("perturb", "seq_desc")}
     try:
         comparisons = _CHECKERS[identity](**kwargs)
     except ParameterCollision as exc:
-        return IdentityCase(identity, params, "skipped", reason=str(exc))
-    for i, (reason, lhs, rhs) in enumerate(comparisons):
-        if perturb and not i:
-            rhs = rhs + 1
-        if lhs != rhs:
-            return IdentityCase(identity, params, "fail", reason, lhs.to_str(), rhs.to_str())
-    return IdentityCase(identity, params, "pass")
+        return [IdentityCase(identity, params(kw), "skipped", reason=str(exc)) for kw in group]
+    cases = []
+    for kw in group:
+        verdict = ("pass",)
+        for i, (reason, lhs, rhs) in enumerate(comparisons):
+            if kw.get("perturb") and not i:
+                rhs = rhs + 1
+            if lhs != rhs:
+                verdict = ("fail", reason, lhs.to_str(), rhs.to_str())
+                break
+        cases.append(IdentityCase(identity, params(kw), *verdict))
+    return cases
 
 
 def run_grid(spec: GridSpec, workers: int = 1) -> list[IdentityCase]:
     """All cases of the grid, sorted by parameter key.
 
-    Execution order never shows in the output: results are keyed and sorted
-    by (identity, params), so serial and parallel runs agree byte for byte.
+    The jobs that share a key are one unit of work.  Execution order never
+    shows in the output: results are keyed and sorted by (identity,
+    params), so serial and parallel runs agree byte for byte.
     """
     spec.validate()
-    jobs = [(spec.identity, kwargs) for kwargs in _enumerate_jobs(spec)]
+    jobs = list(_enumerate_jobs(spec))
     if spec.perturb_index is not None:
         if not 0 <= spec.perturb_index < len(jobs):
             raise InvalidGrid(
                 f"perturb_index {spec.perturb_index} is outside 0 .. {len(jobs) - 1}: "
                 f"the grid has {len(jobs)} cases"
             )
-        jobs[spec.perturb_index][1]["perturb"] = True
-    if workers > 1 and len(jobs) > 1:
+        jobs[spec.perturb_index]["perturb"] = True
+    key = _IDENTITY_TABLE[spec.identity].key
+    groups: dict[tuple, list[dict]] = {}
+    for kwargs in jobs:
+        groups.setdefault(key(kwargs), []).append(kwargs)
+    work = [(spec.identity, group) for group in groups.values()]
+    if workers > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(jobs) // (workers * 4))
-            cases = list(pool.map(_run_job, jobs, chunksize=chunk))
+            chunk = max(1, len(work) // (workers * 4))
+            results = list(pool.map(_run_group, work, chunksize=chunk))
     else:
-        cases = [_run_job(job) for job in jobs]
+        results = map(_run_group, work)
+    cases = [case for group in results for case in group]
     cases.sort(key=IdentityCase.sort_key)
     return cases
 

@@ -1,10 +1,12 @@
 """Command-line surface: outputs, formats, exit codes."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from cyclosum import verify
 from cyclosum.cli import main
 
 
@@ -301,6 +303,15 @@ def test_verify_missing_grid_file(capsys):
     )
     assert code == 2
     assert "bad grid" in err
+
+
+def test_dead_pool_worker_exits_5(capsys, monkeypatch):
+    # the forked workers inherit the patched checker, and the first to run it dies
+    monkeypatch.setitem(verify._CHECKERS, "moebius", lambda **kwargs: os._exit(3))
+    code, out, err = run(capsys, "verify", "--identity", "moebius", "--workers", "2")
+    assert (code, out) == (5, "")
+    assert err.startswith("campaign worker died: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_console_entry_point():

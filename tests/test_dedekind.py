@@ -24,7 +24,7 @@ from cyclosum.qpoly import QPoly, q, sum_of_products
 from cyclosum.series import TruncSeries
 from cyclosum.spectra import PeriodicSeq, family
 from cyclosum.verify import (
-    DEFAULT_SEED, _gseries_chain, default_grid, random_sequence, resolve_sequences, run_grid,
+    DEFAULT_SEED, default_grid, random_sequence, resolve_sequences, run_grid,
 )
 
 
@@ -193,9 +193,7 @@ BOUNDED_CACHES = {
     "cyclosum.spectra._lagrange_basis": "n",
     "cyclosum.verify._basis_matrix": "(m, n, lambda)",
     "cyclosum.verify._spectrum_matrix": "(C_0, K)",
-    "cyclosum.verify._prop2_sides": "(m, n, (r + p) mod n, lambda, C)",
     "cyclosum.verify._gseries_terms": "(n, lambda, T)",
-    "cyclosum.verify._gseries_chain": "(n, (r + p) mod n, p mod 2, lambda, C, T)",
 }
 
 
@@ -213,6 +211,7 @@ def _package_caches() -> dict:
 def test_value_keyed_caches_are_bounded():
     caches = _package_caches()
     assert set(caches) == set(UNBOUNDED_CACHES) | set(BOUNDED_CACHES)
+    assert len(caches) == 20
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == set(UNBOUNDED_CACHES)
 
@@ -329,11 +328,13 @@ def test_g_series_oracle_matches_per_k_loop(case):
     assert g_series_oracle(n, r, p, lam, c, order) == _literal_g_series(n, r, p, lam, c, order)
 
 
-def test_oracle_terms_are_built_once_per_grid_value():
+def test_oracle_terms_are_built_once_per_grid_value(checker_calls):
     spec = default_grid("gseries")
     _oracle_term.cache_clear()
-    _gseries_chain.cache_clear()  # else earlier campaigns answer every case
+    calls = checker_calls("gseries")
     assert all(case.status == "pass" for case in run_grid(spec))
+    # no comparison outlives a campaign: the oracle runs once per key
+    assert len(calls) == 54
     # one T_k per (n, k, lambda, T) that some sequence weights; the
     # sequence and (r, p) only scale it
     used = {

@@ -5,10 +5,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclosum.cyclotomic import CycloNum
+from cyclosum.cyclotomic import CycloNum, zeta_pow
 from cyclosum.errors import NotAUnit
 from cyclosum.qpoly import QPoly, q
-from cyclosum.series import TruncSeries, weighted_sum
+from cyclosum.series import TruncSeries, t_over_exp_affine, weighted_sum
 
 fracs = st.tuples(st.integers(-20, 20), st.integers(1, 8)).map(
     lambda t: Fraction(t[0], t[1])
@@ -167,3 +167,15 @@ def test_weighted_sum_of_no_terms_is_zero():
     for order in (0, 3):
         assert weighted_sum([], order) == TruncSeries.zero(order)
         assert weighted_sum([], order).order == order
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(-1, 2), 2 + zeta_pow(3, 1)],
+                         ids=["1", "2", "-1/2", "2+zeta_3"])
+def test_t_over_exp_affine_times_its_denominator_is_t(lam):
+    # (lam e^{st} - 1) t/(lam e^{st} - 1) = t, also at lam = 1, where the
+    # builder divides t through before inverting
+    for s in (1, 2, 3):
+        for order in range(7):
+            den = TruncSeries([lam - 1] + [lam * Fraction(s) ** k for k in range(1, order + 1)], order)
+            t = TruncSeries([0, 1], order)
+            assert t_over_exp_affine(lam, s, order) * den == t

@@ -24,11 +24,9 @@ from cyclosum.verify import (
     _basis_matrix,
     _bernoulli_basis,
     _enumerate_jobs,
-    _gseries_chain,
     _gseries_terms,
     _prop2_rhs,
-    _prop2_sides,
-    _run_job,
+    _run_group,
     _spectrum_matrix,
     build_report,
     check_gseries_chain,
@@ -65,12 +63,15 @@ JUDGED_JOBS = [
 ]
 
 
-def test_checkers_pass_and_perturb_fails():
+def test_checkers_pass_and_perturb_fails(checker_calls):
     for identity, kwargs, reason in JUDGED_JOBS:
-        good = _run_job((identity, dict(kwargs)))
+        calls = checker_calls(identity)
+        [good] = _run_group((identity, [dict(kwargs)]))
         assert (good.status, good.reason, good.lhs, good.rhs) == ("pass", None, None, None), identity
-        bad = _run_job((identity, dict(kwargs, perturb=True)))
-        assert bad.params == good.params
+        # one checker call decides the group, and only the perturbed job fails
+        again, bad = _run_group((identity, [dict(kwargs), dict(kwargs, perturb=True)]))
+        assert len(calls) == 2
+        assert again == good and bad.params == good.params
         # the judge adds 1 to the right side of the checker's first comparison
         args = {k: v for k, v in kwargs.items() if k != "seq_desc"}
         comparisons = verify._CHECKERS[identity](**args)
@@ -81,18 +82,19 @@ def test_checkers_pass_and_perturb_fails():
         assert bad.lhs != bad.rhs
 
 
-def test_prop2_collision_becomes_skip():
+def test_prop2_collision_becomes_skip(checker_calls):
     reason = "lambda = zeta_4^(-2): the k=2 term of the sum divides by zero"
     with pytest.raises(ParameterCollision, match=rf"^{re.escape(reason)}$"):
         check_prop2(2, 4, 0, 1, -1, RAM4)
     spec = GridSpec.from_json({
         "identity": "prop2", "m": [2], "n": [4], "r": [0, 1], "p": [0, 1], "lambdas": ["-1"], "sequences": ["ramanujan"],
     })
-    _prop2_sides.cache_clear()
+    calls = checker_calls("prop2")
     cases = run_grid(spec)
-    # every (r, p) skips with the same reason, and a collision is never cached
+    # every (r, p) skips with the same reason; r + p mod 4 takes 3 values,
+    # and one collision skips every case of its key
     assert {(c.status, c.reason, c.lhs, c.rhs) for c in cases} == {("skipped", reason, None, None)}
-    assert _prop2_sides.cache_info().currsize == 0
+    assert (len(cases), len(calls)) == (4, 3)
     assert {"m": 2, "n": 4, "r": 0, "p": 1, "lambda": "-1", "seq": "ramanujan"} in [c.params for c in cases]
 
 
@@ -128,8 +130,7 @@ def _tagged_sort_key(case):
 
 
 def test_case_sort_orders_numerically():
-    a = _run_job(("moebius", {"n": 2}))
-    b = _run_job(("moebius", {"n": 10}))
+    a, b = _run_group(("moebius", [{"n": 2}])) + _run_group(("moebius", [{"n": 10}]))
     assert a.sort_key() < b.sort_key()
     # the flat key orders a shuffled default grid as the tagged key does
     for identity in IDENTITIES:
@@ -139,7 +140,7 @@ def test_case_sort_orders_numerically():
 
 
 def test_case_json_omits_empty_fields():
-    case = _run_job(("mult", {"m": 2, "n": 3, "lam": 2}))
+    [case] = _run_group(("mult", [{"m": 2, "n": 3, "lam": 2}]))
     obj = case.to_json()
     assert set(obj) == {"identity", "params", "status"}
 
@@ -333,29 +334,33 @@ def _literal_prop2_rhs(m, n, r, p, lam, c_seq):
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
-def test_prop2_right_side_is_built_once_per_shift(n):
+def test_prop2_right_side_is_built_once_per_shift(n, checker_calls):
     m, lam = 3, Fraction(-1, 2)
     c_seq = random_sequence(n, DEFAULT_SEED, 1)
-    for cache in (_prop2_sides, _basis_matrix, _spectrum_matrix):
-        cache.cache_clear()
     for r in range(n + 2):
         for p in range(-1, 3):
+            # the comparison at each (r, p) is the literal construction
             [(reason, lhs, rhs)] = check_prop2(m, n, r, p, lam, c_seq)
-            # every (r, p) sharing r + p mod n reads one cached comparison,
-            # equal to the literal construction at this (r, p)
             assert reason is None and lhs == rhs
             sign = 1 if p % 2 else -1  # (-1)^(p-1)
             assert lhs == e_sum(m, n, r, p, lam, c_seq).scale_arg(n, sign * m)
             assert rhs == _literal_prop2_rhs(m, n, r, p, lam, c_seq)
-    # r + p runs through every residue mod n; each one is built once,
-    # from one basis for (m, n, lam) and one spectrum matrix for c_seq
-    assert _prop2_sides.cache_info().misses == n
-    assert _prop2_sides.cache_info().hits == (n + 2) * 4 - n
+    for cache in (_basis_matrix, _spectrum_matrix):
+        cache.cache_clear()
+    calls = checker_calls("prop2")
+    spec = GridSpec("prop2", m=(m,), n=(n,), r=tuple(range(n + 2)), p=(-1, 0, 1, 2),
+                    lambdas=(lam,), sequences=("random-1",))
+    cases = run_grid(spec)
+    # r + p runs through every residue mod n; the runner calls the checker
+    # once for each, and every call reads one basis for (m, n, lam) and one
+    # spectrum matrix for c_seq
+    assert all(case.status == "pass" for case in cases) and len(cases) == (n + 2) * 4
+    assert sorted((kw["r"] + kw["p"]) % n for kw in calls) == list(range(n))
     assert _basis_matrix.cache_info().misses == 1
     assert _spectrum_matrix.cache_info().misses == 1
     # a second sequence reuses the basis; a second lambda reuses the spectrum
-    _prop2_sides(m, n, 0, lam, family("ramanujan", n))
-    _prop2_sides(m, n, 0, Fraction(2), c_seq)
+    check_prop2(m, n, 0, 0, lam, family("ramanujan", n))
+    check_prop2(m, n, 0, 0, Fraction(2), c_seq)
     assert _basis_matrix.cache_info().misses == 2
     assert _spectrum_matrix.cache_info().misses == 2
     # mult reads the basis polynomials and never builds the matrix
@@ -363,28 +368,27 @@ def test_prop2_right_side_is_built_once_per_shift(n):
     assert _basis_matrix.cache_info().misses == 2
 
 
-def test_prop2_grid_builds_one_comparison_per_reduced_key(monkeypatch):
+def test_prop2_grid_builds_one_comparison_per_reduced_key(monkeypatch, checker_calls):
     spec = GridSpec.from_json({
         "identity": "prop2", "m": [1, 3], "n": [3, 4], "r": [0, 1, 2, 5], "p": [-1, 0, 1, 2],
         "lambdas": ["2", "-1/2", "1"], "sequences": ["ramanujan", "random:1"],
     })
-    calls = []
+    spectra = []
 
     def counting(*args):
-        calls.append(args)
+        spectra.append(args)
         return dft_inverse(*args)
 
     monkeypatch.setattr(verify, "dft_inverse", counting)
-    _prop2_sides.cache_clear()
+    calls = checker_calls("prop2")
     cases = run_grid(spec)
     assert all(case.status == "pass" for case in cases)
     keys = {(c.params["m"], c.params["n"], (c.params["r"] + c.params["p"]) % c.params["n"],
              c.params["lambda"], c.params["seq"]) for c in cases}
     assert len(keys) == 2 * (3 + 4) * 3 * 2 < len(cases)
-    assert _prop2_sides.cache_info().misses == len(keys)
-    assert _prop2_sides.cache_info().hits == len(cases) - len(keys)
-    # each miss reads the spectrum once, as the right side is built
     assert len(calls) == len(keys)
+    # each call reads the spectrum once, as the right side is built
+    assert len(spectra) == len(keys)
 
 
 small_fracs = st.tuples(st.integers(-4, 4), st.integers(1, 5)).map(lambda t: Fraction(*t))
@@ -489,7 +493,7 @@ def test_gseries_sides_match_per_case_construction(case):
     g = g_series_oracle(n, r, p, lam, c_seq, order)
     lam = normalize_scalar(lam)
     tg, lhs, rhs = _literal_gseries_sides(n, r, p, lam, c_seq, g, order)
-    # the comparisons cached on the reduced (r, p) carry the sides of this (r, p)
+    # the checker builds the sides of this (r, p) from the cached series
     comparisons = check_gseries_chain(n, r, p, lam, c_seq, order)
     assert _sides_agree(comparisons)
     sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
@@ -501,41 +505,103 @@ def test_gseries_sides_match_per_case_construction(case):
     assert [(a, b) for _, a, b in comparisons] == literal
 
 
-def test_gseries_series_are_built_once_per_grid_value():
+def test_gseries_series_are_built_once_per_grid_value(checker_calls):
     spec = default_grid("gseries")
-    for cache in (_gseries_terms, _gseries_chain):
-        cache.cache_clear()
+    _gseries_terms.cache_clear()
+    calls = checker_calls("gseries")
     cases = run_grid(spec)
     assert all(case.status == "pass" for case in cases)
-    # one comparison tuple per (n, (r + p) mod n, p mod 2, lambda, C, T)
+    # one checker call per (n, (r + p) mod n, p mod 2, lambda, C, T)
     keys = {(c.params["n"], (c.params["r"] + c.params["p"]) % c.params["n"], c.params["p"] % 2,
              c.params["lambda"], c.params["seq"]) for c in cases}
-    assert (len(cases), len(keys)) == (96, 54)
-    assert _gseries_chain.cache_info().misses == len(keys)
-    assert _gseries_chain.cache_info().hits == len(cases) - len(keys)
+    assert (len(cases), len(keys), len(calls)) == (96, 54, 54)
+    # one set of series per (n, lambda, T), whatever the sequence and (r, p)
+    assert _gseries_terms.cache_info().misses == len(spec.n) * len(spec.lambdas) == 12
     # one set of series per (n, lambda, T), whatever the sequence and (r, p)
     assert _gseries_terms.cache_info().misses == len(spec.n) * len(spec.lambdas) == 12
 
 
 def test_run_grid_deterministic_across_workers():
-    spec = default_grid("mult")
-    serial = run_grid(spec, workers=1)
-    parallel = run_grid(spec, workers=3)
-    assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
+    # mult has one case per key; gseries groups 96 cases into 54 keys
+    for identity in ("mult", "gseries"):
+        spec = default_grid(identity)
+        serial = run_grid(spec, workers=1)
+        parallel = run_grid(spec, workers=3)
+        assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
 
 
-def test_run_grid_perturb_injects_single_failure(monkeypatch):
+def _run_grid_per_job(spec):
+    """run_grid's cases with the checker called once for every job, and the
+    comparisons of every job (None for a collision) listed by key."""
+    row = verify._IDENTITY_TABLE[spec.identity]
+    cases, by_key = [], {}
+    for index, kwargs in enumerate(_enumerate_jobs(spec)):
+        params = row.params(kwargs)
+        same_key = by_key.setdefault(row.key(kwargs), [])
+        try:
+            comparisons = verify._CHECKERS[spec.identity](**{k: v for k, v in kwargs.items() if k != "seq_desc"})
+        except ParameterCollision as exc:
+            same_key.append(None)
+            cases.append(IdentityCase(spec.identity, params, "skipped", reason=str(exc)))
+            continue
+        same_key.append(comparisons)
+        verdict = ("pass",)
+        for i, (reason, lhs, rhs) in enumerate(comparisons):
+            if index == spec.perturb_index and i == 0:
+                rhs = rhs + 1
+            if lhs != rhs:
+                verdict = ("fail", reason, lhs.to_str(), rhs.to_str())
+                break
+        cases.append(IdentityCase(spec.identity, params, *verdict))
+    return sorted(cases, key=IdentityCase.sort_key), by_key
+
+
+def _axis(values, max_size=3):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size, unique=True).map(tuple)
+
+
+# -1 collides with zeta_n^(-n/2) at even n
+GRID_LAMBDAS = (Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(-1))
+# distinct labels, so no two cases of a grid share their params
+GRID_SEQUENCES = ("delta", "ramanujan", "random:2")
+SMALL_GRIDS = {
+    "prop1": dict(n=_axis(range(2, 7), 2), r=_axis(range(-2, 7), 5), sequences=_axis(GRID_SEQUENCES, 2)),
+    "prop2": dict(m=_axis(range(1, 4), 2), n=_axis(range(2, 5), 2), r=_axis(range(-1, 5)), p=_axis(range(-1, 3)),
+                  lambdas=_axis(GRID_LAMBDAS, 2), sequences=_axis(GRID_SEQUENCES, 2)),
+    "mult": dict(m=_axis(range(0, 4)), n=_axis(range(1, 5)), lambdas=_axis(GRID_LAMBDAS)),
+    "section4": dict(m=_axis(range(1, 4)), n=_axis((2, 3, 4, 6), 2),
+                     rp_pairs=_axis(((1, 0), (0, 1), (-1, 2), (2, -1))), lambdas=_axis(GRID_LAMBDAS, 2)),
+    "moebius": dict(n=_axis(range(2, 9))),
+    "gseries": dict(n=_axis(range(2, 5), 2), r=_axis(range(-1, 4), 2), p=_axis(range(-1, 3)),
+                    lambdas=_axis(GRID_LAMBDAS, 2), sequences=_axis(GRID_SEQUENCES, 1), order=st.integers(1, 3)),
+}
+
+
+@st.composite
+def small_grids(draw, identity):
+    spec = GridSpec(identity, **{axis: draw(values) for axis, values in SMALL_GRIDS[identity].items()})
+    count = len(list(_enumerate_jobs(spec)))
+    spec.perturb_index = draw(st.integers(0, count - 1) | st.none())
+    return spec
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_run_grid_matches_one_checker_call_per_job(identity, data):
+    spec = data.draw(small_grids(identity))
+    expected, by_key = _run_grid_per_job(spec)
+    # the jobs of one key have equal comparisons, so one checker call decides them all
+    assert all(comparisons == same[0] for same in by_key.values() for comparisons in same)
+    assert [case.to_json() for case in run_grid(spec)] == [case.to_json() for case in expected]
+
+
+def test_run_grid_perturb_injects_single_failure(checker_calls):
     # the index picks a job in enumeration order; the mutated case keeps its
     # sorted position, so locate it by status
     spec = default_grid("mult")
     spec.perturb_index = 5
-    calls = []
-
-    def counting(**kwargs):
-        calls.append(kwargs)
-        return check_mult_formula(**kwargs)
-
-    monkeypatch.setitem(verify._CHECKERS, "mult", counting)
+    calls = checker_calls("mult")
     cases = run_grid(spec)
     failed = [c for c in cases if c.status == "fail"]
     assert len(failed) == 1
@@ -544,8 +610,8 @@ def test_run_grid_perturb_injects_single_failure(monkeypatch):
     # job 5 is (m, n, lambda) = (1, 3, -1/2): m outermost, then n, then lambda
     assert [c.params for c in failed] == [{"m": 1, "n": 3, "lambda": "-1/2"}]
     assert list(_enumerate_jobs(spec))[5] == {"m": 1, "n": 3, "lam": Fraction(-1, 2)}
-    # one checker call per case, the perturbed one included, and the judge
-    # keeps its own keys from the checker
+    # mult's cases all differ in their key, so one checker call per case,
+    # the perturbed one included; the judge keeps its own keys from the checker
     assert len(calls) == len(cases)
     assert all(set(kw) == {"m", "n", "lam"} for kw in calls)
 
