@@ -2,8 +2,8 @@
 campaigns.
 
 Exit codes: 0 success, 1 identity failure in a campaign, 2 usage or grid
-errors, 3 parameter collision, 4 input-file or sequence-family error, 5 a
-campaign worker process died.
+errors (an unwritable --out among them), 3 parameter collision, 4
+input-file or sequence-family error, 5 a campaign worker process died.
 Output is deterministic for fixed flags and seed; human format upgrades to
 Unicode superscripts only when stdout can encode them, while json and csv
 are the stable interfaces.
@@ -172,12 +172,18 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
 
 def _resolve_out(path_str: str) -> Path:
+    """The report path, with its parent made: called before the campaign
+    runs, so a path that cannot take a file is a usage error at once."""
     path = Path(path_str)
     base = os.environ.get("CYCLOSUM_OUT")
     if base and not path.is_absolute():
         path = Path(base) / path
-    if path.parent != Path("."):
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot write report to {path}: {exc}") from None
+    if path.is_dir():
+        raise ValueError(f"cannot write report to {path}: it is a directory")
     return path
 
 
@@ -200,6 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.seed is not None:
             spec.seed = args.seed
         grids.append(spec)
+    out_path = None if args.out is None else _resolve_out(args.out)
     cases = []
     for spec in grids:
         cases.extend(run_grid(spec, workers=args.workers))
@@ -208,9 +215,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = build_report(args.identity, cases, grids)
     data = report_csv_bytes(report) if args.format == "csv" else report_json_bytes(report)
     summary = report["summary"]
-    if args.out is not None:
-        out_path = _resolve_out(args.out)
-        out_path.write_bytes(data)
+    if out_path is not None:
+        try:
+            out_path.write_bytes(data)
+        except OSError as exc:
+            raise ValueError(f"cannot write report to {out_path}: {exc}") from None
         print(
             f"pass={summary['pass']} fail={summary['fail']} "
             f"skipped={summary['skipped']} report={out_path}"

@@ -142,23 +142,12 @@ class CycloNum:
             return None
         return Fraction(self.nums[0], self.den)
 
-    # Arithmetic with a rational operand (int, Fraction or rational-valued
-    # CycloNum of any level) scales or shifts the numerator vector of the
-    # other operand; only two irrational operands need conv + reduce_cyclo,
-    # and those must share a level.
+    # Sums take both operands to one level first (_one_level); a product
+    # with a rational operand scales the other operand's numerator vector,
+    # and only two irrational operands need conv + reduce_cyclo.
 
     def __add__(self, other):
-        r = _ratio(other)
-        if r is not None:
-            return _shifted(self, *r)
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        r = _ratio(self)
-        if r is not None:
-            return _shifted(other, *r)
-        _same_level(self, other)
-        nums = _K.vec_lincomb(self.nums, other.nums, other.den, self.den)
-        return _cancel(self.level, nums, self.den * other.den)
+        return _lincomb(self, other, 1)
 
     __radd__ = __add__
 
@@ -166,17 +155,7 @@ class CycloNum:
         return _make(self.level, tuple(_K.vec_scale(self.nums, -1)), self.den)
 
     def __sub__(self, other):
-        r = _ratio(other)
-        if r is not None:
-            return _shifted(self, -r[0], r[1])
-        if not isinstance(other, CycloNum):
-            return NotImplemented
-        r = _ratio(self)
-        if r is not None:
-            return _shifted(-other, *r)
-        _same_level(self, other)
-        nums = _K.vec_lincomb(self.nums, other.nums, other.den, -self.den)
-        return _cancel(self.level, nums, self.den * other.den)
+        return _lincomb(self, other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -190,11 +169,9 @@ class CycloNum:
         r = _ratio(self)
         if r is not None:
             return _scaled(other, *r)
-        _same_level(self, other)
-        nums = _K.reduce_cyclo(
-            _K.conv(self.nums, other.nums), _reduction_rows(self.level), len(self.nums)
-        )
-        return _cancel(self.level, nums, self.den * other.den)
+        a, b = _one_level(self, other)
+        nums = _K.reduce_cyclo(_K.conv(a.nums, b.nums), _reduction_rows(a.level), len(a.nums))
+        return _cancel(a.level, nums, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -335,19 +312,24 @@ def _scaled(a: CycloNum, p: int, q: int) -> CycloNum:
     return _make(a.level, tuple(_K.vec_scale(nums, p // g)), a.den // g * q)
 
 
-def _shifted(a: CycloNum, p: int, q: int) -> CycloNum:
-    """a + p/q for p/q in lowest terms."""
-    if q == 1:
-        # adding a multiple of den to one numerator keeps the gcd with den
-        return _make(a.level, (a.nums[0] + p * a.den,) + a.nums[1:], a.den)
-    nums = _K.vec_scale(a.nums, q)
-    nums[0] += p * a.den
-    return _cancel(a.level, nums, a.den * q)
+def _one_level(a: CycloNum, b) -> tuple[CycloNum, CycloNum]:
+    """a and b at one level, for b an int, a Fraction or a CycloNum: a
+    rational side takes the other side's level; two irrational levels
+    refuse arithmetic."""
+    if isinstance(b, CycloNum) and b.level != a.level and any(b.nums[1:]):
+        if any(a.nums[1:]):
+            raise ValueError("cross-level cyclotomic arithmetic")
+        return CycloNum.of(b.level, a), b
+    return a, CycloNum.of(a.level, b)
 
 
-def _same_level(a: CycloNum, b: CycloNum) -> None:
-    if a.level != b.level:
-        raise ValueError("cross-level cyclotomic arithmetic")
+def _lincomb(a: CycloNum, b, sign: int):
+    """a + sign * b for an exact scalar b; NotImplemented for anything else."""
+    if not isinstance(b, (int, Fraction, CycloNum)):
+        return NotImplemented
+    a, b = _one_level(a, b)
+    nums = _K.vec_lincomb(a.nums, b.nums, b.den, sign * a.den)
+    return _cancel(a.level, nums, a.den * b.den)
 
 
 def zeta_pow(n: int, k: int) -> CycloNum:

@@ -39,7 +39,7 @@ from .cyclotomic import CycloNum, common_den, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
 from .qpoly import QPoly, q, sum_of_matrix_products, sum_of_products
 from .series import TruncSeries, weighted_sum
-from .spectra import PeriodicSeq, ramanujan_sum
+from .spectra import PeriodicSeq, ramanujan_sum, root_sum
 
 __all__ = ["e_sum", "g_series_oracle", "v_sum", "ramanujan_sum"]
 
@@ -109,14 +109,10 @@ def _orbit_weights(n: int, d: int, c_seq: PeriodicSeq):
     g = n/d, for i < d, as (vecs, den): vecs[i] / den holds the coordinates
     of W_i.  None when every W_i vanishes."""
     g = n // d
-    ws = []
-    for i in range(d):
-        w = CycloNum.of(n, 0)
-        for u in totatives(d):
-            c = c_seq[-g * u]
-            if c:
-                w = w + c * zeta_pow(n, g * u * i)
-        ws.append(w)
+    ws = [
+        CycloNum.of(n, root_sum(n, ((1, c_seq[-g * u], g * u * i) for u in totatives(d))))
+        for i in range(d)
+    ]
     if not any(ws):
         return None
     return common_den(ws)

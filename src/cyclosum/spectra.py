@@ -72,16 +72,18 @@ class SpectralSeq(_Cycle):
     """The spectrum K = {K_j} of a periodic sequence."""
 
 
+def root_sum(n: int, terms):
+    """sum c * x * zeta_n^e over the (c, x, e) terms, built by one
+    sum_of_products: a Fraction when rational, else a level-n CycloNum."""
+    return sum_of_products((c, x, zeta_pow(n, e)) for c, x, e in terms)[0]
+
+
 def dft_forward(k_seq: SpectralSeq) -> PeriodicSeq:
     """C_k = sum_j K_j zeta_n^{kj}."""
     n = k_seq.n
-    out = []
-    for k in range(n):
-        acc = CycloNum.of(n, 0)
-        for j in range(n):
-            acc = acc + k_seq[j] * zeta_pow(n, k * j)
-        out.append(acc)
-    return PeriodicSeq(n, out)
+    return PeriodicSeq(
+        n, [root_sum(n, ((1, kj, k * j) for j, kj in enumerate(k_seq))) for k in range(n)]
+    )
 
 
 @lru_cache(maxsize=256)
@@ -93,13 +95,9 @@ def dft_inverse(c_seq: PeriodicSeq) -> SpectralSeq:
     """
     n = c_seq.n
     w = Fraction(1, n)
-    out = []
-    for j in range(n):
-        acc = CycloNum.of(n, 0)
-        for k in range(n):
-            acc = acc + c_seq[k] * zeta_pow(n, -k * j)
-        out.append(acc * w)
-    return SpectralSeq(n, out)
+    return SpectralSeq(
+        n, [root_sum(n, ((w, ck, -k * j) for k, ck in enumerate(c_seq))) for j in range(n)]
+    )
 
 
 def ramanujan_sum(n: int, k: int) -> Fraction:
@@ -107,11 +105,8 @@ def ramanujan_sum(n: int, k: int) -> Fraction:
     invariance (the totative powers permute under every automorphism)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = CycloNum.of(n, 0)
-    for j in totatives(n):
-        acc = acc + zeta_pow(n, k * j)
-    r = acc.is_rational()
-    if r is None:
+    r = root_sum(n, ((1, 1, k * j) for j in totatives(n)))
+    if not isinstance(r, Fraction):
         raise ArithmeticError(f"c_{n}({k}) came out irrational; reduction bug")
     return r
 

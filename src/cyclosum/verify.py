@@ -168,7 +168,7 @@ def check_section4_closed_form(m: int, n: int, r: int, p: int, lam) -> Compariso
     sign = 1 if p % 2 else -1
     lhs = e.scale_arg(n, sign * m)
     lam_n = lam**n
-    rhs = euler_phi(n) * apostol_bernoulli(m, lam).scale_arg(n)
+    terms = [(euler_phi(n), apostol_bernoulli(m, lam).scale_arg(n), 1)]
     for i in range(m + 1):
         b_i = apostol_bernoulli_number(i, lam_n)
         if not b_i:
@@ -178,10 +178,8 @@ def check_section4_closed_form(m: int, n: int, r: int, p: int, lam) -> Compariso
                 n ** (m - k) * factorial(m),
                 factorial(i) * factorial(k) * factorial(m - i - k),
             )
-            w = coeff * b_i * v_sum(n, k, lam)
-            if w:
-                rhs = rhs - QPoly.monomial(m - i - k, w)
-    return ((None, lhs, rhs),)
+            terms.append((-coeff, QPoly.monomial(m - i - k, b_i), v_sum(n, k, lam)))
+    return ((None, lhs, sum_of_products(terms)),)
 
 
 def check_moebius_interp(n: int) -> Comparisons:
@@ -193,15 +191,14 @@ def check_moebius_interp(n: int) -> Comparisons:
             coeffs[j] = 1
     direct = QPoly(coeffs)
     spectral = interp_poly(dft_inverse(family("ramanujan", n)), 0)
-    f1 = QPoly.zero()
-    f2 = QPoly.zero()
+    terms1, terms2 = [], []
     for d in divisors(n):
         mu = moebius(d)
-        if not mu:
-            continue
-        block = geometric_block(n, d)
-        f1 = f1 + mu * block
-        f2 = f2 + mu * (block * QPoly.monomial(d, 1))
+        if mu:
+            block = geometric_block(n, d)
+            terms1.append((mu, block, 1))
+            terms2.append((mu, block, QPoly.monomial(d)))
+    f1, f2 = sum_of_products(terms1), sum_of_products(terms2)
     return tuple(
         (f"{label} form disagrees with the totative indicator", direct, other)
         for label, other in (("divisor-sum", f1), ("spectral", spectral), ("divisor-sum-shifted", f2))

@@ -189,6 +189,17 @@ def test_verify_writes_report_under_out_dir(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "rep.json").exists()
 
 
+@pytest.mark.parametrize("target", ("under-a-file", "a-directory"))
+def test_verify_unwritable_out_exits_2_before_the_campaign(capsys, tmp_path, checker_calls, target):
+    calls = checker_calls("moebius")
+    (tmp_path / "plain").write_text("")
+    out = tmp_path / "plain" / "rep.json" if target == "under-a-file" else tmp_path
+    code, stdout, err = run(capsys, "verify", "--identity", "moebius", "--workers", "1", "--out", str(out))
+    assert (code, stdout, calls) == (2, "", [])
+    assert err.startswith(f"bad arguments: cannot write report to {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_same_seed_same_bytes(capsys):
     outputs = []
     for _ in range(2):

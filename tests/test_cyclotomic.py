@@ -181,9 +181,11 @@ def test_galois_norm_style_embed(a):
     assert abs(x * x + x - y) < 1e-9 * max(1.0, abs(y))
 
 
-# Rational fast paths: products, sums and differences with an int, a Fraction
-# or a rational-valued CycloNum must equal the general conv + reduce_cyclo
-# route and come out canonical.  Levels cover phi(n) = 1, 2, 4, 6 and 8.
+# Rational operands: products (the _scaled fast path), sums and differences
+# (the rational side taken to the other side's level) with an int, a
+# Fraction or a rational-valued CycloNum of any level must equal the general
+# conv + reduce_cyclo route and come out canonical.  Levels cover
+# phi(n) = 1, 2, 4, 6 and 8.
 fast_path_levels = st.sampled_from((1, 2, 3, 4, 5, 7, 8, 9, 12, 15))
 
 

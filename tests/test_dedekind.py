@@ -2,18 +2,19 @@
 import importlib
 import pkgutil
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cyclosum
-from cyclosum.arith import euler_phi, moebius
+from cyclosum.arith import divisors, euler_phi, moebius, totatives
 from cyclosum.appell import frobenius_euler
-from cyclosum.cyclotomic import zeta_pow
+from cyclosum.cyclotomic import CycloNum, zeta_pow
 from cyclosum.dedekind import (
     _e_sum,
     _oracle_term,
+    _orbit_weights,
     e_sum,
     g_series_oracle,
     ramanujan_sum,
@@ -164,6 +165,36 @@ def test_e_sum_rational_when_weights_are_galois_stable():
         assert all(isinstance(c, Fraction) for c in poly.coeffs)
 
 
+# Classical Dedekind sums s(a, n) = sum_{j=1}^{n-1} ((j/n)) ((aj/n)), with the
+# sawtooth ((x)) = x - floor(x) - 1/2 (0 at integers), over Q alone.
+
+def _sawtooth(x: Fraction) -> Fraction:
+    return Fraction(0) if x.denominator == 1 else x - floor(x) - Fraction(1, 2)
+
+
+def _sawtooth_dedekind_sum(a, n):
+    return sum((_sawtooth(Fraction(j, n)) * _sawtooth(Fraction(a * j, n)) for j in range(1, n)), Fraction(0))
+
+
+def _dedekind_sum_from_e_sum(a, n):
+    return Fraction(n - 1, 4 * n) - e_sum(1, n, 0, 1, 1, family("fourier-dedekind", n, a=a))[0] / n
+
+
+def test_classical_dedekind_sums_come_from_e_sum():
+    pairs = [(a, n) for n in range(2, 20) for a in range(1, n) if gcd(a, n) == 1]
+    assert len(pairs) == 119
+    for a, n in pairs:
+        assert _dedekind_sum_from_e_sum(a, n) == _sawtooth_dedekind_sum(a, n), (a, n)
+
+
+def test_dedekind_reciprocity_through_e_sum():
+    pairs = [(a, b) for a in range(2, 12) for b in range(2, 12) if gcd(a, b) == 1]
+    assert len(pairs) == 62
+    for a, b in pairs:
+        total = _dedekind_sum_from_e_sum(a, b) + _dedekind_sum_from_e_sum(b, a)
+        assert total == Fraction(a * a + b * b + 1, 12 * a * b) - Fraction(1, 4), (a, b)
+
+
 # The only caches allowed to grow without limit: each holds a bounded number
 # of entries per level or per integer, not one per caller-supplied value.
 UNBOUNDED_CACHES = {
@@ -248,6 +279,27 @@ def test_orbit_e_sum_matches_literal_sum(case):
     got = e_sum(m, n, r, p, lam, c)
     assert got == _literal_e_sum(m, n, r, p, lam, c)
     assert (got.level == 1) == all(isinstance(v, Fraction) for v in got.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 15).flatmap(_sequences))
+def test_orbit_weights_match_literal_weights(c_seq):
+    # W_i = sum_{u in (Z/d)^*} C_{-gu} zeta_n^{gui}, g = n/d, as a running sum
+    n = c_seq.n
+    for d in divisors(n)[1:]:
+        g = n // d
+        literal = []
+        for i in range(d):
+            w = CycloNum.of(n, 0)
+            for u in totatives(d):
+                w = w + c_seq[-g * u] * zeta_pow(n, g * u * i)
+            literal.append(w)
+        weights = _orbit_weights(n, d, c_seq)
+        if weights is None:
+            assert not any(literal)
+        else:
+            vecs, den = weights
+            assert [CycloNum(n, v, den) for v in vecs] == literal
 
 
 @pytest.mark.parametrize("n", (3, 4, 6, 12))

@@ -25,9 +25,10 @@ from cyclosum.spectra import (
     lagrange_oracle,
     load_sequence,
     parse_family,
+    ramanujan_sum,
     sequence_from_json,
 )
-from cyclosum.verify import GridSpec, run_grid
+from cyclosum.verify import DEFAULT_SEED, GridSpec, random_sequence, run_grid
 
 small_fracs = st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(
     lambda t: Fraction(t[0], t[1])
@@ -143,6 +144,65 @@ def test_cached_spectrum_never_hides_perturbation(spec):
     # the judge's perturbation never reaches a cached comparison
     clean = run_grid(dataclasses.replace(spec, perturb_index=None))
     assert all(case.status == "pass" for case in clean)
+
+
+# The running CycloNum sums the root sums were once built with, kept as the
+# reference for the one-build versions.
+
+def _running_dft_forward(k_seq):
+    n = k_seq.n
+    out = []
+    for k in range(n):
+        acc = CycloNum.of(n, 0)
+        for j in range(n):
+            acc = acc + k_seq[j] * zeta_pow(n, k * j)
+        out.append(acc)
+    return PeriodicSeq(n, out)
+
+
+def _running_dft_inverse(c_seq):
+    n = c_seq.n
+    out = []
+    for j in range(n):
+        acc = CycloNum.of(n, 0)
+        for k in range(n):
+            acc = acc + c_seq[k] * zeta_pow(n, -k * j)
+        out.append(acc * Fraction(1, n))
+    return SpectralSeq(n, out)
+
+
+def _running_ramanujan_sum(n, k):
+    acc = CycloNum.of(n, 0)
+    for j in range(1, n + 1):
+        if gcd(j, n) == 1:
+            acc = acc + zeta_pow(n, k * j)
+    return acc
+
+
+def _oracle_sequences(n):
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    dedekind = st.tuples(
+        st.sampled_from(("fourier-dedekind", "apostol-dedekind")),
+        st.sampled_from(units),
+        st.sampled_from((None, Fraction(1), Fraction(-3, 2))),
+    ).map(lambda t: family(t[0], n, a=t[1], c0=t[2]))
+    return st.one_of(
+        st.integers(0, 3).map(lambda i: random_sequence(n, DEFAULT_SEED, i)),
+        st.just(family("ramanujan", n)),
+        dedekind,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(_oracle_sequences(n), st.integers(-n, 2 * n))))
+def test_root_sums_match_running_cyclonum_sums(case):
+    c_seq, k = case
+    n = c_seq.n
+    assert dft_inverse(c_seq) == _running_dft_inverse(c_seq)
+    k_seq = SpectralSeq(n, c_seq.values)
+    assert dft_forward(k_seq) == _running_dft_forward(k_seq)
+    value = ramanujan_sum(n, k)
+    assert isinstance(value, Fraction) and value == _running_ramanujan_sum(n, k)
 
 
 def test_delta_family():
