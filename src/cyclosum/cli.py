@@ -41,7 +41,7 @@ from .verify import (
     default_grid,
     report_csv_bytes,
     report_json_bytes,
-    run_grid,
+    run_grids,
 )
 
 
@@ -207,11 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             spec.seed = args.seed
         grids.append(spec)
     out_path = None if args.out is None else _resolve_out(args.out)
-    cases = []
-    for spec in grids:
-        cases.extend(run_grid(spec, workers=args.workers))
-    # run_grid sorts each identity's cases; a stable sort on the name merges them
-    cases.sort(key=lambda c: c.identity)
+    cases = run_grids(grids, workers=args.workers)
     report = build_report(args.identity, cases, grids)
     data = report_csv_bytes(report) if args.format == "csv" else report_json_bytes(report)
     summary = report["summary"]

@@ -211,6 +211,12 @@ def test_verify_same_seed_same_bytes(capsys):
     assert outputs[0] == outputs[1]
 
 
+
+def test_verify_all_csv_is_the_same_at_one_and_two_workers(capsys):
+    outputs = [run(capsys, "verify", "--identity", "all", "--workers", w, "--format", "csv") for w in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 19953 + 1
+
 def test_verify_csv_matches_json_cases(capsys):
     _, js, _ = run(capsys, "verify", "--identity", "moebius", "--workers", "1")
     _, cs, _ = run(
@@ -317,12 +323,14 @@ def test_verify_missing_grid_file(capsys):
 
 
 def test_dead_pool_worker_exits_5(capsys, monkeypatch):
-    # the forked workers inherit the patched checker, and the first to run it dies
+    # the forked workers inherit the patched checker, and the first to run it
+    # dies, alone or in the pool that runs every identity of the campaign
     monkeypatch.setitem(verify._CHECKERS, "moebius", lambda **kwargs: os._exit(3))
-    code, out, err = run(capsys, "verify", "--identity", "moebius", "--workers", "2")
-    assert (code, out) == (5, "")
-    assert err.startswith("campaign worker died: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for identity in ("moebius", "all"):
+        code, out, err = run(capsys, "verify", "--identity", identity, "--workers", "2")
+        assert (code, out) == (5, ""), identity
+        assert err.startswith("campaign worker died: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_console_entry_point():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cyclosum
 from cyclosum.arith import divisors, euler_phi, moebius, totatives
-from cyclosum.appell import frobenius_euler
+from cyclosum.appell import apostol_bernoulli, frobenius_euler
 from cyclosum.cyclotomic import CycloNum, zeta_pow
 from cyclosum.dedekind import (
     _e_sum,
@@ -193,6 +193,33 @@ def test_dedekind_reciprocity_through_e_sum():
     for a, b in pairs:
         total = _dedekind_sum_from_e_sum(a, b) + _dedekind_sum_from_e_sum(b, a)
         assert total == Fraction(a * a + b * b + 1, 12 * a * b) - Fraction(1, 4), (a, b)
+
+
+
+# Apostol-type sums at odd m: with Bbar_m(x) = B_m(x - floor(x)) the periodic
+# Bernoulli function,
+#   e_sum(m, n, 0, 1, 1, F_a)(0)
+#     = -+ (n^m / m) sum_{j=1}^{n-1} ((j/n)) Bbar_m(aj/n) + [m = 1] (n - 1)/4,
+# minus for fourier-dedekind and plus for apostol-dedekind weights.
+
+def _sawtooth_apostol_sum(m, a, n):
+    bernoulli = apostol_bernoulli(m, 1)
+    total = Fraction(0)
+    for j in range(1, n):
+        x = Fraction(a * j, n)
+        total += _sawtooth(Fraction(j, n)) * bernoulli.eval_at(x - floor(x))
+    return total
+
+
+def test_apostol_sums_at_odd_m_come_from_e_sum():
+    cases = [(m, a, n) for m in (1, 3, 5) for n in range(2, 13) for a in range(1, n) if gcd(a, n) == 1]
+    assert len(cases) == 135
+    for m, a, n in cases:
+        oracle = Fraction(n**m, m) * _sawtooth_apostol_sum(m, a, n)
+        extra = Fraction(n - 1, 4) if m == 1 else 0
+        for name, sign in (("fourier-dedekind", -1), ("apostol-dedekind", 1)):
+            value = e_sum(m, n, 0, 1, 1, family(name, n, a=a))[0]
+            assert value == sign * oracle + extra, (name, m, a, n)
 
 
 # The only caches allowed to grow without limit: each holds a bounded number

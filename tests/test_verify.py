@@ -25,8 +25,8 @@ from cyclosum.verify import (
     _bernoulli_basis,
     _enumerate_jobs,
     _gseries_terms,
+    _judge,
     _prop2_rhs,
-    _run_group,
     _spectrum_matrix,
     build_report,
     check_gseries_chain,
@@ -39,6 +39,7 @@ from cyclosum.verify import (
     report_json_bytes,
     resolve_sequences,
     run_grid,
+    run_grids,
 )
 
 from test_dedekind import series_cases
@@ -63,13 +64,24 @@ JUDGED_JOBS = [
 ]
 
 
+def _judged(identity, group, perturbs=None):
+    """The cases of one key group, judged by _judge on the first job's
+    checker kwargs and labelled with each job's params, as run_grids does."""
+    perturbs = tuple(perturbs or [False] * len(group))
+    kwargs = {k: v for k, v in group[0].items() if k != "seq_desc"}
+    params = verify._IDENTITY_TABLE[identity].params
+    verdicts = _judge((identity, kwargs, perturbs))
+    assert len(verdicts) == len(group)
+    return [IdentityCase(identity, params(kw), *v) for kw, v in zip(group, verdicts)]
+
+
 def test_checkers_pass_and_perturb_fails(checker_calls):
     for identity, kwargs, reason in JUDGED_JOBS:
         calls = checker_calls(identity)
-        [good] = _run_group((identity, [dict(kwargs)]))
+        [good] = _judged(identity, [kwargs])
         assert (good.status, good.reason, good.lhs, good.rhs) == ("pass", None, None, None), identity
         # one checker call decides the group, and only the perturbed job fails
-        again, bad = _run_group((identity, [dict(kwargs), dict(kwargs, perturb=True)]))
+        again, bad = _judged(identity, [kwargs, kwargs], [False, True])
         assert len(calls) == 2
         assert again == good and bad.params == good.params
         # the judge adds 1 to the right side of the checker's first comparison
@@ -130,7 +142,7 @@ def _tagged_sort_key(case):
 
 
 def test_case_sort_orders_numerically():
-    a, b = _run_group(("moebius", [{"n": 2}])) + _run_group(("moebius", [{"n": 10}]))
+    a, b = _judged("moebius", [{"n": 2}]) + _judged("moebius", [{"n": 10}])
     assert a.sort_key() < b.sort_key()
     # the flat key orders a shuffled default grid as the tagged key does
     for identity in IDENTITIES:
@@ -140,7 +152,7 @@ def test_case_sort_orders_numerically():
 
 
 def test_case_json_omits_empty_fields():
-    [case] = _run_group(("mult", [{"m": 2, "n": 3, "lam": 2}]))
+    [case] = _judged("mult", [{"m": 2, "n": 3, "lam": 2}])
     obj = case.to_json()
     assert set(obj) == {"identity", "params", "status"}
 
@@ -528,6 +540,57 @@ def test_run_grid_deterministic_across_workers():
         serial = run_grid(spec, workers=1)
         parallel = run_grid(spec, workers=3)
         assert [c.to_json() for c in serial] == [c.to_json() for c in parallel]
+
+
+def test_judge_decides_the_group_once_and_the_perturbed_case_again(checker_calls):
+    calls = checker_calls("moebius")
+    verdicts = _judge(("moebius", {"n": 6}, (False, True, False)))
+    assert len(calls) == 1
+    assert verdicts[0] is verdicts[2] is verify._PASS
+    assert verdicts[1][:2] == ("fail", "divisor-sum form disagrees with the totative indicator")
+    reason = "lambda = zeta_4^(-2): the k=2 term of the sum divides by zero"
+    kwargs = {"m": 2, "n": 4, "r": 0, "p": 1, "lam": -1, "c_seq": RAM4}
+    assert _judge(("prop2", kwargs, (True, False))) == [("skipped", reason)] * 2
+
+
+# one small grid per identity: prop2 has lambda = -1 colliding at n = 2,
+# and mult carries a perturbed case
+MIXED_GRIDS = [
+    GridSpec("prop1", n=(3, 4), r=(0, 1, 5), sequences=("random:1", "delta")),
+    GridSpec("prop2", m=(1, 2), n=(2, 3), r=(0, 1), p=(0, 1), lambdas=(Fraction(2), Fraction(-1)),
+             sequences=("ramanujan",)),
+    GridSpec("mult", m=(1, 2), n=(2, 3), lambdas=(Fraction(2),), perturb_index=1),
+    GridSpec("section4", m=(1, 2), n=(2, 3), rp_pairs=((1, 0), (0, 1)), lambdas=(Fraction(2),)),
+    GridSpec("moebius", n=(2, 3, 4)),
+    GridSpec("gseries", n=(2,), r=(0, 1), p=(1,), lambdas=(Fraction(2),), sequences=("delta",), order=2),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_grids_matches_one_run_grid_per_identity(workers):
+    # the campaign loop that ran one grid at a time: run_grid per spec, then
+    # a stable sort on the identity
+    expected = [case for spec in MIXED_GRIDS for case in run_grid(spec)]
+    expected.sort(key=lambda c: c.identity)
+    cases = run_grids(MIXED_GRIDS, workers=workers)
+    assert [c.to_json() for c in cases] == [c.to_json() for c in expected]
+    statuses = [c.status for c in cases]
+    assert statuses.count("fail") == 1 and "skipped" in statuses
+    assert {c.identity for c in cases} == set(IDENTITIES)
+
+
+def test_pool_is_capped_at_its_number_of_chunks(monkeypatch):
+    sizes = []
+
+    class Recording(verify.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", Recording)
+    cases = run_grid(GridSpec("moebius", n=(2, 3)), workers=50)
+    assert [c.status for c in cases] == ["pass", "pass"]
+    assert sizes == [2]
 
 
 def _run_grid_per_job(spec):
