@@ -41,6 +41,7 @@ from .verify import (
     default_grid,
     report_csv_bytes,
     report_json_bytes,
+    run_grid,
     run_grids,
 )
 
@@ -207,7 +208,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             spec.seed = args.seed
         grids.append(spec)
     out_path = None if args.out is None else _resolve_out(args.out)
-    cases = run_grids(grids, workers=args.workers)
+    # a one-grid campaign goes through run_grid, the call perfbench's tracer
+    # models when it counts the bytes the pool pickles
+    if len(grids) == 1:
+        cases = run_grid(grids[0], workers=args.workers)
+    else:
+        cases = run_grids(grids, workers=args.workers)
     report = build_report(args.identity, cases, grids)
     data = report_csv_bytes(report) if args.format == "csv" else report_json_bytes(report)
     summary = report["summary"]

@@ -211,11 +211,11 @@ def test_verify_same_seed_same_bytes(capsys):
     assert outputs[0] == outputs[1]
 
 
-
 def test_verify_all_csv_is_the_same_at_one_and_two_workers(capsys):
     outputs = [run(capsys, "verify", "--identity", "all", "--workers", w, "--format", "csv") for w in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 19953 + 1
+
 
 def test_verify_csv_matches_json_cases(capsys):
     _, js, _ = run(capsys, "verify", "--identity", "moebius", "--workers", "1")

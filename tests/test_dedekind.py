@@ -195,7 +195,6 @@ def test_dedekind_reciprocity_through_e_sum():
         assert total == Fraction(a * a + b * b + 1, 12 * a * b) - Fraction(1, 4), (a, b)
 
 
-
 # Apostol-type sums at odd m: with Bbar_m(x) = B_m(x - floor(x)) the periodic
 # Bernoulli function,
 #   e_sum(m, n, 0, 1, 1, F_a)(0)
