@@ -211,10 +211,19 @@ def test_verify_same_seed_same_bytes(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_verify_all_csv_is_the_same_at_one_and_two_workers(capsys):
+def test_verify_all_csv_is_the_same_at_one_and_two_workers(capsys, monkeypatch):
+    pools = []
+
+    class Recording(verify.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", Recording)
     outputs = [run(capsys, "verify", "--identity", "all", "--workers", w, "--format", "csv") for w in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 19953 + 1
+    assert pools == [2]  # one pool for the whole campaign
 
 
 def test_verify_csv_matches_json_cases(capsys):
