@@ -19,7 +19,8 @@ r and p only through s = (r + p) mod n, up to the sign (-1)^p.  For
 rational lam the terms fall into Galois orbits: with d = n/gcd(k, n), the
 k-th term is sigma_u of the level-d seed H_{m-1}^{(0)}(q, lam, zeta_d^{-1}),
 and s rotates the orbit's weights.  So _e_sum builds one Frobenius-Euler
-polynomial per divisor d > 1 of n, not one per k.
+polynomial per divisor d > 1 of n, not one per k, and the weights of one
+orbit are one spectra.root_sums table.
 
 g_series_oracle is the independent series route: the closed form of the
 generating function whose EGF coefficient m must equal e_sum at index m+1.
@@ -39,7 +40,7 @@ from .cyclotomic import CycloNum, common_den, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
 from .qpoly import QPoly, q, sum_of_matrix_products, sum_of_products
 from .series import TruncSeries, weighted_sum
-from .spectra import PeriodicSeq, ramanujan_sum, root_sum
+from .spectra import PeriodicSeq, ramanujan_sum, root_sums
 
 __all__ = ["e_sum", "g_series_oracle", "v_sum", "ramanujan_sum"]
 
@@ -109,13 +110,11 @@ def _orbit_weights(n: int, d: int, c_seq: PeriodicSeq):
     g = n/d, for i < d, as (vecs, den): vecs[i] / den holds the coordinates
     of W_i.  None when every W_i vanishes."""
     g = n // d
-    ws = [
-        CycloNum.of(n, root_sum(n, ((1, c_seq[-g * u], g * u * i) for u in totatives(d))))
-        for i in range(d)
-    ]
+    tots = totatives(d)
+    ws = root_sums(n, [c_seq[-g * u] for u in tots], ([g * u * i for u in tots] for i in range(d)))
     if not any(ws):
         return None
-    return common_den(ws)
+    return common_den([CycloNum.of(n, w) for w in ws])
 
 
 def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> TruncSeries:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or "a".  Rejects floats, whitespace and empty strings."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """Parse "a/b" or "a" in ASCII digits.  Rejects floats, whitespace,
+    other digit scripts and empty strings."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")

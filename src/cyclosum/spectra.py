@@ -2,6 +2,10 @@
 weight families, and the interpolation polynomial attached to a shifted
 spectrum, with the Lagrange construction as an independent second path.
 
+Both DFTs and the Ramanujan sums are tables of weighted sums over the n-th
+roots of unity; root_sums builds each table in one integer pass, by
+exponent mod n.  The Lagrange path does not use it.
+
 Indexing is always mod n with nonnegative representative, so C[-k] and
 K[j - r - p + 1] mean exactly what the summation formulas want.
 """
@@ -10,13 +14,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
-from .arith import totatives
-from .cyclotomic import CycloNum, cyclo_inv, scalar_from_json, zeta_pow
+from . import _kernel as _K
+from .arith import euler_phi, totatives
+from .cyclotomic import CycloNum, _cancel, cyclo_inv, scalar_from_json, zeta_pow
 from .errors import InvalidParam, SequenceFileError
-from .qpoly import QPoly, sum_of_products
+from .qpoly import QPoly, _scalar_parts, sum_of_products
 from .scalars import format_rational, parse_rational
 
 
@@ -72,17 +77,45 @@ class SpectralSeq(_Cycle):
     """The spectrum K = {K_j} of a periodic sequence."""
 
 
-def root_sum(n: int, terms):
-    """sum c * x * zeta_n^e over the (c, x, e) terms, built by one
-    sum_of_products: a Fraction when rational, else a level-n CycloNum."""
-    return sum_of_products((c, x, zeta_pow(n, e)) for c, x, e in terms)[0]
+def root_sums(n: int, xs, exponent_rows, den: int = 1) -> list:
+    """The table of sums sum_k xs[k] * zeta_n^(row[k]) / den, one per row
+    of exponent_rows: a Fraction when rational, else a canonical level-n
+    CycloNum.
+
+    The xs go over one common denominator once.  Since zeta_n^n = 1, each
+    row adds their numerators into n buckets by exponent mod n and takes
+    the buckets into the basis once: bucket e < phi(n) is coordinate e, and
+    a nonzero bucket e >= phi(n) adds its value times zeta_pow(n, e).
+    """
+    phi = euler_phi(n)
+    parts = [_scalar_parts(x) for x in xs]
+    if any(level not in (1, n) for level, _, _ in parts):
+        raise ValueError("cross-level cyclotomic arithmetic")
+    common = lcm(*(d for _, _, d in parts))
+    terms = [
+        [(t, v * (common // d)) for t, v in enumerate(nums) if v] for _, nums, d in parts
+    ]
+    high = [zeta_pow(n, e).nums for e in range(phi, n)]
+    common *= den
+    out = []
+    for exps in exponent_rows:
+        acc = [0] * n
+        for term, e in zip(terms, exps):
+            for t, v in term:
+                acc[(t + e) % n] += v
+        nums = acc[:phi]
+        for row, v in zip(high, acc[phi:]):
+            if v:
+                nums = _K.vec_lincomb(nums, row, 1, v)
+        out.append(_cancel(n, nums, common) if any(nums[1:]) else Fraction(nums[0], common))
+    return out
 
 
 def dft_forward(k_seq: SpectralSeq) -> PeriodicSeq:
     """C_k = sum_j K_j zeta_n^{kj}."""
     n = k_seq.n
     return PeriodicSeq(
-        n, [root_sum(n, ((1, kj, k * j) for j, kj in enumerate(k_seq))) for k in range(n)]
+        n, root_sums(n, k_seq.values, ([k * j for j in range(n)] for k in range(n)))
     )
 
 
@@ -91,24 +124,31 @@ def dft_inverse(c_seq: PeriodicSeq) -> SpectralSeq:
     """K_j = (1/n) sum_k C_k zeta_n^{-kj}; exact inverse of dft_forward.
 
     Cached by the sequence's value: a campaign asks for the spectrum of the
-    same few sequences once per case.  The result is immutable.
+    same few sequences once per key.  The result is immutable.
     """
     n = c_seq.n
-    w = Fraction(1, n)
     return SpectralSeq(
-        n, [root_sum(n, ((w, ck, -k * j) for k, ck in enumerate(c_seq))) for j in range(n)]
+        n, root_sums(n, c_seq.values, ([-k * j for k in range(n)] for j in range(n)), den=n)
     )
 
 
-def ramanujan_sum(n: int, k: int) -> Fraction:
-    """c_n(k) = sum over totatives j of zeta_n^{kj}; rational by Galois
-    invariance (the totative powers permute under every automorphism)."""
+def ramanujan_sums(n: int, ks) -> list[Fraction]:
+    """c_n(k) = sum over totatives j of zeta_n^{kj} for each k in ks, as
+    one table; rational by Galois invariance (the totative powers permute
+    under every automorphism)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = root_sum(n, ((1, 1, k * j) for j in totatives(n)))
-    if not isinstance(r, Fraction):
-        raise ArithmeticError(f"c_{n}({k}) came out irrational; reduction bug")
-    return r
+    tots = totatives(n)
+    sums = root_sums(n, [1] * len(tots), ([k * j for j in tots] for k in ks))
+    for k, r in zip(ks, sums):
+        if not isinstance(r, Fraction):
+            raise ArithmeticError(f"c_{n}({k}) came out irrational; reduction bug")
+    return sums
+
+
+def ramanujan_sum(n: int, k: int) -> Fraction:
+    """The Ramanujan sum c_n(k)."""
+    return ramanujan_sums(n, (k,))[0]
 
 
 FAMILY_NAMES = ("delta", "ramanujan", "fourier-dedekind", "apostol-dedekind")
@@ -125,7 +165,7 @@ def family(name: str, n: int, a: int | None = None, c0=None) -> PeriodicSeq:
     if name == "delta":
         return PeriodicSeq(n, [n] + [0] * (n - 1))
     if name == "ramanujan":
-        return PeriodicSeq(n, [ramanujan_sum(n, k) for k in range(n)])
+        return PeriodicSeq(n, ramanujan_sums(n, range(n)))
     if name in ("fourier-dedekind", "apostol-dedekind"):
         if a is None:
             raise InvalidParam(f"family {name} needs parameter a")

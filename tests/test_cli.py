@@ -315,6 +315,19 @@ def test_verify_bad_axis_values_exit_2(capsys, tmp_path):
         assert "bad grid" in err and named in err
 
 
+def test_verify_rejects_non_ascii_and_newline_rationals(capsys, tmp_path):
+    grid = {"identity": "mult", "m": [2], "n": [2], "lambdas": ["2\n"]}
+    code, out, err = _verify_grid(capsys, tmp_path, grid)
+    assert (code, out) == (2, "")
+    assert "bad grid" in err
+    seq = tmp_path / "c.json"
+    seq.write_text(json.dumps({"n": 3, "values": ["1", "\u0663", "0"]}))
+    grid = {"identity": "prop1", "n": [3], "r": [0], "sequences": [f"file:{seq}"]}
+    code, out, err = _verify_grid(capsys, tmp_path, grid)
+    assert (code, out) == (4, "")
+    assert "bad sequence value" in err
+
+
 def test_verify_rejects_nonpositive_workers(capsys):
     for workers in ("0", "-2"):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from cyclosum.cyclotomic import (
     normalize_scalar,
     zeta_pow,
 )
+from cyclosum.scalars import parse_rational
 
 # degree-phi(n) coefficient vectors for a few interesting levels
 levels = st.sampled_from((3, 4, 5, 6, 8, 12))
@@ -125,6 +126,30 @@ def test_json_roundtrip():
 def test_json_rejects_wrong_arity():
     with pytest.raises(ValueError):
         CycloNum.from_json({"level": 4, "coeffs": ["1", "2", "3"]})
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    (
+        ("7", 7), ("-3/4", Fraction(-3, 4)), ("+5", 5),
+        ("6/4", Fraction(3, 2)), ("007/02", Fraction(7, 2)),
+    ),
+)
+def test_parse_rational_accepts_ascii_literals(text, want):
+    assert parse_rational(text) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    # trailing newline, fullwidth and Arabic-Indic digits, whitespace, floats
+    (
+        "2\n", "1/2\n", "\uff13", "1/\u0663", " 2", "1 /2",
+        "0.5", "1e3", "", "/2", "1/", "1/0", "--1",
+    ),
+)
+def test_parse_rational_rejects_everything_else(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 def test_canonical_str_rational_vs_not():

@@ -307,9 +307,7 @@ def test_orbit_e_sum_matches_literal_sum(case):
     assert (got.level == 1) == all(isinstance(v, Fraction) for v in got.coeffs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 15).flatmap(_sequences))
-def test_orbit_weights_match_literal_weights(c_seq):
+def _assert_orbit_weights_match_literal_weights(c_seq):
     # W_i = sum_{u in (Z/d)^*} C_{-gu} zeta_n^{gui}, g = n/d, as a running sum
     n = c_seq.n
     for d in divisors(n)[1:]:
@@ -326,6 +324,28 @@ def test_orbit_weights_match_literal_weights(c_seq):
         else:
             vecs, den = weights
             assert [CycloNum(n, v, den) for v in vecs] == literal
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 15).flatmap(_sequences))
+def test_orbit_weights_match_literal_weights(c_seq):
+    _assert_orbit_weights_match_literal_weights(c_seq)
+
+
+# n - 1 > 2 phi(n) - 2 at n = 30 and 42; n = 35 and 45 are the benchmark's
+# high levels
+@pytest.mark.parametrize(
+    "n, c_seq",
+    (
+        (30, lambda: random_sequence(30, DEFAULT_SEED, 1)),
+        (42, lambda: family("fourier-dedekind", 42, a=5)),
+        (35, lambda: family("ramanujan", 35)),
+        (45, lambda: family("apostol-dedekind", 45, a=2)),
+    ),
+    ids=("30-random", "42-fourier-dedekind", "35-ramanujan", "45-apostol-dedekind"),
+)
+def test_orbit_weights_at_high_and_wide_levels(n, c_seq):
+    _assert_orbit_weights_match_literal_weights(c_seq())
 
 
 @pytest.mark.parametrize("n", (3, 4, 6, 12))

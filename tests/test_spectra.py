@@ -26,6 +26,7 @@ from cyclosum.spectra import (
     load_sequence,
     parse_family,
     ramanujan_sum,
+    root_sums,
     sequence_from_json,
 )
 from cyclosum.verify import DEFAULT_SEED, GridSpec, random_sequence, run_grid
@@ -203,6 +204,47 @@ def test_root_sums_match_running_cyclonum_sums(case):
     assert dft_forward(k_seq) == _running_dft_forward(k_seq)
     value = ramanujan_sum(n, k)
     assert isinstance(value, Fraction) and value == _running_ramanujan_sum(n, k)
+
+
+# n - 1 > 2 phi(n) - 2 at n = 30 and 42, so their top exponents lie past the
+# reduction rows; n = 35 and 45 are the high levels of the benchmark grid.
+HIGH_LEVEL_SEQUENCES = (
+    (30, "random"), (30, "fourier-dedekind"), (42, "ramanujan"), (42, "apostol-dedekind"),
+    (35, "ramanujan"), (35, "fourier-dedekind"), (45, "random"),
+)
+
+
+def _high_level_sequence(n, kind):
+    if kind == "random":
+        return random_sequence(n, DEFAULT_SEED, 0)
+    if kind == "ramanujan":
+        return family(kind, n)
+    a = next(u for u in range(2, n) if gcd(u, n) == 1)
+    return family(kind, n, a=a, c0=Fraction(-3, 2))
+
+
+@pytest.mark.parametrize(
+    "n, kind", HIGH_LEVEL_SEQUENCES, ids=[f"{n}-{k}" for n, k in HIGH_LEVEL_SEQUENCES]
+)
+def test_root_sums_at_high_and_wide_levels(n, kind):
+    c_seq = _high_level_sequence(n, kind)
+    assert dft_inverse(c_seq) == _running_dft_inverse(c_seq)
+    k_seq = SpectralSeq(n, c_seq.values)
+    assert dft_forward(k_seq) == _running_dft_forward(k_seq)
+
+
+@pytest.mark.parametrize("n", (30, 35, 42, 45))
+def test_ramanujan_family_at_high_and_wide_levels(n):
+    got = family("ramanujan", n)
+    assert all(isinstance(v.is_rational(), Fraction) for v in got)
+    assert list(got) == [_running_ramanujan_sum(n, k) for k in range(n)]
+
+
+def test_root_sums_refuse_an_irrational_term_of_another_level():
+    with pytest.raises(ValueError, match="cross-level"):
+        root_sums(4, [1, zeta_pow(3, 1)], [[0, 1]])
+    # a rational value of any level is welcome
+    assert root_sums(4, [1, CycloNum.of(3, 2)], [[0, 2]]) == [Fraction(-1)]
 
 
 def test_delta_family():
