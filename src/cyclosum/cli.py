@@ -20,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import CycloNum, format_scalar, zeta_pow
+from .cyclotomic import format_scalar, scalar_from_json, zeta_pow
 from .appell import apostol_bernoulli, frobenius_euler
 from .dedekind import e_sum, ramanujan_sum, v_sum
 from .errors import (
@@ -78,9 +78,7 @@ def _parse_gamma(text: str):
         if len(parts) != 3:
             raise ValueError(f"bad zeta form {text!r}; expected zeta:n:k")
         return zeta_pow(int(parts[1]), int(parts[2]))
-    if text.lstrip().startswith("{"):
-        return CycloNum.from_json(json.loads(text))
-    return parse_rational(text)
+    return scalar_from_json(json.loads(text) if text.lstrip().startswith("{") else text)
 
 
 def _resolve_seq_arg(text: str, n: int):

@@ -6,8 +6,11 @@ mod Phi_n (a field) rather than mod x^n - 1 (a ring with zero divisors)
 keeps every nonzero element invertible, which the weighted root-of-unity
 sums rely on.  The integer-vector loops go through cyclosum._kernel.
 
-Levels never mix: a rational embeds into any level, but zeta_m and zeta_n
-of different levels refuse arithmetic rather than coerce.
+This module alone takes exact scalars apart (_scalar_parts refuses a float
+or a string with TypeError), builds them back (_scalar) and decides their
+level (_join_levels), for CycloNum, QPoly and root sums alike: a rational
+embeds into any level, but zeta_m and zeta_n of different levels refuse
+arithmetic rather than coerce.
 """
 from __future__ import annotations
 
@@ -111,23 +114,23 @@ class CycloNum:
 
     @classmethod
     def of(cls, level: int, value) -> CycloNum:
-        """Embed an int, Fraction, or same-level CycloNum at this level."""
-        if isinstance(value, CycloNum):
-            if value.level == level:
-                return value
-            r = value.is_rational()
-            if r is None:
-                raise ValueError("cross-level cyclotomic coercion")
-            value = r
-        value = Fraction(value)
-        return _make(level, (value.numerator,) + (0,) * (euler_phi(level) - 1), value.denominator)
+        """Embed an int, a Fraction, a rational CycloNum or a same-level
+        CycloNum at this level."""
+        if isinstance(value, CycloNum) and value.level == level:
+            return value
+        lv, nums, den = _scalar_parts(value)
+        if lv != 1:
+            raise ValueError("cross-level cyclotomic coercion")
+        return _make(level, nums + (0,) * (euler_phi(level) - 1), den)
 
     @classmethod
     def from_coeffs(cls, level: int, coeffs) -> CycloNum:
         """Build from phi(n) rational coordinates."""
-        fr = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in fr)) if fr else 1
-        return cls(level, [c.numerator * (den // c.denominator) for c in fr], den)
+        parts = [_scalar_parts(c) for c in coeffs]
+        if any(lv != 1 for lv, _, _ in parts):
+            raise TypeError("cyclotomic coordinates must be rational")
+        den = lcm(*(d for _, _, d in parts))
+        return cls(level, [nums[0] * (den // d) for _, nums, d in parts], den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -161,17 +164,18 @@ class CycloNum:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        r = _ratio(other)
-        if r is not None:
-            return _scaled(self, *r)
-        if not isinstance(other, CycloNum):
+        if not isinstance(other, _EXACT):
             return NotImplemented
-        r = _ratio(self)
-        if r is not None:
-            return _scaled(other, *r)
-        a, b = _one_level(self, other)
-        nums = _K.reduce_cyclo(_K.conv(a.nums, b.nums), _reduction_rows(a.level), len(a.nums))
-        return _cancel(a.level, nums, a.den * b.den)
+        level, nums, den = _scalar_parts(other)
+        if level == 1:
+            return _scaled(self, nums[0], den)
+        own, nums, den = _scalar_parts(self)
+        if own == 1:
+            return _scaled(other, nums[0], den)
+        if own != level:
+            level = _join_levels((own, level))
+        nums = _K.reduce_cyclo(_K.conv(self.nums, other.nums), _reduction_rows(level), len(self.nums))
+        return _cancel(level, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -246,6 +250,45 @@ class CycloNum:
         return f"CycloNum({self.canonical_str()})"
 
 
+# CycloNum first: isinstance against Fraction, an ABC, is the slow test
+_EXACT = (CycloNum, int, Fraction)
+
+
+def _scalar_parts(x) -> tuple[int, tuple[int, ...], int]:
+    """(level, numerators, den) of an exact scalar; rational values,
+    rational CycloNums included, at level 1."""
+    if isinstance(x, CycloNum):
+        if any(x.nums[1:]):
+            return x.level, x.nums, x.den
+        return 1, x.nums[:1], x.den
+    if isinstance(x, int):
+        return 1, (x,), 1
+    if isinstance(x, Fraction):
+        return 1, (x.numerator,), x.denominator
+    raise TypeError(f"not an exact scalar: {x!r}")
+
+
+def _join_levels(levels) -> int:
+    """The level of an operation on scalars at `levels`, as _scalar_parts
+    gives them: the one irrational level among them, or 1 when there is
+    none.  Two different irrational levels refuse arithmetic."""
+    level = 1
+    for lv in levels:
+        if lv != level and lv != 1:
+            if level != 1:
+                raise ValueError("cross-level cyclotomic arithmetic")
+            level = lv
+    return level
+
+
+def _scalar(level: int, row: tuple[int, ...], den: int):
+    """The scalar with numerators row over den > 0 at this level: a
+    Fraction when rational, else a canonical CycloNum."""
+    if level == 1 or not any(row[1:]):
+        return Fraction(row[0], den)
+    return _cancel(level, row, den)
+
+
 def scalar_from_json(item):
     """An exact scalar from JSON: "a/b", an integer (not a boolean) or a
     {"level", "coeffs"} object.  Anything else raises ValueError."""
@@ -283,18 +326,6 @@ def common_den(vals) -> tuple[tuple[list[int], ...], int]:
     return tuple(_K.vec_scale(v.nums, den // v.den) for v in vals), den
 
 
-def _ratio(x) -> tuple[int, int] | None:
-    """(p, q) with x = p/q in lowest terms, q > 0, for a rational scalar or a
-    rational-valued CycloNum; None for anything else."""
-    if isinstance(x, CycloNum):
-        return None if any(x.nums[1:]) else (x.nums[0], x.den)
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    return None
-
-
 def _scaled(a: CycloNum, p: int, q: int) -> CycloNum:
     """a * p/q for p/q in lowest terms.
 
@@ -313,19 +344,19 @@ def _scaled(a: CycloNum, p: int, q: int) -> CycloNum:
 
 
 def _one_level(a: CycloNum, b) -> tuple[CycloNum, CycloNum]:
-    """a and b at one level, for b an int, a Fraction or a CycloNum: a
-    rational side takes the other side's level; two irrational levels
-    refuse arithmetic."""
-    if isinstance(b, CycloNum) and b.level != a.level and any(b.nums[1:]):
-        if any(a.nums[1:]):
-            raise ValueError("cross-level cyclotomic arithmetic")
-        return CycloNum.of(b.level, a), b
-    return a, CycloNum.of(a.level, b)
+    """a and b at one level, for b an int, a Fraction or a CycloNum: the
+    level _join_levels gives them, a's own when b is rational."""
+    if isinstance(b, CycloNum) and b.level == a.level:
+        return a, b
+    level = _scalar_parts(b)[0]
+    if level == 1:
+        return a, CycloNum.of(a.level, b)
+    return CycloNum.of(_join_levels((_scalar_parts(a)[0], level)), a), b
 
 
 def _lincomb(a: CycloNum, b, sign: int):
     """a + sign * b for an exact scalar b; NotImplemented for anything else."""
-    if not isinstance(b, (int, Fraction, CycloNum)):
+    if not isinstance(b, _EXACT):
         return NotImplemented
     a, b = _one_level(a, b)
     nums = _K.vec_lincomb(a.nums, b.nums, b.den, sign * a.den)

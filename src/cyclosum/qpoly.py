@@ -11,8 +11,9 @@ zero row; the numerators and den share no common factor; the zero
 polynomial is level 1 with rows () and den 1; level == 1 exactly when every
 coefficient is rational.  Equality and hashing compare (level, rows, den).
 
-A rational operand is lifted into the other operand's level; two different
-irrational levels refuse arithmetic, as CycloNum does.  Every product goes
+The level rule is cyclotomic._join_levels, for CycloNum, QPoly and root
+sums alike: a rational operand is lifted into the other operand's level;
+two different irrational levels refuse arithmetic.  Every product goes
 through sum_of_products, which accumulates the unreduced row products of a
 whole sum over one common denominator, reduces each row modulo Phi_level
 once and cancels the matrix once.  A sum whose factors are already integer
@@ -31,7 +32,7 @@ from typing import Iterable
 
 from . import _kernel as _K
 from .arith import euler_phi
-from .cyclotomic import CycloNum, _cancel, _reduction_rows
+from .cyclotomic import _EXACT, CycloNum, _join_levels, _reduction_rows, _scalar, _scalar_parts
 from .errors import NotDivisible
 from .scalars import format_rational
 
@@ -251,7 +252,7 @@ class QPoly:
         return f"QPoly({self.to_str()!r})"
 
 
-_SCALARS = (QPoly, int, Fraction, CycloNum)
+_SCALARS = (QPoly,) + _EXACT
 
 
 def sum_of_products(terms) -> QPoly:
@@ -373,38 +374,6 @@ def _factor(x):
     p = object.__new__(QPoly)
     p.level, p.rows, p.den = level, (nums,), den
     return p
-
-
-def _scalar_parts(x) -> tuple[int, tuple[int, ...], int]:
-    """(level, numerators, den) of an exact scalar; rational values,
-    rational CycloNums included, at level 1."""
-    if isinstance(x, int):
-        return 1, (x,), 1
-    if isinstance(x, Fraction):
-        return 1, (x.numerator,), x.denominator
-    if isinstance(x, CycloNum):
-        if any(x.nums[1:]):
-            return x.level, x.nums, x.den
-        return 1, x.nums[:1], x.den
-    raise TypeError(f"not an exact scalar: {x!r}")
-
-
-def _join_levels(levels) -> int:
-    """The one irrational level among `levels`, or 1 when there is none."""
-    level = 1
-    for lv in levels:
-        if lv != level and lv != 1:
-            if level != 1:
-                raise ValueError("cross-level cyclotomic arithmetic")
-            level = lv
-    return level
-
-
-def _scalar(level: int, row: tuple[int, ...], den: int):
-    """One coefficient: Fraction when rational, else a canonical CycloNum."""
-    if level == 1 or not any(row[1:]):
-        return Fraction(row[0], den)
-    return _cancel(level, row, den)
 
 
 def _canon(level: int, flat, den: int) -> tuple[int, tuple[tuple[int, ...], ...], int]:

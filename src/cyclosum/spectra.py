@@ -14,15 +14,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from pathlib import Path
 
 from . import _kernel as _K
 from .arith import euler_phi, totatives
-from .cyclotomic import CycloNum, _cancel, cyclo_inv, scalar_from_json, zeta_pow
+from .cyclotomic import CycloNum, _join_levels, _scalar, _scalar_parts, cyclo_inv, scalar_from_json, zeta_pow
 from .errors import InvalidParam, SequenceFileError
-from .qpoly import QPoly, _scalar_parts, sum_of_products
-from .scalars import format_rational, parse_rational
+from .qpoly import QPoly, sum_of_products
+from .scalars import parse_rational
 
 
 class _Cycle:
@@ -58,13 +59,6 @@ class _Cycle:
     def __hash__(self) -> int:
         return self._hash
 
-    def to_json(self) -> dict:
-        vals = []
-        for v in self.values:
-            r = v.is_rational()
-            vals.append(format_rational(r) if r is not None else v.to_json())
-        return {"n": self.n, "values": vals}
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n}, {[v.canonical_str() for v in self.values]})"
 
@@ -89,8 +83,8 @@ def root_sums(n: int, xs, exponent_rows, den: int = 1) -> list:
     """
     phi = euler_phi(n)
     parts = [_scalar_parts(x) for x in xs]
-    if any(level not in (1, n) for level, _, _ in parts):
-        raise ValueError("cross-level cyclotomic arithmetic")
+    # every x is rational or at level n; n = 1 joins as 2, the same field
+    _join_levels(chain((max(n, 2),), (level for level, _, _ in parts)))
     common = lcm(*(d for _, _, d in parts))
     terms = [
         [(t, v * (common // d)) for t, v in enumerate(nums) if v] for _, nums, d in parts
@@ -107,7 +101,7 @@ def root_sums(n: int, xs, exponent_rows, den: int = 1) -> list:
         for row, v in zip(high, acc[phi:]):
             if v:
                 nums = _K.vec_lincomb(nums, row, 1, v)
-        out.append(_cancel(n, nums, common) if any(nums[1:]) else Fraction(nums[0], common))
+        out.append(_scalar(n, nums, common))
     return out
 
 
@@ -173,11 +167,12 @@ def family(name: str, n: int, a: int | None = None, c0=None) -> PeriodicSeq:
             raise InvalidParam(
                 f"family {name} needs gcd(a, n) = 1, got gcd({a}, {n}) = {gcd(a, n)}"
             )
+        # 1/(1 - w) = -(1/n) sum_{i<n} i w^i for an n-th root of unity
+        # w != 1, here w = zeta_n^(sign*a*k) with 0 < k < n
         sign = -1 if name == "fourier-dedekind" else 1
-        vals = [c0 if c0 is not None else 0]
-        for k in range(1, n):
-            vals.append(cyclo_inv(1 - zeta_pow(n, sign * a * k)))
-        return PeriodicSeq(n, vals)
+        rows = ([sign * a * k * i for i in range(n)] for k in range(1, n))
+        vals = root_sums(n, range(0, -n, -1), rows, den=n)
+        return PeriodicSeq(n, [c0 if c0 is not None else 0] + vals)
     raise InvalidParam(f"unknown sequence family {name!r}")
 
 

@@ -269,6 +269,9 @@ class _Identity:
     key: Callable[[dict], tuple]  # a job's kwargs -> the values its comparisons depend on
     least: dict[str, int]  # smallest value of an axis that the checker accepts
     defaults: dict  # GridSpec fields of the default (acceptance) grid
+    # mean checker-call time on the default grid, measured: the pool gets the
+    # costliest groups first, so that no worker is left alone with them
+    cost_ms: float
 
 
 _IDENTITY_TABLE = {
@@ -280,6 +283,7 @@ _IDENTITY_TABLE = {
         key=lambda kw: (kw["c_seq"], kw["r"] % kw["c_seq"].n),
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 9)), r=tuple(range(-2, 6)), sequences=("random:50",)),
+        cost_ms=0.30,
     ),
     "prop2": _Identity(
         check_prop2,
@@ -295,6 +299,7 @@ _IDENTITY_TABLE = {
             lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(3), Fraction(5, 7)),
             sequences=("delta", "ramanujan", "random:3"),
         ),
+        cost_ms=0.15,
     ),
     "mult": _Identity(
         check_mult_formula,
@@ -307,6 +312,7 @@ _IDENTITY_TABLE = {
             m=tuple(range(1, 7)), n=tuple(range(2, 9)),
             lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)),
         ),
+        cost_ms=0.31,
     ),
     "section4": _Identity(
         check_section4_closed_form,
@@ -320,6 +326,7 @@ _IDENTITY_TABLE = {
             m=tuple(range(1, 6)), n=(2, 3, 4, 6), rp_pairs=((1, 0), (0, 1), (-1, 2)),
             lambdas=(Fraction(2), Fraction(-1, 2)),
         ),
+        cost_ms=0.53,
     ),
     "moebius": _Identity(
         check_moebius_interp,
@@ -329,6 +336,7 @@ _IDENTITY_TABLE = {
         key=lambda kw: (kw["n"],),
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 13))),
+        cost_ms=1.4,
     ),
     "gseries": _Identity(
         check_gseries_chain,
@@ -344,6 +352,7 @@ _IDENTITY_TABLE = {
             n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
             lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)), sequences=("random:1",),
         ),
+        cost_ms=4.4,
     ),
 }
 
@@ -597,13 +606,6 @@ def _judge(job: tuple[str, dict, tuple[bool, ...]]) -> list[tuple]:
     return [_verdict(comparisons, True) if perturb else verdict for perturb in perturbs]
 
 
-# Identities by mean checker-call time on their default grids, costliest
-# first: gseries 4.4 ms, moebius 1.4, section4 0.53, mult 0.31, prop1 0.30,
-# prop2 0.15.  The pool is handed the costliest groups first, so that no
-# worker is left alone with them at the end.
-_COST_RANK = {name: rank for rank, name in enumerate(("gseries", "moebius", "section4", "mult", "prop1", "prop2"))}
-
-
 def run_grids(specs: list[GridSpec], workers: int = 1) -> list[IdentityCase]:
     """All cases of the grids, sorted by (identity, params).
 
@@ -630,7 +632,7 @@ def run_grids(specs: list[GridSpec], workers: int = 1) -> list[IdentityCase]:
             group.append(kwargs)
             perturbs.append(index == spec.perturb_index)
         groups += [(spec.identity, group, perturbs) for group, perturbs in by_key.values()]
-    groups.sort(key=lambda g: _COST_RANK[g[0]])
+    groups.sort(key=lambda g: -_IDENTITY_TABLE[g[0]].cost_ms)
     work = [
         (identity, {k: v for k, v in group[0].items() if k != "seq_desc"}, tuple(perturbs))
         for identity, group, perturbs in groups

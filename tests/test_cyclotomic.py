@@ -19,7 +19,9 @@ from cyclosum.cyclotomic import (
     normalize_scalar,
     zeta_pow,
 )
+from cyclosum.qpoly import QPoly, sum_of_products
 from cyclosum.scalars import parse_rational
+from cyclosum.spectra import PeriodicSeq, root_sums
 
 # degree-phi(n) coefficient vectors for a few interesting levels
 levels = st.sampled_from((3, 4, 5, 6, 8, 12))
@@ -93,6 +95,63 @@ def test_cross_level_guard():
         a + b
     # rational content crosses levels freely
     assert CycloNum.of(3, 2) + CycloNum.of(4, 3) == 5
+
+
+# One level rule for every route: CycloNum arithmetic, QPoly construction,
+# sum_of_products and root_sums all go through cyclotomic._join_levels.
+RULE_LEVELS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def _rule_scalars():
+    """A rational, an element of some level (rational or not), or a
+    rational-valued CycloNum of some level."""
+    at_level = st.sampled_from(RULE_LEVELS).flatmap(
+        lambda n: st.one_of(elements(n), small_fracs.map(lambda v: CycloNum.of(n, v)))
+    )
+    return st.one_of(st.integers(-9, 9), small_fracs, at_level)
+
+
+def _irrational_level(x) -> int | None:
+    return x.level if isinstance(x, CycloNum) and x.is_rational() is None else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_scalars(), _rule_scalars())
+def test_every_route_follows_one_level_rule(a, b):
+    la, lb = _irrational_level(a), _irrational_level(b)
+    n = la or lb or 1
+    routes = {
+        "+": lambda: a + b,
+        "-": lambda: a - b,
+        "*": lambda: a * b,
+        "QPoly": lambda: QPoly((a, b)),
+        "sum_of_products": lambda: sum_of_products([(1, a, b)]),
+        "root_sums": lambda: root_sums(n, [a, b], [[0, 0]]),
+    }
+    if la and lb and la != lb:
+        for name, route in routes.items():
+            with pytest.raises(ValueError, match="^cross-level cyclotomic arithmetic$"):
+                route()
+        return
+    got = {name: route() for name, route in routes.items()}
+    assert got["-"] + b == a
+    assert got["QPoly"][0] == a and got["QPoly"][1] == b
+    assert got["QPoly"].eval_at(1) == got["+"] == got["root_sums"][0]
+    assert got["sum_of_products"][0] == got["*"] == b * a
+
+
+def test_floats_and_strings_are_not_exact_scalars():
+    for bad in (0.5, "1/3"):
+        with pytest.raises(TypeError):
+            CycloNum.of(3, bad)
+        with pytest.raises(TypeError):
+            CycloNum.from_coeffs(3, [bad, 0])
+    with pytest.raises(TypeError):
+        PeriodicSeq(3, [0.1, 0, 0])
+    with pytest.raises(TypeError):
+        QPoly((0.5,))
+    with pytest.raises(TypeError):
+        root_sums(3, [0.5], [[0]])
 
 
 def test_inverse_known_value():

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclosum.cyclotomic import CycloNum, zeta_pow
+from cyclosum.cyclotomic import CycloNum, cyclo_inv, zeta_pow
 from cyclosum.errors import InvalidParam, SequenceFileError
 from cyclosum.qpoly import QPoly, q
 from cyclosum.spectra import (
@@ -271,6 +271,15 @@ def test_fourier_vs_apostol_weights():
     for k in range(1, n):
         assert four.values[k] == (1 - zeta_pow(n, -a * k)).inverse()
         assert apo.values[k] == (1 - zeta_pow(n, a * k)).inverse()
+
+
+@pytest.mark.parametrize("n", [*range(2, 31), 35, 45])
+def test_dedekind_families_match_per_k_inverses(n):
+    # the literal route: one cyclo_inv of 1 - zeta_n^(-+ak) per k
+    for a in (u for u in range(1, n) if gcd(u, n) == 1):
+        for name, sign in (("fourier-dedekind", -1), ("apostol-dedekind", 1)):
+            want = [0] + [cyclo_inv(1 - zeta_pow(n, sign * a * k)) for k in range(1, n)]
+            assert family(name, n, a=a) == PeriodicSeq(n, want)
 
 
 def test_family_c0_override():

@@ -5,7 +5,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from cyclosum.appell import apostol_bernoulli  # noqa: E402
+from cyclosum.appell import apostol_bernoulli, frobenius_euler  # noqa: E402
 from cyclosum.cyclotomic import cyclotomic_poly  # noqa: E402
 
 x = sympy.Symbol("x")
@@ -26,3 +26,17 @@ def test_bernoulli_polynomials_match_sympy():
     # polynomial bernoulli(1, x) is x - 1/2, the B_1(q) of the lam = 1 branch
     for m in range(31):
         assert list(apostol_bernoulli(m, 1).coeffs) == _coeffs(sympy.bernoulli(m, x))
+
+
+def test_frobenius_euler_at_gamma_minus_one_matches_euler_polynomials():
+    # (1 - gamma)^p e^(qt)/(lam e^t - gamma) at p = 1, lam = 1, gamma = -1 is
+    # 2 e^(qt)/(e^t + 1), the generating function of the Euler polynomials
+    for m in range(13):
+        assert list(frobenius_euler(m, 1, 1, -1).coeffs) == _coeffs(sympy.euler(m, x))
+
+
+def test_apostol_bernoulli_at_minus_one_matches_euler_polynomials():
+    # t e^(qt)/(-e^t - 1) = -(t/2) 2 e^(qt)/(e^t + 1), so B_m(q, -1) = -(m/2) E_(m-1)(q)
+    for m in range(1, 13):
+        want = _coeffs(-sympy.Rational(m, 2) * sympy.euler(m - 1, x))
+        assert list(apostol_bernoulli(m, -1).coeffs) == want
