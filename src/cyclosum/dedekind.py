@@ -18,9 +18,12 @@ Since (1 - zeta^{-k})^p = (-zeta^{-k})^p (1 - zeta^k)^p, the k-th term is
 r and p only through s = (r + p) mod n, up to the sign (-1)^p.  For
 rational lam the terms fall into Galois orbits: with d = n/gcd(k, n), the
 k-th term is sigma_u of the level-d seed H_{m-1}^{(0)}(q, lam, zeta_d^{-1}),
-and s rotates the orbit's weights.  So _e_sum builds one Frobenius-Euler
-polynomial per divisor d > 1 of n, not one per k, and the weights of one
-orbit are one spectra.root_sums table.
+and s rotates the orbit's weights, which for one orbit are one
+spectra.root_sums table.  So _e_sum is the product of two integer
+matrices: the seeds of every divisor d > 1 of n side by side, one
+Frobenius-Euler polynomial per divisor and not one per k, cached per
+(m, n, lam); and the weights rotated by s, stacked to match, cached per
+(n, s, C).
 
 g_series_oracle is the independent series route: the closed form of the
 generating function whose EGF coefficient m must equal e_sum at index m+1.
@@ -33,12 +36,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .appell import frobenius_euler
 from .arith import divisors, euler_phi, totatives
 from .cyclotomic import CycloNum, common_den, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
-from .qpoly import QPoly, q, sum_of_matrix_products, sum_of_products
+from .qpoly import QPoly, matrix_columns, matrix_product, q, sum_of_products
 from .series import TruncSeries, weighted_sum
 from .spectra import PeriodicSeq, ramanujan_sum, root_sums
 
@@ -92,16 +96,46 @@ def _e_sum(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     # The term k with d = n/gcd(k, n), g = n/d and u = k/g is sigma_u(Y_d)
     # zeta_d^{-us} C_{-gu} taken into level n by zeta_d -> zeta_n^g, where
     # Y_d = H_{m-1}^{(0)}(q, lam, zeta_d^{-1}).  With Y_d = sum_j y_j zeta_d^j,
-    # the orbit of Y_d contributes sum_j y_j W_{(j-s) mod d}.
-    parts = []
-    for d in divisors(n)[1:]:
-        weights = _orbit_weights(n, d, c_seq)
-        if weights is not None:
-            seed = frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1))
-            vecs, den = weights
-            cols = tuple(zip(*(vecs[(j - s) % d] for j in range(euler_phi(seed.level)))))
-            parts.append((seed.rows, cols, seed.den * den))
-    return sum_of_matrix_products(n, parts)
+    # the orbit of Y_d contributes sum_j y_j W_{(j-s) mod d}: one product of
+    # the seeds of (m, n, lam) and the weights of (n, s, C).
+    rows, seed_den = _seed_matrix(m, n, lam)
+    cols, weight_den = _weight_matrix(n, s, c_seq)
+    return matrix_product(n, rows, cols, seed_den * weight_den)
+
+
+@lru_cache(maxsize=1024)
+def _seed_matrix(m: int, n: int, lam: Fraction):
+    """The seeds Y_d of the divisors d > 1 of n side by side, as (rows,
+    den): row i holds the coordinates y_j, j < phi(d), of q^i in each Y_d
+    in turn, over den.  Every Y_d has degree m - 1, and its leading
+    coefficient 1/(lam - zeta_d^{-1}) puts it at level d, except Y_2,
+    which is rational with phi(2) = 1 coordinate."""
+    seeds = [frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1)) for d in divisors(n)[1:]]
+    den = lcm(*(seed.den for seed in seeds))
+    rows = tuple(
+        tuple(v * (den // seed.den) for seed in seeds for v in seed.rows[i]) for i in range(m)
+    )
+    return rows, den
+
+
+@lru_cache(maxsize=1024)
+def _weight_matrix(n: int, s: int, c_seq: PeriodicSeq):
+    """The weights W_{(j-s) mod d}, j < phi(d), of the divisors d > 1 of n
+    stacked to match _seed_matrix, as (cols, den): column t holds their
+    level-n coordinates t over den.  A divisor whose weights all vanish
+    gives a zero block."""
+    blocks = [(d, _orbit_weights(n, d, c_seq)) for d in divisors(n)[1:]]
+    den = lcm(*(w[1] for _, w in blocks if w is not None))
+    zero = (0,) * euler_phi(n)
+    stack = []
+    for d, weights in blocks:
+        if weights is None:
+            stack += [zero] * euler_phi(d)
+        else:
+            vecs, w_den = weights
+            f = den // w_den
+            stack += [[v * f for v in vecs[(j - s) % d]] for j in range(euler_phi(d))]
+    return matrix_columns(stack), den
 
 
 @lru_cache(maxsize=1024)

@@ -17,9 +17,8 @@ two different irrational levels refuse arithmetic.  Every product goes
 through sum_of_products, which accumulates the unreduced row products of a
 whole sum over one common denominator, reduces each row modulo Phi_level
 once and cancels the matrix once.  A sum whose factors are already integer
-matrices, such as a fixed basis weighted by a rotated spectrum, goes
-through sum_of_matrix_products, which builds it once from the integer
-matrix products.  Single coefficients come out through
+matrices, such as a fixed basis weighted by a rotated spectrum, is one
+matrix_product of the two, built once.  Single coefficients come out through
 ``coeffs`` and ``[i]`` as a Fraction when rational and a CycloNum otherwise.
 """
 from __future__ import annotations
@@ -325,25 +324,27 @@ def sum_of_products(terms) -> QPoly:
     return _build(level, flat, common)
 
 
-def sum_of_matrix_products(level: int, parts) -> QPoly:
-    """The sum of R @ M / den over the (R, cols, den) parts, as one
-    canonical QPoly at `level`.
+def matrix_product(level: int, rows, cols, den: int) -> QPoly:
+    """R @ M / den as one canonical QPoly at `level`.
 
     R is an integer matrix with one row per power of q; M is an integer
-    matrix given by its phi(level) columns, each as long as a row of R, so
-    row i of R @ M holds the numerators of the coefficient of q^i.  The
-    parts are lifted to one common denominator and built once.
+    matrix given by its phi(level) columns as matrix_columns returns them,
+    so row i of R @ M holds the numerators of the coefficient of q^i.
     """
-    common = lcm(*(den for _, _, den in parts))
-    acc: list[int] = []
-    for rows, cols, den in parts:
-        flat = [sum(map(mul, row, col)) for row in rows for col in cols]
-        if common != den:
-            flat = _K.vec_scale(flat, common // den)
-        if len(flat) > len(acc):
-            acc, flat = flat, acc
-        acc[: len(flat)] = map(add, acc, flat)
-    return _build(level, acc, common)
+    return _build(level, [sum(map(mul, row, col)) for row in rows for col in cols], den)
+
+
+def matrix_columns(vecs) -> tuple[tuple[int, ...], ...]:
+    """The columns of the integer matrix with rows vecs, each without its
+    trailing zeros: a product skips them, and a rational or vanishing
+    block of rows leaves whole columns empty."""
+    cols = []
+    for col in zip(*vecs):
+        end = len(col)
+        while end and not col[end - 1]:
+            end -= 1
+        cols.append(col[:end])
+    return tuple(cols)
 
 
 def _flat(p: QPoly, phi: int, stride: int) -> list[int]:

@@ -23,7 +23,7 @@ from .arith import euler_phi, totatives
 from .cyclotomic import CycloNum, _join_levels, _scalar, _scalar_parts, cyclo_inv, scalar_from_json, zeta_pow
 from .errors import InvalidParam, SequenceFileError
 from .qpoly import QPoly, sum_of_products
-from .scalars import parse_rational
+from .scalars import parse_int, parse_rational
 
 
 class _Cycle:
@@ -190,7 +190,7 @@ def parse_family(text: str) -> tuple[str, dict]:
         if not sep or key not in known or key in params:
             raise bad
         try:
-            params[key] = int(value) if key == "a" else parse_rational(value)
+            params[key] = parse_int(value) if key == "a" else parse_rational(value)
         except ValueError:
             raise bad from None
     return name, params

@@ -39,7 +39,8 @@ from .arith import divisors, euler_phi, moebius, totatives
 from .cyclotomic import common_den, format_scalar, normalize_scalar, scalar_from_json
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
-from .qpoly import QPoly, geometric_block, sum_of_matrix_products, sum_of_products
+from .qpoly import QPoly, geometric_block, matrix_columns, matrix_product, sum_of_products
+from .scalars import parse_int
 from .series import TruncSeries, t_over_exp_affine, weighted_sum
 from .spectra import (
     PeriodicSeq,
@@ -122,19 +123,19 @@ def _basis_matrix(m: int, n: int, lam: Fraction):
     return tuple(zip(*cols)), den
 
 
-@lru_cache(maxsize=256)
-def _spectrum_matrix(c0, kseq: SpectralSeq):
-    """C_0 and the spectrum K over one den, as (cols, den): column t holds
-    coordinate t of C_0, K_0, ..., K_{n-1}."""
-    vecs, den = common_den((c0,) + tuple(kseq))
-    return tuple(zip(*vecs)), den
+@lru_cache(maxsize=1024)
+def _spectrum_matrix(c0, kseq: SpectralSeq, s: int):
+    """C_0 and the spectrum K rotated by s over one den, as (cols, den):
+    column t holds coordinate t of C_0, K_{-s}, K_{1-s}, ..., K_{n-1-s}."""
+    vecs, den = common_den((c0,) + tuple(kseq[j - s] for j in range(kseq.n)))
+    return matrix_columns(vecs), den
 
 
 def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     """C_0 B_m(nq, lam) - n^m sum_j K_{j-s} lam^j B_m(q+j/n, lam^n).
 
     For rational lam this is the basis matrix of (m, n, lam) times the
-    spectrum matrix of C with its K rows rotated by s.
+    spectrum matrix of (C, s).
     """
     kseq = dft_inverse(c_seq)
     if not isinstance(lam, Fraction):
@@ -143,10 +144,8 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
         terms += [(-(n**m), v, kseq[j - s]) for j, v in enumerate(shifts)]
         return sum_of_products(terms)
     rows, den = _basis_matrix(m, n, lam)
-    spec, spec_den = _spectrum_matrix(c_seq[0], kseq)
-    # entry 1 + j of a rotated column is coordinate t of K_{(j-s) mod n}
-    cols = tuple(c[:1] + c[n + 1 - s :] + c[1 : n + 1 - s] for c in spec)
-    return sum_of_matrix_products(n, ((rows, cols, den * spec_den),))
+    cols, spec_den = _spectrum_matrix(c_seq[0], kseq, s)
+    return matrix_product(n, rows, cols, den * spec_den)
 
 
 def check_prop2(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> Comparisons:
@@ -517,14 +516,14 @@ def resolve_sequences(
     """Expand descriptors into (label, sequence) pairs at period n.
 
     A random count that is not a positive integer, or an index that is not
-    an integer, raises InvalidGrid, and a file whose period is not n raises
-    SequenceFileError; both name the descriptor.
+    an integer, each in ASCII digits, raises InvalidGrid, and a file whose
+    period is not n raises SequenceFileError; both name the descriptor.
     """
     out: list[tuple[str, PeriodicSeq]] = []
     for desc in descs:
         if desc.startswith(("random:", "random-")):
             try:
-                k = int(desc[7:])
+                k = parse_int(desc[7:])
             except ValueError:
                 msg = f"sequence {desc!r} needs an integer after {desc[:7]!r}"
                 raise InvalidGrid(msg) from None

@@ -328,6 +328,24 @@ def test_verify_rejects_non_ascii_and_newline_rationals(capsys, tmp_path):
     assert "bad sequence value" in err
 
 
+def test_verify_rejects_loose_integers_in_sequence_descriptors(capsys, tmp_path):
+    # int() reads each of these as an integer; a descriptor takes ASCII digits
+    for text in ("\u0663", "1_0", " 2", "2\n", "+1"):
+        for desc, want in ((f"random:{text}", 2), (f"random-{text}", 2), (f"fourier-dedekind:a={text},c0=0", 4)):
+            grid = {"identity": "prop2", "m": [1], "n": [4], "r": [0], "p": [1], "lambdas": ["2"],
+                    "sequences": [desc]}
+            code, out, err = _verify_grid(capsys, tmp_path, grid)
+            assert (code, out) == (want, ""), desc
+            assert repr(desc) in err
+        desc = f"fourier-dedekind:a={text}"
+        code, out, err = run(
+            capsys,
+            "esum", "--m", "1", "--n", "4", "--r", "0", "--p", "1", "--lambda", "1", "--seq", desc,
+        )
+        assert (code, out) == (4, ""), desc
+        assert repr(desc) in err
+
+
 def test_verify_rejects_nonpositive_workers(capsys):
     for workers in ("0", "-2"):
         with pytest.raises(SystemExit) as exc:

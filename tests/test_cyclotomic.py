@@ -20,7 +20,7 @@ from cyclosum.cyclotomic import (
     zeta_pow,
 )
 from cyclosum.qpoly import QPoly, sum_of_products
-from cyclosum.scalars import parse_rational
+from cyclosum.scalars import parse_int, parse_rational
 from cyclosum.spectra import PeriodicSeq, root_sums
 
 # degree-phi(n) coefficient vectors for a few interesting levels
@@ -209,6 +209,24 @@ def test_parse_rational_accepts_ascii_literals(text, want):
 def test_parse_rational_rejects_everything_else(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("text, want", (("7", 7), ("-3", -3), ("0", 0), ("007", 7)))
+def test_parse_int_accepts_ascii_digits(text, want):
+    assert parse_int(text) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    # each of these is an integer to int(), except the last five
+    (
+        "\u0663", "\uff13", "1_0", " 2", "2\n", "+1", "\t-1",
+        "", "-", "--1", "1.0", "1/1",
+    ),
+)
+def test_parse_int_rejects_everything_else(text):
+    with pytest.raises(ValueError):
+        parse_int(text)
 
 
 def test_canonical_str_rational_vs_not():

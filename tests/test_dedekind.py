@@ -15,6 +15,8 @@ from cyclosum.dedekind import (
     _e_sum,
     _oracle_term,
     _orbit_weights,
+    _seed_matrix,
+    _weight_matrix,
     e_sum,
     g_series_oracle,
     ramanujan_sum,
@@ -245,11 +247,13 @@ BOUNDED_CACHES = {
     "cyclosum.dedekind._excluded_lambdas": "n",
     "cyclosum.dedekind._e_sum": "(m, n, (r + p) mod n, lambda, C)",
     "cyclosum.dedekind._orbit_weights": "(n, d, C)",
+    "cyclosum.dedekind._seed_matrix": "(m, n, lambda)",
+    "cyclosum.dedekind._weight_matrix": "(n, (r + p) mod n, C)",
     "cyclosum.dedekind._oracle_term": "(n, k, lambda, T)",
     "cyclosum.spectra.dft_inverse": "C",
     "cyclosum.spectra._lagrange_basis": "n",
     "cyclosum.verify._basis_matrix": "(m, n, lambda)",
-    "cyclosum.verify._spectrum_matrix": "(C_0, K)",
+    "cyclosum.verify._spectrum_matrix": "(C_0, K, (r + p - 1) mod n)",
     "cyclosum.verify._gseries_terms": "(n, lambda, T)",
 }
 
@@ -268,7 +272,7 @@ def _package_caches() -> dict:
 def test_value_keyed_caches_are_bounded():
     caches = _package_caches()
     assert set(caches) == set(UNBOUNDED_CACHES) | set(BOUNDED_CACHES)
-    assert len(caches) == 20
+    assert len(caches) == 22
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == set(UNBOUNDED_CACHES)
 
@@ -334,7 +338,7 @@ def test_orbit_weights_match_literal_weights(c_seq):
 
 # n - 1 > 2 phi(n) - 2 at n = 30 and 42; n = 35 and 45 are the benchmark's
 # high levels
-@pytest.mark.parametrize(
+high_and_wide_levels = pytest.mark.parametrize(
     "n, c_seq",
     (
         (30, lambda: random_sequence(30, DEFAULT_SEED, 1)),
@@ -344,8 +348,20 @@ def test_orbit_weights_match_literal_weights(c_seq):
     ),
     ids=("30-random", "42-fourier-dedekind", "35-ramanujan", "45-apostol-dedekind"),
 )
+
+
+@high_and_wide_levels
 def test_orbit_weights_at_high_and_wide_levels(n, c_seq):
     _assert_orbit_weights_match_literal_weights(c_seq())
+
+
+@high_and_wide_levels
+def test_e_sum_at_high_and_wide_levels(n, c_seq):
+    c = c_seq()
+    for m in (1, 2, 3):
+        for lam in (Fraction(2), Fraction(-1, 3)):
+            for r in (0, 1, n // 2, n - 1):
+                assert e_sum(m, n, r, 0, lam, c) == _literal_e_sum(m, n, r, 0, lam, c), (m, lam, r)
 
 
 @pytest.mark.parametrize("n", (3, 4, 6, 12))
@@ -357,13 +373,21 @@ def test_orbit_weights_at_high_and_wide_levels(n, c_seq):
     ids=("lambda2-ramanujan", "lambda0-apostol-dedekind"),
 )
 def test_e_sum_is_built_once_per_shift(n, lam, c_name):
-    m, c = 3, family(c_name, n, a=1)
-    _e_sum.cache_clear()
-    for r in range(n + 2):
-        for p in range(-1, 3):
-            assert e_sum(m, n, r, p, lam, c) == _literal_e_sum(m, n, r, p, lam, c)
-    # r + p runs through every residue mod n; each one is built once
-    assert _e_sum.cache_info().misses == n
+    ms = (1, 3)
+    seqs = (family(c_name, n, a=1), random_sequence(n, DEFAULT_SEED, 1))
+    for cache in (_e_sum, _seed_matrix, _weight_matrix):
+        cache.cache_clear()
+    for m in ms:
+        for c in seqs:
+            for r in range(n + 2):
+                for p in range(-1, 3):
+                    assert e_sum(m, n, r, p, lam, c) == _literal_e_sum(m, n, r, p, lam, c)
+    # r + p runs through every residue mod n; each key (m, n, s, lam, C) is
+    # built once, from one seed matrix per (m, n, lam) and one weight matrix
+    # per (n, s, C)
+    assert _e_sum.cache_info().misses == len(ms) * len(seqs) * n
+    assert _seed_matrix.cache_info().misses == len(ms)
+    assert _weight_matrix.cache_info().misses == len(seqs) * n
 
 
 def test_irrational_lambda_matches_series_oracle():

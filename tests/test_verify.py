@@ -246,6 +246,26 @@ def test_resolve_sequences_names_bad_descriptors(tmp_path):
             resolve_sequences((desc,), 3, 7)
 
 
+# int() reads each of these as an integer: other digit scripts, "_", "+"
+# and surrounding whitespace
+LOOSE_INTEGERS = ("\u0663", "\uff13", "1_0", " 2", "2\n", "+1")
+
+
+def test_resolve_sequences_takes_only_ascii_integers():
+    assert [d for d, _ in resolve_sequences(("random:2", "random-3", "random--1"), 3, 7)] == [
+        "random-1", "random-2", "random-3", "random--1",
+    ]
+    for text in LOOSE_INTEGERS:
+        for desc in (f"random:{text}", f"random-{text}"):
+            with pytest.raises(InvalidGrid) as exc:
+                resolve_sequences((desc,), 3, 7)
+            assert repr(desc) in str(exc.value)
+        desc = f"fourier-dedekind:a={text},c0=0"
+        with pytest.raises(InvalidParam) as exc:
+            resolve_sequences((desc,), 4, 7)
+        assert repr(desc) in str(exc.value)
+
+
 HILEVEL = {
     "identity": "prop2", "m": {"min": 1, "max": 10}, "n": [35, 45],
     "r": [1], "p": [1], "lambdas": ["2"], "sequences": ["ramanujan", "random:1"],
@@ -365,16 +385,16 @@ def test_prop2_right_side_is_built_once_per_shift(n, checker_calls):
     cases = run_grid(spec)
     # r + p runs through every residue mod n; the runner calls the checker
     # once for each, and every call reads one basis for (m, n, lam) and one
-    # spectrum matrix for c_seq
+    # spectrum matrix for (c_seq, r + p - 1 mod n)
     assert all(case.status == "pass" for case in cases) and len(cases) == (n + 2) * 4
     assert sorted((kw["r"] + kw["p"]) % n for kw in calls) == list(range(n))
     assert _basis_matrix.cache_info().misses == 1
-    assert _spectrum_matrix.cache_info().misses == 1
+    assert _spectrum_matrix.cache_info().misses == n
     # a second sequence reuses the basis; a second lambda reuses the spectrum
     check_prop2(m, n, 0, 0, lam, family("ramanujan", n))
     check_prop2(m, n, 0, 0, Fraction(2), c_seq)
     assert _basis_matrix.cache_info().misses == 2
-    assert _spectrum_matrix.cache_info().misses == 2
+    assert _spectrum_matrix.cache_info().misses == n + 1
     # mult reads the basis polynomials and never builds the matrix
     assert _sides_agree(check_mult_formula(m, n, Fraction(3)))
     assert _basis_matrix.cache_info().misses == 2
