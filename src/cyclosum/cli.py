@@ -31,7 +31,7 @@ from .errors import (
     SequenceFileError,
 )
 from .qpoly import QPoly
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_int, parse_rational
 from .spectra import FAMILY_NAMES, dft_inverse, family, interp_poly, load_sequence, parse_family
 from .verify import (
     DEFAULT_SEED,
@@ -74,10 +74,11 @@ def _emit(fmt: str, fields: list[tuple[str, str]], human: str) -> None:
 def _parse_gamma(text: str):
     """gamma flag: "a/b", "zeta:n:k", or a cyclonum JSON object."""
     if text.startswith("zeta:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad zeta form {text!r}; expected zeta:n:k")
-        return zeta_pow(int(parts[1]), int(parts[2]))
+        try:
+            n, k = map(parse_int, text.split(":")[1:])
+        except ValueError:
+            raise ValueError(f"bad --gamma {text!r}; expected zeta:n:k with integers n and k") from None
+        return zeta_pow(n, k)
     return scalar_from_json(json.loads(text) if text.lstrip().startswith("{") else text)
 
 
@@ -229,11 +230,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if summary["fail"] else 0
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return parse_int(text)
     except ValueError:
-        value = 0
+        raise argparse.ArgumentTypeError(f"must be an integer in ASCII digits, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
@@ -249,8 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser, choices=("human", "json", "csv")) -> None:
         p.add_argument("--format", choices=choices, default=choices[0])
 
+    def add_integers(p: argparse.ArgumentParser, *flags: str) -> None:
+        for flag in flags:
+            p.add_argument(flag, type=_integer, required=True)
+
     p = sub.add_parser("poly", help="Apostol-Bernoulli polynomial B_m(q, lambda)")
-    p.add_argument("--m", type=int, required=True)
+    add_integers(p, "--m")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", metavar="a/b")
     group.add_argument("--classical", action="store_true", help="shorthand for --lambda 1")
@@ -258,18 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("hpoly", help="Frobenius-Euler polynomial H_m^(p)(q, lambda, gamma)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    add_integers(p, "--m", "--p")
     p.add_argument("--lambda", dest="lam", metavar="a/b", required=True)
     p.add_argument("--gamma", required=True, help='"a/b", "zeta:n:k", or cyclonum JSON')
     add_format(p)
     p.set_defaults(func=cmd_hpoly)
 
     p = sub.add_parser("esum", help="Dedekind-type sum as a polynomial in q")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    add_integers(p, "--m", "--n", "--r", "--p")
     p.add_argument("--lambda", dest="lam", metavar="a/b", required=True)
     p.add_argument("--seq", required=True, help="family shorthand or sequence JSON file")
     p.add_argument("--at", metavar="a/b", help="evaluate at a rational point")
@@ -277,21 +282,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_esum)
 
     p = sub.add_parser("vsum", help="totative power sum V_n^(k)(lambda)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    add_integers(p, "--n", "--k")
     p.add_argument("--lambda", dest="lam", metavar="a/b", required=True)
     add_format(p)
     p.set_defaults(func=cmd_vsum)
 
     p = sub.add_parser("ramanujan", help="Ramanujan sum c_n(k)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    add_integers(p, "--n", "--k")
     add_format(p)
     p.set_defaults(func=cmd_ramanujan)
 
     p = sub.add_parser("interp", help="interpolation polynomial of a shifted spectrum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    add_integers(p, "--n", "--r")
     p.add_argument("--seq", required=True, help="family shorthand or sequence JSON file")
     add_format(p)
     p.set_defaults(func=cmd_interp)
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="grid spec JSON file (defaults per identity)")
     p.add_argument("--out", help="report path; relative paths land in $CYCLOSUM_OUT")
     p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
-    p.add_argument("--seed", type=int, help=f"campaign seed (default {DEFAULT_SEED})")
+    p.add_argument("--seed", type=_integer, help=f"campaign seed (default {DEFAULT_SEED})")
     add_format(p, choices=("json", "csv"))
     p.set_defaults(func=cmd_verify)
 

@@ -445,11 +445,9 @@ def normalize_scalar(x):
     return x
 
 
-@lru_cache(maxsize=256)
 def format_scalar(x) -> str:
     """Canonical text of an exact scalar: "a/b" for any rational, else the
-    CycloNum's canonical_str().  Cached on the value: a campaign labels
-    every case with one of a few lambdas."""
+    CycloNum's canonical_str()."""
     x = normalize_scalar(x)
     if isinstance(x, Fraction):
         return format_rational(x)

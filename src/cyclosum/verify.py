@@ -9,15 +9,11 @@ algebraic equality, never a tolerance check) and records a parameter
 collision (lambda hitting a root of unity that the sum divides by) as
 skipped; any comparison whose sides differ is a failure.
 
-A campaign is one work list of key groups over all its grids, costliest
-identity first, run serially or by one process pool.  A group travels as
-its first case's checker kwargs and one perturb flag per case, and comes
-back as one verdict tuple per case; the parent labels the cases.
-
-Campaigns are deterministic: random sequences are derived from the grid
-seed alone, cases are sorted by parameter key before reporting, and report
-bytes carry no timestamps, so two runs with the same seed are
-byte-identical.
+A campaign lays out each grid's cases in report order, by parameter, in
+one pass, and judges one work list of key groups over all its grids,
+serially or by one process pool.  Random sequences are derived from the
+grid seed alone, and neither execution order nor time shows in a report,
+so two runs with the same seed are byte-identical.
 """
 from __future__ import annotations
 
@@ -25,13 +21,16 @@ import csv
 import io
 import json
 import random
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from heapq import merge
+from itertools import count, groupby, islice, product, repeat, starmap
 from math import factorial, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .appell import apostol_bernoulli, apostol_bernoulli_number
@@ -42,21 +41,13 @@ from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileE
 from .qpoly import QPoly, geometric_block, matrix_columns, matrix_product, sum_of_products
 from .scalars import parse_int
 from .series import TruncSeries, t_over_exp_affine, weighted_sum
-from .spectra import (
-    PeriodicSeq,
-    SpectralSeq,
-    dft_inverse,
-    family,
-    interp_poly,
-    lagrange_oracle,
-    load_sequence,
-    parse_family,
-)
+from .spectra import (PeriodicSeq, SpectralSeq, dft_inverse, family, interp_poly, lagrange_oracle,
+                      load_sequence, parse_family)
 
 DEFAULT_SEED = 1009
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityCase:
     identity: str
     params: dict
@@ -76,9 +67,7 @@ class IdentityCase:
         return out
 
     def sort_key(self) -> tuple:
-        # the values by sorted param name: one identity's cases share one
-        # params builder, so a name holds ints (ordered numerically) or
-        # strings (lexically) in every case
+        # the values by sorted param name: ints, ordered numerically, or text
         return (self.identity, *[self.params[k] for k in sorted(self.params)])
 
 
@@ -264,8 +253,12 @@ class _Identity:
     checker: Callable[..., Comparisons]
     axes: tuple[str, ...]  # GridSpec axes, outermost first: this is the job order
     kwargs: tuple[str, ...]  # the keyword arguments each job passes the checker
-    params: Callable[[dict], dict]  # a job's kwargs -> the case's report params
-    key: Callable[[dict], tuple]  # a job's kwargs -> the values its comparisons depend on
+    # (GridSpec field or fixed values, the report field(s) a value gives), by
+    # sorted field name: a case's params, and the order of the report
+    fields: tuple[tuple, ...]
+    # (a case's field values in fields order, a lambda as its value's id and a
+    # sequence as {n: its value's id at n}) -> the values its comparisons use
+    key: Callable[..., tuple]
     least: dict[str, int]  # smallest value of an axis that the checker accepts
     defaults: dict  # GridSpec fields of the default (acceptance) grid
     # mean checker-call time on the default grid, measured: the pool gets the
@@ -278,8 +271,8 @@ _IDENTITY_TABLE = {
         check_prop1,
         axes=("n", "r", "sequences"),
         kwargs=("c_seq", "r", "seq_desc"),  # n is the period of c_seq
-        params=lambda kw: {"n": kw["c_seq"].n, "r": kw["r"], "seq": kw["seq_desc"]},
-        key=lambda kw: (kw["c_seq"], kw["r"] % kw["c_seq"].n),
+        fields=(("n", "n"), ("r", "r"), ("sequences", "seq")),
+        key=lambda n, r, seq: (seq[n], r % n),
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 9)), r=tuple(range(-2, 6)), sequences=("random:50",)),
         cost_ms=0.30,
@@ -288,10 +281,9 @@ _IDENTITY_TABLE = {
         check_prop2,
         axes=("m", "n", "r", "p", "lambdas", "sequences"),
         kwargs=("m", "n", "r", "p", "lam", "c_seq", "seq_desc"),
-        params=lambda kw: {"m": kw["m"], "n": kw["n"], "r": kw["r"], "p": kw["p"],
-                           "lambda": format_scalar(kw["lam"]), "seq": kw["seq_desc"]},
+        fields=(("lambdas", "lambda"), ("m", "m"), ("n", "n"), ("p", "p"), ("r", "r"), ("sequences", "seq")),
         # the left side is -m E_s(nq) for every p, as e_sum carries (-1)^p
-        key=lambda kw: (kw["m"], kw["n"], (kw["r"] + kw["p"]) % kw["n"], normalize_scalar(kw["lam"]), kw["c_seq"]),
+        key=lambda lam, m, n, p, r, seq: (m, n, (r + p) % n, lam, seq[n]),
         least={"m": 1, "n": 2},
         defaults=dict(
             m=tuple(range(1, 7)), n=tuple(range(2, 9)), r=tuple(range(0, 4)), p=(-1, 0, 1, 2),
@@ -304,8 +296,8 @@ _IDENTITY_TABLE = {
         check_mult_formula,
         axes=("m", "n", "lambdas"),
         kwargs=("m", "n", "lam"),
-        params=lambda kw: {"m": kw["m"], "n": kw["n"], "lambda": format_scalar(kw["lam"])},
-        key=lambda kw: (kw["m"], kw["n"], normalize_scalar(kw["lam"])),
+        fields=(("lambdas", "lambda"), ("m", "m"), ("n", "n")),
+        key=lambda lam, m, n: (m, n, lam),
         least={"m": 0, "n": 1},
         defaults=dict(
             m=tuple(range(1, 7)), n=tuple(range(2, 9)),
@@ -317,9 +309,8 @@ _IDENTITY_TABLE = {
         check_section4_closed_form,
         axes=("m", "n", "rp_pairs", "lambdas"),
         kwargs=("m", "n", "r", "p", "lam"),
-        params=lambda kw: {"m": kw["m"], "n": kw["n"], "r": kw["r"], "p": kw["p"],
-                           "lambda": format_scalar(kw["lam"]), "seq": "ramanujan"},
-        key=lambda kw: (kw["m"], kw["n"], normalize_scalar(kw["lam"])),  # r + p = 1, as in prop2
+        fields=(("lambdas", "lambda"), ("m", "m"), ("n", "n"), ("rp_pairs", ("p", "r")), (("ramanujan",), "seq")),
+        key=lambda lam, m, n, rp, seq: (m, n, lam),  # r + p = 1, as in prop2
         least={"m": 1, "n": 2},
         defaults=dict(
             m=tuple(range(1, 6)), n=(2, 3, 4, 6), rp_pairs=((1, 0), (0, 1), (-1, 2)),
@@ -331,8 +322,8 @@ _IDENTITY_TABLE = {
         check_moebius_interp,
         axes=("n",),
         kwargs=("n",),
-        params=lambda kw: {"n": kw["n"]},
-        key=lambda kw: (kw["n"],),
+        fields=(("n", "n"),),
+        key=lambda n: (n,),
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 13))),
         cost_ms=1.4,
@@ -341,11 +332,9 @@ _IDENTITY_TABLE = {
         check_gseries_chain,
         axes=("n", "r", "p", "lambdas", "sequences"),
         kwargs=("n", "r", "p", "lam", "c_seq", "order", "seq_desc"),
-        params=lambda kw: {"n": kw["n"], "r": kw["r"], "p": kw["p"], "lambda": format_scalar(kw["lam"]),
-                           "seq": kw["seq_desc"], "T": kw["order"]},
+        fields=(("order", "T"), ("lambdas", "lambda"), ("n", "n"), ("p", "p"), ("r", "r"), ("sequences", "seq")),
         # no reason text names r or p
-        key=lambda kw: (kw["n"], (kw["r"] + kw["p"]) % kw["n"], kw["p"] % 2,
-                        normalize_scalar(kw["lam"]), kw["c_seq"], kw["order"]),
+        key=lambda order, lam, n, p, r, seq: (n, (r + p) % n, p % 2, lam, seq[n], order),
         least={"n": 2},
         defaults=dict(
             n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
@@ -387,9 +376,7 @@ class GridSpec:
         for axis, least in row.least.items():
             for v in getattr(self, axis):
                 if v < least:
-                    raise InvalidGrid(
-                        f"{self.identity} grid axis {axis} needs values >= {least}, got {v}"
-                    )
+                    raise InvalidGrid(f"{self.identity} grid axis {axis} needs values >= {least}, got {v}")
         if self.identity == "section4" and any(r + p != 1 for r, p in self.rp_pairs):
             raise InvalidGrid("section4 grid requires r + p = 1 in every pair")
         if "order" in row.kwargs and self.order < 1:
@@ -399,51 +386,36 @@ class GridSpec:
     def from_json(cls, obj: dict, identity: str | None = None) -> GridSpec:
         if not isinstance(obj, dict):
             raise InvalidGrid("grid spec must be a JSON object")
-        known = {
-            "identity", "m", "n", "r", "p", "rp_pairs",
-            "lambdas", "sequences", "T", "seed", "perturb_index",
-        }
-        unknown = set(obj) - known
+        readers = {"m": _int_axis, "n": _int_axis, "r": _int_axis, "p": _int_axis, "rp_pairs": _pair_axis,
+                   "lambdas": _lambda_axis, "sequences": _seq_axis, "perturb_index": _int_field}
+        unknown = set(obj) - set(readers) - {"identity", "T", "seed"}
         if unknown:
             raise InvalidGrid(f"unknown grid fields: {sorted(unknown)}")
         ident = obj.get("identity", identity)
         if ident is None:
             raise InvalidGrid("grid spec does not name an identity")
         if identity is not None and obj.get("identity") not in (None, identity):
-            raise InvalidGrid(
-                f"grid identity {obj['identity']!r} contradicts requested {identity!r}"
-            )
-        perturb = obj.get("perturb_index")
+            raise InvalidGrid(f"grid identity {obj['identity']!r} contradicts requested {identity!r}")
         spec = cls(
             identity=ident,
-            m=_int_axis(obj.get("m"), "m"),
-            n=_int_axis(obj.get("n"), "n"),
-            r=_int_axis(obj.get("r"), "r"),
-            p=_int_axis(obj.get("p"), "p"),
-            rp_pairs=_pair_axis(obj.get("rp_pairs")),
-            lambdas=_lambda_axis(obj.get("lambdas")),
-            sequences=_seq_axis(obj.get("sequences")),
+            **{field: read(obj[field], field) for field, read in readers.items() if obj.get(field) is not None},
             order=_int_field(obj.get("T", 8), "T", minimum=0),
             seed=_int_field(obj.get("seed", DEFAULT_SEED), "seed"),
-            perturb_index=None if perturb is None else _int_field(perturb, "perturb_index"),
         )
         spec.validate()
         return spec
 
     def to_json(self) -> dict:
         out: dict = {"identity": self.identity, "seed": self.seed}
-        for axis in ("m", "n", "r", "p"):
-            vals = getattr(self, axis)
-            if vals:
-                out[axis] = list(vals)
+        for axis in ("m", "n", "r", "p", "sequences"):
+            if getattr(self, axis):
+                out[axis] = list(getattr(self, axis))
         if self.rp_pairs:
             out["rp_pairs"] = [list(pair) for pair in self.rp_pairs]
         if self.lambdas:
             # in the forms _lambda_axis reads back
             out["lambdas"] = [format_scalar(v) if isinstance(normalize_scalar(v), Fraction) else v.to_json()
                               for v in self.lambdas]
-        if self.sequences:
-            out["sequences"] = list(self.sequences)
         if "order" in _IDENTITY_TABLE[self.identity].kwargs:
             out["T"] = self.order
         return out
@@ -455,8 +427,6 @@ def _is_int(x) -> bool:
 
 
 def _int_axis(v, name: str) -> tuple[int, ...]:
-    if v is None:
-        return ()
     if isinstance(v, dict) and set(v) == {"min", "max"}:
         lo, hi = v["min"], v["max"]
         if not (_is_int(lo) and _is_int(hi) and lo <= hi):
@@ -467,19 +437,13 @@ def _int_axis(v, name: str) -> tuple[int, ...]:
     raise InvalidGrid(f"axis {name} must be a nonempty integer list or a min/max range, got {v!r}")
 
 
-def _pair_axis(v) -> tuple[tuple[int, int], ...]:
-    if v is None:
-        return ()
-    if isinstance(v, list) and all(
-        isinstance(x, list) and len(x) == 2 and all(_is_int(y) for y in x) for x in v
-    ):
+def _pair_axis(v, name: str) -> tuple[tuple[int, int], ...]:
+    if isinstance(v, list) and all(isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) for x in v):
         return tuple((x[0], x[1]) for x in v)
     raise InvalidGrid(f"rp_pairs must be a list of [r, p] integer pairs, got {v!r}")
 
 
-def _lambda_axis(v) -> tuple:
-    if v is None:
-        return ()
+def _lambda_axis(v, name: str) -> tuple:
     if not isinstance(v, list):
         raise InvalidGrid("lambdas must be a list")
     try:
@@ -488,9 +452,7 @@ def _lambda_axis(v) -> tuple:
         raise InvalidGrid(f"bad lambda entry: {exc}") from exc
 
 
-def _seq_axis(v) -> tuple[str, ...]:
-    if v is None:
-        return ()
+def _seq_axis(v, name: str) -> tuple[str, ...]:
     if isinstance(v, list) and all(isinstance(x, str) for x in v):
         return tuple(v)
     raise InvalidGrid("sequences must be a list of descriptor strings")
@@ -510,9 +472,7 @@ def random_sequence(n: int, seed: int, index: int) -> PeriodicSeq:
     return PeriodicSeq(n, vals)
 
 
-def resolve_sequences(
-    descs: tuple[str, ...], n: int, seed: int, identity: str = ""
-) -> list[tuple[str, PeriodicSeq]]:
+def resolve_sequences(descs: tuple[str, ...], n: int, seed: int, identity: str = "") -> list[tuple[str, PeriodicSeq]]:
     """Expand descriptors into (label, sequence) pairs at period n.
 
     A random count that is not a positive integer, or an index that is not
@@ -540,42 +500,92 @@ def resolve_sequences(
             out.append((desc, seq))
         else:
             name, params = parse_family(desc)
-            if (
-                identity == "prop2"
-                and name in ("fourier-dedekind", "apostol-dedekind")
-                and "c0" not in params
-            ):
-                raise InvalidParam(
-                    f"family {name} leaves C_0 unspecified, but prop2 reads C_0; "
-                    f"append c0=... to the descriptor"
-                )
+            if identity == "prop2" and name in ("fourier-dedekind", "apostol-dedekind") and "c0" not in params:
+                raise InvalidParam(f"family {name} leaves C_0 unspecified, but prop2 reads C_0; "
+                                   f"append c0=... to the descriptor")
             out.append((desc, family(name, n, **params)))
     return out
 
 
-def _enumerate_jobs(spec: GridSpec):
-    """One checker kwargs dict per case: the product of the identity's axes,
-    outermost first.  The sequences are resolved once per n, so the jobs at
-    one n share one PeriodicSeq object per label."""
+def _axis_values(spec: GridSpec) -> tuple[dict, dict]:
+    """The sequences resolved once per n, {n: [(label, seq)]}, and each axis's
+    values; the sequences axis runs over positions in the per-n lists."""
     row = _IDENTITY_TABLE[spec.identity]
     seqs = {}
     if "sequences" in row.axes:
         seqs = {n: resolve_sequences(spec.sequences, n, spec.seed, spec.identity) for n in spec.n}
-    # the sequences axis runs over positions in the per-n lists, which have
-    # the same labels at every n
-    values = [
-        range(len(seqs[spec.n[0]])) if axis == "sequences" else getattr(spec, axis)
-        for axis in row.axes
-    ]
-    for point in product(*values):
-        at = dict(zip(row.axes, point), order=spec.order)
-        if "lambdas" in at:
-            at["lam"] = at["lambdas"]
-        if "rp_pairs" in at:
-            at["r"], at["p"] = at["rp_pairs"]
-        if "sequences" in at:
-            at["seq_desc"], at["c_seq"] = seqs[at["n"]][at["sequences"]]
-        yield {k: at[k] for k in row.kwargs}
+    values = {axis: range(len(seqs[spec.n[0]])) if axis == "sequences" else getattr(spec, axis) for axis in row.axes}
+    return seqs, values
+
+
+def _job(row: _Identity, spec: GridSpec, seqs: dict, point) -> dict:
+    """The checker kwargs at one point: one value per axis, outermost first."""
+    at = dict(zip(row.axes, point), order=spec.order)
+    if "lambdas" in at:
+        at["lam"] = at["lambdas"]
+    if "rp_pairs" in at:
+        at["r"], at["p"] = at["rp_pairs"]
+    if "sequences" in at:
+        at["seq_desc"], at["c_seq"] = seqs[at["n"]][at["sequences"]]
+    return {k: at[k] for k in row.kwargs}
+
+
+def _enumerate_jobs(spec: GridSpec):
+    """One checker kwargs dict per case in job order, which perturb_index
+    counts in: the product of the axes, outermost first."""
+    seqs, values = _axis_values(spec)
+    return (_job(_IDENTITY_TABLE[spec.identity], spec, seqs, point) for point in product(*values.values()))
+
+
+def _walk(spec: GridSpec) -> tuple[list[dict], list[int], dict[int, tuple[dict, tuple]], int | None]:
+    """One grid's cases in report order, unjudged: each case's params, the
+    position of the first case of its key (its group), each group's checker
+    kwargs and perturb flags by that position, and the perturbed position.
+
+    Each field's values are labelled, interned and sorted by label once; the
+    product of the fields is then the order that sort_key gives.  Cases with
+    equal labels keep their job order."""
+    spec.validate()
+    row = _IDENTITY_TABLE[spec.identity]
+    seqs, values = _axis_values(spec)
+    strides, size = {}, 1  # a job's index is the sum of axis position times stride
+    for axis in reversed(row.axes):
+        strides[axis], size = size, size * len(values[axis])
+    index = spec.perturb_index
+    if index is not None and not 0 <= index < size:
+        raise InvalidGrid(f"perturb_index {index} is outside 0 .. {size - 1}: the grid has {size} cases")
+    lams, seq_ids, columns = {}, {}, []
+    for src, field in row.fields:
+        vals = src if isinstance(src, tuple) else values[src] if src in values else (getattr(spec, src),)
+        if src == "lambdas":
+            cells = [(format_scalar(v), lams.setdefault(normalize_scalar(v), len(lams))) for v in vals]
+        elif src == "sequences":
+            cells = [(seqs[spec.n[0]][j][0], {n: seq_ids.setdefault(seqs[n][j][1], len(seq_ids)) for n in spec.n})
+                     for j in vals]
+        else:  # an (r, p) pair is labelled p, r
+            cells = [((v[1], v[0]) if src == "rp_pairs" else v, v) for v in vals]
+        columns.append(sorted([(*c, i * strides.get(src, 0)) for i, c in enumerate(cells)], key=itemgetter(0)))
+    # per case: the labels, the key values and the terms of the job index
+    labels, keys, terms = (product(*[[c[k] for c in col] for col in columns]) for k in range(3))
+    if any(a[0] == b[0] for col in columns for a, b in zip(col, col[1:])):
+        ties = [[list(same) for _, same in groupby(col, itemgetter(0))] for col in columns]
+        labels, keys, terms = zip(*(tuple(zip(*point)) for cell in product(*ties)
+                                    for point in sorted(product(*cell), key=lambda pt: sum(c[2] for c in pt))))
+    names, by_key = [field for _, field in row.fields], {}
+    params = [*map(dict, map(zip, repeat(names), labels))]
+    groups = [*map(by_key.setdefault, starmap(row.key, keys), count())]
+    jobs = [*map(sum, terms)]
+    for field in (f for f in names if isinstance(f, tuple)):  # rp_pairs: one value, two labels
+        for p in params:
+            p.update(zip(field, p.pop(field)))
+    perturbed = None if index is None else jobs.index(index)
+    sizes, hit = Counter(groups), None if index is None else groups[perturbed]
+    units = {}
+    for first in by_key.values():
+        point = [values[a][jobs[first] // strides[a] % len(values[a])] for a in row.axes]
+        kwargs = {k: v for k, v in _job(row, spec, seqs, point).items() if k != "seq_desc"}
+        units[first] = kwargs, (first == hit,) + (False,) * (sizes[first] - 1)  # the perturbed case first
+    return params, groups, units, perturbed
 
 
 _PASS = ("pass",)
@@ -606,53 +616,36 @@ def _judge(job: tuple[str, dict, tuple[bool, ...]]) -> list[tuple]:
 
 
 def run_grids(specs: list[GridSpec], workers: int = 1) -> list[IdentityCase]:
-    """All cases of the grids, sorted by (identity, params).
+    """All cases of the grids in report order: by identity, then by params.
 
     The cases that share a key are one unit of work, and the units of every
-    grid go to one pool, costliest identity first.  A unit is shipped as the
+    grid go to one pool, costliest identity first.  A unit travels as the
     checker kwargs of its first case and one perturb flag per case, and comes
-    back as one verdict per case.  Execution order never shows in the
-    output: the cases are sorted, so serial and parallel runs agree byte for
-    byte.
+    back as one verdict per case into the cases that _walk laid out; the
+    grids of one identity are merged by sort_key.
     """
-    groups: list[tuple[str, list[dict], list[bool]]] = []
-    for spec in specs:
-        spec.validate()
-        jobs = list(_enumerate_jobs(spec))
-        if spec.perturb_index is not None and not 0 <= spec.perturb_index < len(jobs):
-            raise InvalidGrid(
-                f"perturb_index {spec.perturb_index} is outside 0 .. {len(jobs) - 1}: "
-                f"the grid has {len(jobs)} cases"
-            )
-        key = _IDENTITY_TABLE[spec.identity].key
-        by_key: dict[tuple, tuple[list[dict], list[bool]]] = {}
-        for index, kwargs in enumerate(jobs):
-            group, perturbs = by_key.setdefault(key(kwargs), ([], []))
-            group.append(kwargs)
-            perturbs.append(index == spec.perturb_index)
-        groups += [(spec.identity, group, perturbs) for group, perturbs in by_key.values()]
-    groups.sort(key=lambda g: -_IDENTITY_TABLE[g[0]].cost_ms)
-    work = [
-        (identity, {k: v for k, v in group[0].items() if k != "seq_desc"}, tuple(perturbs))
-        for identity, group, perturbs in groups
-    ]
+    walks = sorted([(spec.identity, *_walk(spec)) for spec in specs], key=lambda w: -_IDENTITY_TABLE[w[0]].cost_ms)
+    work = [(identity, *unit) for identity, _, _, units, _ in walks for unit in units.values()]
     if workers > 1 and len(work) > 1:
         chunk = max(1, len(work) // (workers * 4))
         # a fork pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(workers, -(-len(work) // chunk))) as pool:
-            verdicts = list(pool.map(_judge, work, chunksize=chunk))
+            verdicts = iter(list(pool.map(_judge, work, chunksize=chunk)))
     else:
         verdicts = map(_judge, work)
-    cases = []
-    for (identity, group, _), group_verdicts in zip(groups, verdicts):
-        params = _IDENTITY_TABLE[identity].params
-        cases += [IdentityCase(identity, params(kw), *v) for kw, v in zip(group, group_verdicts)]
-    cases.sort(key=IdentityCase.sort_key)
-    return cases
+    grids: dict[str, list] = {}
+    for identity, params, groups, units, perturbed in walks:
+        units = dict(zip(units, islice(verdicts, len(units))))
+        common = {first: unit[-1] for first, unit in units.items()}  # the last case of a unit is unperturbed
+        cases = [IdentityCase(identity, p, *common[first]) for p, first in zip(params, groups)]
+        if perturbed is not None:
+            cases[perturbed] = IdentityCase(identity, params[perturbed], *units[groups[perturbed]][0])
+        grids.setdefault(identity, []).append(cases)
+    return [case for identity in sorted(grids) for case in merge(*grids[identity], key=IdentityCase.sort_key)]
 
 
 def run_grid(spec: GridSpec, workers: int = 1) -> list[IdentityCase]:
-    """All cases of one grid, sorted by parameter key."""
+    """All cases of one grid, in report order."""
     return run_grids([spec], workers)
 
 
@@ -665,32 +658,49 @@ def default_grid(identity: str, seed: int = DEFAULT_SEED) -> GridSpec:
 
 def build_report(campaign: str, cases: list[IdentityCase], grids: list[GridSpec]) -> dict:
     summary = {"pass": 0, "fail": 0, "skipped": 0}
-    for case in cases:
-        summary[case.status] += 1
-    return {
-        "campaign": campaign,
-        "grid": [spec.to_json() for spec in grids],
-        "cases": [case.to_json() for case in cases],
-        "summary": summary,
-    }
+    summary.update(Counter(case.status for case in cases))
+    return {"campaign": campaign, "grid": [spec.to_json() for spec in grids],
+            "cases": [case.to_json() for case in cases], "summary": summary}
 
 
 # Any indent sends json.dumps to its pure-Python encoder, so the case list,
-# nearly all of a report, is laid out here from C-encoded pieces: strings,
-# and each params object (its values are scalars) by _PARAMS.
+# nearly all of a report, is laid out here: one template per (keys, params
+# names, identity, status), filled with C-encoded strings and with params
+# values (scalars) encoded once per (type, value).
 _string = json.encoder.encode_basestring_ascii
-_PARAMS = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "))
 
 
-def _params_text(params: dict) -> str:
-    return "{\n        " + _PARAMS.encode(params)[1:-1] + "\n      }" if params else "{}"
+class _Values(dict):
+    def __missing__(self, item):
+        text = json.dumps(item[1])
+        if item[0] is not float:  # 0.0 == -0.0, which print differently
+            self[item] = text
+        return text
 
 
-def _case_text(case: dict) -> str:
-    return "    {\n" + ",\n".join([
-        f"      {_string(key)}: {_params_text(value) if key == 'params' else _string(value)}"
-        for key, value in sorted(case.items())
-    ]) + "\n    }"
+def _case_template(keys: tuple, names: tuple, identity: str, status: str) -> tuple:
+    """A case's text with a %s for each params value by sorted name and for
+    each other string; the sorted names, and those strings' keys before and
+    after the params."""
+    order, keys, esc = sorted(names), sorted(keys), lambda text: text.replace("%", "%%")
+    params = ",\n        ".join(esc(json.dumps({k: 0})[1:-2]) + "%s" for k in order)
+    fields = {"identity": esc(_string(identity)), "status": esc(_string(status)),
+              "params": "{\n        " + params + "\n      }" if names else "{}"}
+    text = "    {\n" + ",\n".join(f"      {esc(_string(k))}: {fields.get(k, '%s')}" for k in keys) + "\n    }"
+    others = [k for k in keys if k not in fields]
+    return text, order, [k for k in others if k < "params"], [k for k in others if k > "params"]
+
+
+def _case_texts(cases):
+    values, template = _Values(), lru_cache(maxsize=None)(_case_template)
+    for case in cases:
+        params = case["params"]
+        text, order, before, after = template(tuple(case), tuple(params), case["identity"], case["status"])
+        vals = [*map(params.__getitem__, order)]
+        vals = tuple(map(values.__getitem__, zip(map(type, vals), vals)))
+        if before or after:
+            vals = (*[_string(case[k]) for k in before], *vals, *[_string(case[k]) for k in after])
+        yield text % vals
 
 
 def report_json_bytes(report: dict) -> bytes:
@@ -698,16 +708,13 @@ def report_json_bytes(report: dict) -> bytes:
     # only "campaign", whose encoded value escapes every quote, sorts before
     # "cases", so the first '"cases": []' in the envelope is the key
     head, tail = json.dumps(dict(report, cases=[]), sort_keys=True, indent=2).split('"cases": []', 1)
-    cases = "[]"
-    if report["cases"]:
-        cases = "[\n" + ",\n".join(map(_case_text, report["cases"])) + "\n  ]"
-    return (head + '"cases": ' + cases + tail + "\n").encode()
+    cases = ",\n".join(_case_texts(report["cases"]))
+    cases = ("[\n", cases, "\n  ]") if cases else ("[]",)
+    return "".join((head, '"cases": ', *cases, tail, "\n")).encode()
 
 
-_CSV_COLUMNS = (
-    "identity", "m", "n", "r", "p", "lambda", "seq", "T",
-    "status", "reason", "lhs", "rhs",
-)
+_CSV_COLUMNS = ("identity", "m", "n", "r", "p", "lambda", "seq", "T", "status", "reason", "lhs", "rhs")
+_CASE_COLUMNS = ("identity", "status", "reason", "lhs", "rhs")
 
 
 def report_csv_bytes(report: dict) -> bytes:
@@ -715,13 +722,6 @@ def report_csv_bytes(report: dict) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for case in report["cases"]:
-        row = []
-        for col in _CSV_COLUMNS:
-            if col == "identity":
-                row.append(case["identity"])
-            elif col in ("status", "reason", "lhs", "rhs"):
-                row.append(case.get(col, ""))
-            else:
-                row.append(case["params"].get(col, ""))
-        writer.writerow(row)
+        writer.writerow([case.get(col, "") if col in _CASE_COLUMNS else case["params"].get(col, "")
+                         for col in _CSV_COLUMNS])
     return buf.getvalue().encode()

@@ -354,6 +354,49 @@ def test_verify_rejects_nonpositive_workers(capsys):
         assert "--workers" in capsys.readouterr().err
 
 
+# int() reads each of these as an integer: other digit scripts, "_", "+"
+# and surrounding whitespace
+LOOSE_INTEGERS = ("\u0662", "\uff13", "1_0", " 2", "2\n", "+1")
+# a valid command line per subcommand, and its integer flags
+VALID_ARGS = {
+    "poly": ["--m", "2", "--lambda", "2"],
+    "hpoly": ["--m", "1", "--p", "1", "--lambda", "2", "--gamma", "zeta:4:1"],
+    "esum": ["--m", "1", "--n", "3", "--r", "0", "--p", "1", "--lambda", "2", "--seq", "delta"],
+    "vsum": ["--n", "3", "--k", "1", "--lambda", "2"],
+    "ramanujan": ["--n", "6", "--k", "2"],
+    "interp": ["--n", "3", "--r", "0", "--seq", "delta"],
+    "verify": ["--identity", "moebius", "--workers", "1", "--seed", "3"],
+}
+INTEGER_FLAGS = {
+    "poly": ("--m",), "hpoly": ("--m", "--p"), "esum": ("--m", "--n", "--r", "--p"), "vsum": ("--n", "--k"),
+    "ramanujan": ("--n", "--k"), "interp": ("--n", "--r"), "verify": ("--workers", "--seed"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGS))
+def test_integer_flags_take_only_ascii_digits(capsys, command):
+    assert run(capsys, command, *VALID_ARGS[command])[0] == 0
+    for flag in INTEGER_FLAGS[command]:
+        for text in LOOSE_INTEGERS:
+            argv = list(VALID_ARGS[command])
+            argv[argv.index(flag) + 1] = text
+            with pytest.raises(SystemExit) as exc:
+                main([command, *argv])
+            assert exc.value.code == 2, (flag, text)
+            assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_gamma_zeta_takes_only_ascii_integers(capsys):
+    argv = ["hpoly", "--m", "1", "--p", "1", "--lambda", "2", "--gamma"]
+    for text in LOOSE_INTEGERS:
+        for gamma in (f"zeta:{text}:1", f"zeta:4:{text}"):
+            code, out, err = run(capsys, *argv, gamma)
+            assert (code, out) == (2, ""), gamma
+            assert "--gamma" in err and repr(gamma) in err
+    for gamma in ("zeta:4", "zeta:4:1:1"):
+        assert run(capsys, *argv, gamma)[0] == 2
+
+
 def test_verify_missing_grid_file(capsys):
     code, _, err = run(
         capsys, "verify", "--identity", "mult", "--grid", "/nonexistent.json"

@@ -243,7 +243,6 @@ BOUNDED_CACHES = {
     "cyclosum.appell._bernoulli": "(m, lambda)",
     "cyclosum.appell._frob_euler": "(m, p, lambda, gamma)",
     "cyclosum.cyclotomic.cyclo_inv": "the element",
-    "cyclosum.cyclotomic.format_scalar": "the scalar",
     "cyclosum.dedekind._excluded_lambdas": "n",
     "cyclosum.dedekind._e_sum": "(m, n, (r + p) mod n, lambda, C)",
     "cyclosum.dedekind._orbit_weights": "(n, d, C)",
@@ -272,7 +271,7 @@ def _package_caches() -> dict:
 def test_value_keyed_caches_are_bounded():
     caches = _package_caches()
     assert set(caches) == set(UNBOUNDED_CACHES) | set(BOUNDED_CACHES)
-    assert len(caches) == 22
+    assert len(caches) == 21
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == set(UNBOUNDED_CACHES)
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclosum import verify
 from cyclosum.appell import apostol_bernoulli
-from cyclosum.cyclotomic import normalize_scalar
+from cyclosum.cyclotomic import CycloNum, format_scalar, normalize_scalar
 from cyclosum.dedekind import e_sum, g_series_oracle
 from cyclosum.errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from cyclosum.qpoly import QPoly
@@ -64,15 +64,52 @@ JUDGED_JOBS = [
 ]
 
 
+# A job's report params and the key of the values its comparisons depend
+# on, computed from its checker kwargs as the runner did per job before it
+# laid out each grid in one pass: the oracle for that layout.
+JOB_PARAMS = {
+    "prop1": lambda kw: {"n": kw["c_seq"].n, "r": kw["r"], "seq": kw["seq_desc"]},
+    "prop2": lambda kw: {"m": kw["m"], "n": kw["n"], "r": kw["r"], "p": kw["p"],
+                         "lambda": format_scalar(kw["lam"]), "seq": kw["seq_desc"]},
+    "mult": lambda kw: {"m": kw["m"], "n": kw["n"], "lambda": format_scalar(kw["lam"])},
+    "section4": lambda kw: {"m": kw["m"], "n": kw["n"], "r": kw["r"], "p": kw["p"],
+                            "lambda": format_scalar(kw["lam"]), "seq": "ramanujan"},
+    "moebius": lambda kw: {"n": kw["n"]},
+    "gseries": lambda kw: {"n": kw["n"], "r": kw["r"], "p": kw["p"], "lambda": format_scalar(kw["lam"]),
+                           "seq": kw["seq_desc"], "T": kw["order"]},
+}
+JOB_KEYS = {
+    "prop1": lambda kw: (kw["c_seq"], kw["r"] % kw["c_seq"].n),
+    "prop2": lambda kw: (kw["m"], kw["n"], (kw["r"] + kw["p"]) % kw["n"], normalize_scalar(kw["lam"]), kw["c_seq"]),
+    "mult": lambda kw: (kw["m"], kw["n"], normalize_scalar(kw["lam"])),
+    "section4": lambda kw: (kw["m"], kw["n"], normalize_scalar(kw["lam"])),
+    "moebius": lambda kw: (kw["n"],),
+    "gseries": lambda kw: (kw["n"], (kw["r"] + kw["p"]) % kw["n"], kw["p"] % 2,
+                           normalize_scalar(kw["lam"]), kw["c_seq"], kw["order"]),
+}
+
+
 def _judged(identity, group, perturbs=None):
     """The cases of one key group, judged by _judge on the first job's
-    checker kwargs and labelled with each job's params, as run_grids does."""
+    checker kwargs and labelled with each job's params."""
     perturbs = tuple(perturbs or [False] * len(group))
     kwargs = {k: v for k, v in group[0].items() if k != "seq_desc"}
-    params = verify._IDENTITY_TABLE[identity].params
     verdicts = _judge((identity, kwargs, perturbs))
     assert len(verdicts) == len(group)
-    return [IdentityCase(identity, params(kw), *v) for kw, v in zip(group, verdicts)]
+    return [IdentityCase(identity, JOB_PARAMS[identity](kw), *v) for kw, v in zip(group, verdicts)]
+
+
+def _job_route(spec):
+    """run_grid by the route before the one-pass layout: a kwargs dict per
+    job in job order, grouped by JOB_KEYS, judged once per group, labelled
+    by JOB_PARAMS and sorted by sort_key."""
+    by_key = {}
+    for index, kwargs in enumerate(_enumerate_jobs(spec)):
+        group, perturbs = by_key.setdefault(JOB_KEYS[spec.identity](kwargs), ([], []))
+        group.append(kwargs)
+        perturbs.append(index == spec.perturb_index)
+    cases = [case for group, perturbs in by_key.values() for case in _judged(spec.identity, group, perturbs)]
+    return sorted(cases, key=IdentityCase.sort_key)
 
 
 def test_checkers_pass_and_perturb_fails(checker_calls):
@@ -616,11 +653,10 @@ def test_pool_is_capped_at_its_number_of_chunks(monkeypatch):
 def _run_grid_per_job(spec):
     """run_grid's cases with the checker called once for every job, and the
     comparisons of every job (None for a collision) listed by key."""
-    row = verify._IDENTITY_TABLE[spec.identity]
     cases, by_key = [], {}
     for index, kwargs in enumerate(_enumerate_jobs(spec)):
-        params = row.params(kwargs)
-        same_key = by_key.setdefault(row.key(kwargs), [])
+        params = JOB_PARAMS[spec.identity](kwargs)
+        same_key = by_key.setdefault(JOB_KEYS[spec.identity](kwargs), [])
         try:
             comparisons = verify._CHECKERS[spec.identity](**{k: v for k, v in kwargs.items() if k != "seq_desc"})
         except ParameterCollision as exc:
@@ -677,6 +713,89 @@ def test_run_grid_matches_one_checker_call_per_job(identity, data):
     # the jobs of one key have equal comparisons, so one checker call decides them all
     assert all(comparisons == same[0] for same in by_key.values() for comparisons in same)
     assert [case.to_json() for case in run_grid(spec)] == [case.to_json() for case in expected]
+
+
+def test_identity_fields_are_the_axes_by_sorted_name():
+    # the one-pass layout walks the fields in this order, and reads a case's
+    # report params and key from them
+    for identity, row in verify._IDENTITY_TABLE.items():
+        names = [name for _, field in row.fields for name in ((field,) if isinstance(field, str) else field)]
+        assert names == sorted(names), identity
+        assert {src for src, _ in row.fields if isinstance(src, str)} - {"order"} == set(row.axes), identity
+        assert set(names) == set(JOB_PARAMS[identity](next(_enumerate_jobs(default_grid(identity))))), identity
+
+
+def _repeating(values, max_size=3):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size).map(tuple)
+
+
+# Axes whose values repeat: equal ints, two lambdas labelled "1", -1 (which
+# collides at even n) and sequence labels given twice, as "random-1" is by
+# "random:2" and by itself.
+REPEAT_LAMBDAS = (Fraction(1), CycloNum.of(3, 1), Fraction(-1), Fraction(2), Fraction(-1, 2))
+REPEAT_SEQUENCES = ("delta", "ramanujan", "random:2", "random-1")
+REPEAT_GRIDS = {
+    "prop1": dict(n=_repeating(range(2, 5), 2), r=_repeating(range(-1, 4)), sequences=_repeating(REPEAT_SEQUENCES, 2)),
+    "prop2": dict(m=_repeating(range(1, 3), 2), n=_repeating(range(2, 5), 2), r=_repeating(range(-1, 3), 2),
+                  p=_repeating(range(-1, 2), 2), lambdas=_repeating(REPEAT_LAMBDAS, 2),
+                  sequences=_repeating(REPEAT_SEQUENCES, 2)),
+    "mult": dict(m=_repeating(range(0, 3)), n=_repeating(range(1, 4)), lambdas=_repeating(REPEAT_LAMBDAS)),
+    "section4": dict(m=_repeating(range(1, 3)), n=_repeating((2, 3, 4), 2),
+                     rp_pairs=_repeating(((1, 0), (0, 1), (2, -1))), lambdas=_repeating(REPEAT_LAMBDAS, 2)),
+    "moebius": dict(n=_repeating(range(2, 7), 4)),
+    "gseries": dict(n=_repeating(range(2, 4), 2), r=_repeating(range(0, 3), 2), p=_repeating(range(0, 2), 2),
+                    lambdas=_repeating(REPEAT_LAMBDAS, 2), sequences=_repeating(REPEAT_SEQUENCES[2:], 1),
+                    order=st.integers(1, 2)),
+}
+
+
+@st.composite
+def repeating_grids(draw, identity):
+    spec = GridSpec(identity, **{axis: draw(values) for axis, values in REPEAT_GRIDS[identity].items()})
+    count = len(list(_enumerate_jobs(spec)))
+    spec.perturb_index = draw(st.integers(0, count - 1) | st.none())
+    return spec
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("identity", IDENTITIES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_run_grid_matches_the_job_route_when_axis_values_repeat(identity, workers, data):
+    # cases with equal params keep their job order, as the stable sort did
+    spec = data.draw(repeating_grids(identity))
+    assert [c.to_json() for c in run_grid(spec, workers)] == [c.to_json() for c in _job_route(spec)]
+
+
+def test_equal_params_keep_job_order():
+    # both lambdas read "1"; job 1 is (n, lambda) = (first 2, level-3 one)
+    spec = GridSpec("mult", m=(1,), n=(2, 2), lambdas=(Fraction(1), CycloNum.of(3, 1)), perturb_index=1)
+    cases = run_grid(spec)
+    assert [c.status for c in cases] == ["pass", "fail", "pass", "pass"]
+    assert [c.to_json() for c in cases] == [c.to_json() for c in _job_route(spec)]
+
+
+# two prop2 grids with params in common, a mult grid between them, and a
+# collision at n = 2
+SAME_IDENTITY_GRIDS = [
+    GridSpec("prop2", m=(2, 1), n=(3,), r=(0, 1), p=(1,), lambdas=(Fraction(2),),
+             sequences=("delta", "ramanujan"), perturb_index=1),
+    GridSpec("mult", m=(1, 2), n=(2,), lambdas=(Fraction(2),), perturb_index=0),
+    GridSpec("prop2", m=(1,), n=(2, 3), r=(1, 0), p=(1,), lambdas=(Fraction(2), Fraction(-1)),
+             sequences=("delta",), perturb_index=0),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grids_interleaves_grids_of_one_identity_as_one_sort(workers):
+    # the order one stable sort by sort_key gave over the cases of all grids
+    expected = sorted((c for spec in SAME_IDENTITY_GRIDS for c in _job_route(spec)), key=IdentityCase.sort_key)
+    cases = run_grids(SAME_IDENTITY_GRIDS, workers=workers)
+    assert [c.to_json() for c in cases] == [c.to_json() for c in expected]
+    prop2 = [c.to_json() for c in cases if c.identity == "prop2"]
+    one_by_one = [c.to_json() for spec in SAME_IDENTITY_GRIDS[::2] for c in run_grid(spec)]
+    assert prop2 != one_by_one and sorted(map(json.dumps, prop2)) == sorted(map(json.dumps, one_by_one))
+    assert [c.status for c in cases].count("fail") == 3 and "skipped" in [c.status for c in cases]
 
 
 def test_run_grid_perturb_injects_single_failure(checker_calls):
@@ -741,6 +860,8 @@ report_cases = st.builds(
 @given(awkward_text, st.lists(report_cases, max_size=4), st.lists(st.sampled_from(IDENTITIES), max_size=2))
 @example('"cases": []', [], [])
 @example("prop2", [verify.IdentityCase("prop2", {}, "fail", "r\u00e9ason", "-1", '"\\')], ["prop2"])
+# equal params values of another type or sign print differently
+@example("%s", [verify.IdentityCase("%", {"a": v, "%": "%s"}, "pass") for v in (1, True, 1.0, 0.0, -0.0, 0)], [])
 def test_report_json_bytes_equal_json_dumps(campaign, cases, grids):
     report = build_report(campaign, cases, [default_grid(i) for i in grids])
     assert report_json_bytes(report) == _dumps_oracle(report)
