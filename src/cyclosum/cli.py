@@ -84,12 +84,10 @@ def _parse_gamma(text: str):
 
 def _resolve_seq_arg(text: str, n: int):
     """--seq value: family shorthand, file:path, or a bare JSON path."""
-    head = text.split(":", 1)[0]
-    if head in FAMILY_NAMES:
+    if text.split(":", 1)[0] in FAMILY_NAMES:
         name, params = parse_family(text)
         return family(name, n, **params)
-    path = text.split(":", 1)[1] if head == "file" else text
-    seq = load_sequence(path)
+    seq = load_sequence(text[5:] if text.startswith("file:") else text)
     if seq.n != n:
         raise SequenceFileError(f"sequence period {seq.n} differs from --n {n}")
     return seq

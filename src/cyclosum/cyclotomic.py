@@ -319,13 +319,6 @@ def _cancel(level: int, nums, den: int) -> CycloNum:
     return _make(level, tuple(nums), den)
 
 
-def common_den(vals) -> tuple[tuple[list[int], ...], int]:
-    """Same-level CycloNums over their least common denominator, as
-    (vecs, den): vecs[i] / den holds the coordinates of vals[i]."""
-    den = lcm(*(v.den for v in vals))
-    return tuple(_K.vec_scale(v.nums, den // v.den) for v in vals), den
-
-
 def _scaled(a: CycloNum, p: int, q: int) -> CycloNum:
     """a * p/q for p/q in lowest terms.
 

@@ -19,11 +19,11 @@ r and p only through s = (r + p) mod n, up to the sign (-1)^p.  For
 rational lam the terms fall into Galois orbits: with d = n/gcd(k, n), the
 k-th term is sigma_u of the level-d seed H_{m-1}^{(0)}(q, lam, zeta_d^{-1}),
 and s rotates the orbit's weights, which for one orbit are one
-spectra.root_sums table.  So _e_sum is the product of two integer
-matrices: the seeds of every divisor d > 1 of n side by side, one
+spectra.root_sums table.  So _e_sum is one qpoly.matrix_product: the
+seeds of every divisor d > 1 of n laid side by side by poly_rows, one
 Frobenius-Euler polynomial per divisor and not one per k, cached per
-(m, n, lam); and the weights rotated by s, stacked to match, cached per
-(n, s, C).
+(m, n, lam); and the weights rotated by s, stacked to match by
+value_columns, cached per (n, s, C).
 
 g_series_oracle is the independent series route: the closed form of the
 generating function whose EGF coefficient m must equal e_sum at index m+1.
@@ -36,13 +36,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .appell import frobenius_euler
 from .arith import divisors, euler_phi, totatives
-from .cyclotomic import CycloNum, common_den, normalize_scalar, zeta_pow
+from .cyclotomic import CycloNum, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
-from .qpoly import QPoly, matrix_columns, matrix_product, q, sum_of_products
+from .qpoly import QPoly, matrix_product, poly_rows, q, sum_of_products, value_columns
 from .series import TruncSeries, weighted_sum
 from .spectra import PeriodicSeq, ramanujan_sum, root_sums
 
@@ -98,57 +97,44 @@ def _e_sum(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     # Y_d = H_{m-1}^{(0)}(q, lam, zeta_d^{-1}).  With Y_d = sum_j y_j zeta_d^j,
     # the orbit of Y_d contributes sum_j y_j W_{(j-s) mod d}: one product of
     # the seeds of (m, n, lam) and the weights of (n, s, C).
-    rows, seed_den = _seed_matrix(m, n, lam)
-    cols, weight_den = _weight_matrix(n, s, c_seq)
-    return matrix_product(n, rows, cols, seed_den * weight_den)
+    return matrix_product(n, _seed_matrix(m, n, lam), _weight_matrix(n, s, c_seq))
 
 
 @lru_cache(maxsize=1024)
 def _seed_matrix(m: int, n: int, lam: Fraction):
-    """The seeds Y_d of the divisors d > 1 of n side by side, as (rows,
-    den): row i holds the coordinates y_j, j < phi(d), of q^i in each Y_d
-    in turn, over den.  Every Y_d has degree m - 1, and its leading
+    """The seeds Y_d of the divisors d > 1 of n side by side, as poly_rows
+    lays them out: row i holds the coordinates y_j, j < phi(d), of q^i in
+    each Y_d in turn.  Every Y_d has degree m - 1, and its leading
     coefficient 1/(lam - zeta_d^{-1}) puts it at level d, except Y_2,
     which is rational with phi(2) = 1 coordinate."""
-    seeds = [frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1)) for d in divisors(n)[1:]]
-    den = lcm(*(seed.den for seed in seeds))
-    rows = tuple(
-        tuple(v * (den // seed.den) for seed in seeds for v in seed.rows[i]) for i in range(m)
-    )
-    return rows, den
+    return poly_rows([frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1)) for d in divisors(n)[1:]])
 
 
 @lru_cache(maxsize=1024)
 def _weight_matrix(n: int, s: int, c_seq: PeriodicSeq):
     """The weights W_{(j-s) mod d}, j < phi(d), of the divisors d > 1 of n
-    stacked to match _seed_matrix, as (cols, den): column t holds their
-    level-n coordinates t over den.  A divisor whose weights all vanish
-    gives a zero block."""
-    blocks = [(d, _orbit_weights(n, d, c_seq)) for d in divisors(n)[1:]]
-    den = lcm(*(w[1] for _, w in blocks if w is not None))
-    zero = (0,) * euler_phi(n)
+    stacked to match _seed_matrix, as value_columns lays them out.  A
+    divisor whose weights all vanish gives a zero block."""
     stack = []
-    for d, weights in blocks:
+    for d in divisors(n)[1:]:
+        weights = _orbit_weights(n, d, c_seq)
         if weights is None:
-            stack += [zero] * euler_phi(d)
+            stack += [CycloNum.of(n, 0)] * euler_phi(d)
         else:
-            vecs, w_den = weights
-            f = den // w_den
-            stack += [[v * f for v in vecs[(j - s) % d]] for j in range(euler_phi(d))]
-    return matrix_columns(stack), den
+            stack += [weights[(j - s) % d] for j in range(euler_phi(d))]
+    return value_columns(stack)
 
 
 @lru_cache(maxsize=1024)
 def _orbit_weights(n: int, d: int, c_seq: PeriodicSeq):
-    """The level-n weights W_i = sum_{u in (Z/d)^*} C_{-gu} zeta_n^{gui},
-    g = n/d, for i < d, as (vecs, den): vecs[i] / den holds the coordinates
-    of W_i.  None when every W_i vanishes."""
+    """The level-n CycloNums W_i = sum_{u in (Z/d)^*} C_{-gu} zeta_n^{gui},
+    g = n/d, for i < d; None when every W_i vanishes."""
     g = n // d
     tots = totatives(d)
     ws = root_sums(n, [c_seq[-g * u] for u in tots], ([g * u * i for u in tots] for i in range(d)))
     if not any(ws):
         return None
-    return common_den([CycloNum.of(n, w) for w in ws])
+    return tuple(CycloNum.of(n, w) for w in ws)
 
 
 def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> TruncSeries:

@@ -16,10 +16,12 @@ sums alike: a rational operand is lifted into the other operand's level;
 two different irrational levels refuse arithmetic.  Every product goes
 through sum_of_products, which accumulates the unreduced row products of a
 whole sum over one common denominator, reduces each row modulo Phi_level
-once and cancels the matrix once.  A sum whose factors are already integer
-matrices, such as a fixed basis weighted by a rotated spectrum, is one
-matrix_product of the two, built once.  Single coefficients come out through
-``coeffs`` and ``[i]`` as a Fraction when rational and a CycloNum otherwise.
+once and cancels the matrix once.  A sum of QPolys weighted by CycloNums
+that recur across many sums, such as a fixed basis weighted by a rotated
+spectrum, is one matrix_product of two integer matrices built once each:
+poly_rows lays out the QPolys and value_columns the CycloNums.  Single
+coefficients come out through ``coeffs`` and ``[i]`` as a Fraction when
+rational and a CycloNum otherwise.
 """
 from __future__ import annotations
 
@@ -324,27 +326,40 @@ def sum_of_products(terms) -> QPoly:
     return _build(level, flat, common)
 
 
-def matrix_product(level: int, rows, cols, den: int) -> QPoly:
-    """R @ M / den as one canonical QPoly at `level`.
-
-    R is an integer matrix with one row per power of q; M is an integer
-    matrix given by its phi(level) columns as matrix_columns returns them,
-    so row i of R @ M holds the numerators of the coefficient of q^i.
-    """
-    return _build(level, [sum(map(mul, row, col)) for row in rows for col in cols], den)
-
-
-def matrix_columns(vecs) -> tuple[tuple[int, ...], ...]:
-    """The columns of the integer matrix with rows vecs, each without its
-    trailing zeros: a product skips them, and a rational or vanishing
-    block of rows leaves whole columns empty."""
+def poly_rows(polys) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """QPolys side by side over one denominator, as (rows, den): row i holds
+    the phi(level) numerators of q^i of each poly in turn, zeros past a
+    poly's degree.  The left factor of matrix_product."""
+    den = lcm(*(p.den for p in polys))
+    size = max(map(len, polys), default=0)
     cols = []
-    for col in zip(*vecs):
+    for p in polys:
+        f, pad = den // p.den, [0] * (size - len(p.rows))
+        cols += [[v * f for v in col] + pad for col in zip(*p.rows)] or [pad]  # the zero poly: one column
+    return tuple(zip(*cols)), den
+
+
+def value_columns(values) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Same-level CycloNums over one denominator, as (cols, den): column t
+    holds coordinate t of each value in turn, without its trailing zeros,
+    since a product skips them and a rational or vanishing run of values
+    leaves whole columns empty.  The right factor of matrix_product."""
+    den = lcm(*(v.den for v in values))
+    cols = []
+    for col in zip(*[_K.vec_scale(v.nums, den // v.den) for v in values]):
         end = len(col)
         while end and not col[end - 1]:
             end -= 1
         cols.append(col[:end])
-    return tuple(cols)
+    return tuple(cols), den
+
+
+def matrix_product(level: int, left, right) -> QPoly:
+    """R @ M / (den_R * den_M) as one canonical QPoly at `level`, for
+    left = (R, den_R) from poly_rows and right = (M, den_M) from
+    value_columns: row i of R @ M holds the numerators of q^i."""
+    (rows, row_den), (cols, col_den) = left, right
+    return _build(level, [sum(map(mul, row, col)) for row in rows for col in cols], row_den * col_den)
 
 
 def _flat(p: QPoly, phi: int, stride: int) -> list[int]:

@@ -29,16 +29,15 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import merge
 from itertools import count, groupby, islice, product, repeat, starmap
-from math import factorial, lcm
+from math import factorial
 from operator import itemgetter
-from typing import NamedTuple
 
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
-from .cyclotomic import common_den, format_scalar, normalize_scalar, scalar_from_json
+from .cyclotomic import format_scalar, normalize_scalar, scalar_from_json
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
-from .qpoly import QPoly, geometric_block, matrix_columns, matrix_product, sum_of_products
+from .qpoly import QPoly, geometric_block, matrix_product, poly_rows, sum_of_products, value_columns
 from .scalars import parse_int
 from .series import TruncSeries, t_over_exp_affine, weighted_sum
 from .spectra import (PeriodicSeq, SpectralSeq, dft_inverse, family, interp_poly, lagrange_oracle,
@@ -81,43 +80,31 @@ def check_prop1(c_seq: PeriodicSeq, r: int) -> Comparisons:
     return ((None, interp_poly(dft_inverse(c_seq), r), lagrange_oracle(c_seq, r)),)
 
 
-class _Basis(NamedTuple):
-    """The Apostol-Bernoulli pieces of the prop2 and mult right sides."""
-
-    scaled: QPoly  # A = B_m(nq, lam)
-    shifts: tuple[QPoly, ...]  # V_j = lam^j B_m(q + j/n, lam^n) for j < n
-
-
-def _bernoulli_basis(m: int, n: int, lam) -> _Basis:
-    """A and the V_j of (m, n, lam).  Uncached: a rational lam reads them
-    once through _basis_matrix, and mult's cases never repeat a key."""
+def _bernoulli_basis(m: int, n: int, lam) -> tuple[QPoly, tuple[QPoly, ...]]:
+    """A = B_m(nq, lam) and the V_j = lam^j B_m(q + j/n, lam^n), j < n, the
+    Apostol-Bernoulli pieces of the prop2 and mult right sides.  Uncached: a
+    rational lam reads them once through _basis_matrix, and mult's cases
+    never repeat a key."""
     b = apostol_bernoulli(m, lam**n)
     shifts = tuple(b.shift(Fraction(j, n)) * lam**j for j in range(n))
-    return _Basis(apostol_bernoulli(m, lam).scale_arg(n), shifts)
+    return apostol_bernoulli(m, lam).scale_arg(n), shifts
 
 
 @lru_cache(maxsize=1024)
 def _basis_matrix(m: int, n: int, lam: Fraction):
-    """The basis of a rational lam as one integer matrix, (rows, den): row i
-    holds the numerators of q^i in A, -n^m V_0, ..., -n^m V_{n-1} over den."""
+    """The basis of a rational lam as poly_rows lays it out: row i holds
+    the numerators of q^i in A, -n^m V_0, ..., -n^m V_{n-1}."""
     scaled, shifts = _bernoulli_basis(m, n, lam)
-    polys = (scaled,) + shifts
-    weights = (1,) + (-(n**m),) * n
-    den = lcm(*(v.den for v in polys))
-    size = max(len(v) for v in polys)
-    cols = [
-        [w * (den // v.den) * row[0] for row in v.rows] + [0] * (size - len(v))
-        for v, w in zip(polys, weights)
-    ]
-    return tuple(zip(*cols)), den
+    rows, den = poly_rows((scaled, *shifts))
+    w = -(n**m)
+    return tuple((row[0], *[v * w for v in row[1:]]) for row in rows), den
 
 
 @lru_cache(maxsize=1024)
 def _spectrum_matrix(c0, kseq: SpectralSeq, s: int):
-    """C_0 and the spectrum K rotated by s over one den, as (cols, den):
+    """C_0 and the spectrum K rotated by s, as value_columns lays them out:
     column t holds coordinate t of C_0, K_{-s}, K_{1-s}, ..., K_{n-1-s}."""
-    vecs, den = common_den((c0,) + tuple(kseq[j - s] for j in range(kseq.n)))
-    return matrix_columns(vecs), den
+    return value_columns((c0, *(kseq[j - s] for j in range(kseq.n))))
 
 
 def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
@@ -132,9 +119,7 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
         terms = [(1, c_seq[0], scaled)]
         terms += [(-(n**m), v, kseq[j - s]) for j, v in enumerate(shifts)]
         return sum_of_products(terms)
-    rows, den = _basis_matrix(m, n, lam)
-    cols, spec_den = _spectrum_matrix(c_seq[0], kseq, s)
-    return matrix_product(n, rows, cols, den * spec_den)
+    return matrix_product(n, _basis_matrix(m, n, lam), _spectrum_matrix(c_seq[0], kseq, s))
 
 
 def check_prop2(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> Comparisons:
@@ -537,10 +522,11 @@ def _enumerate_jobs(spec: GridSpec):
     return (_job(_IDENTITY_TABLE[spec.identity], spec, seqs, point) for point in product(*values.values()))
 
 
-def _walk(spec: GridSpec) -> tuple[list[dict], list[int], dict[int, tuple[dict, tuple]], int | None]:
+def _walk(spec: GridSpec) -> tuple[list[dict], list[int], dict[int, tuple[dict, bool]], int | None]:
     """One grid's cases in report order, unjudged: each case's params, the
     position of the first case of its key (its group), each group's checker
-    kwargs and perturb flags by that position, and the perturbed position.
+    kwargs and whether it holds the perturbed case by that position, and the
+    perturbed position.
 
     Each field's values are labelled, interned and sorted by label once; the
     product of the fields is then the order that sort_key gives.  Cases with
@@ -579,12 +565,12 @@ def _walk(spec: GridSpec) -> tuple[list[dict], list[int], dict[int, tuple[dict, 
         for p in params:
             p.update(zip(field, p.pop(field)))
     perturbed = None if index is None else jobs.index(index)
-    sizes, hit = Counter(groups), None if index is None else groups[perturbed]
+    hit = None if index is None else groups[perturbed]
     units = {}
     for first in by_key.values():
         point = [values[a][jobs[first] // strides[a] % len(values[a])] for a in row.axes]
         kwargs = {k: v for k, v in _job(row, spec, seqs, point).items() if k != "seq_desc"}
-        units[first] = kwargs, (first == hit,) + (False,) * (sizes[first] - 1)  # the perturbed case first
+        units[first] = kwargs, first == hit
     return params, groups, units, perturbed
 
 
@@ -602,17 +588,18 @@ def _verdict(comparisons: Comparisons, perturb: bool = False) -> tuple:
     return _PASS
 
 
-def _judge(job: tuple[str, dict, tuple[bool, ...]]) -> list[tuple]:
-    """One verdict per case of a key group: the checker runs once, on the
-    first case's kwargs; a collision skips every case, and only a perturbed
-    case is judged a second time."""
-    identity, kwargs, perturbs = job
+def _judge(job: tuple[str, dict, bool]) -> tuple[tuple, tuple]:
+    """The verdict of a key group's cases and that of its perturbed case:
+    the checker runs once, on the first case's kwargs; a collision skips
+    both, and only a group holding the perturbed case is judged again."""
+    identity, kwargs, perturbed = job
     try:
         comparisons = _CHECKERS[identity](**kwargs)
     except ParameterCollision as exc:
-        return [("skipped", str(exc))] * len(perturbs)
+        skipped = ("skipped", str(exc))
+        return skipped, skipped
     verdict = _verdict(comparisons)
-    return [_verdict(comparisons, True) if perturb else verdict for perturb in perturbs]
+    return verdict, _verdict(comparisons, True) if perturbed else verdict
 
 
 def run_grids(specs: list[GridSpec], workers: int = 1) -> list[IdentityCase]:
@@ -620,9 +607,10 @@ def run_grids(specs: list[GridSpec], workers: int = 1) -> list[IdentityCase]:
 
     The cases that share a key are one unit of work, and the units of every
     grid go to one pool, costliest identity first.  A unit travels as the
-    checker kwargs of its first case and one perturb flag per case, and comes
-    back as one verdict per case into the cases that _walk laid out; the
-    grids of one identity are merged by sort_key.
+    checker kwargs of its first case and whether it holds the perturbed
+    case, and comes back as one verdict pair, its cases' and its perturbed
+    case's, into the cases that _walk laid out; the grids of one identity
+    are merged by sort_key.
     """
     walks = sorted([(spec.identity, *_walk(spec)) for spec in specs], key=lambda w: -_IDENTITY_TABLE[w[0]].cost_ms)
     work = [(identity, *unit) for identity, _, _, units, _ in walks for unit in units.values()]
@@ -635,11 +623,10 @@ def run_grids(specs: list[GridSpec], workers: int = 1) -> list[IdentityCase]:
         verdicts = map(_judge, work)
     grids: dict[str, list] = {}
     for identity, params, groups, units, perturbed in walks:
-        units = dict(zip(units, islice(verdicts, len(units))))
-        common = {first: unit[-1] for first, unit in units.items()}  # the last case of a unit is unperturbed
-        cases = [IdentityCase(identity, p, *common[first]) for p, first in zip(params, groups)]
+        pairs = dict(zip(units, islice(verdicts, len(units))))
+        cases = [IdentityCase(identity, p, *pairs[first][0]) for p, first in zip(params, groups)]
         if perturbed is not None:
-            cases[perturbed] = IdentityCase(identity, params[perturbed], *units[groups[perturbed]][0])
+            cases[perturbed] = IdentityCase(identity, params[perturbed], *pairs[groups[perturbed]][1])
         grids.setdefault(identity, []).append(cases)
     return [case for identity in sorted(grids) for case in merge(*grids[identity], key=IdentityCase.sort_key)]
 

@@ -118,6 +118,20 @@ def test_interp_boolean_sequence_value_exits_4(capsys, tmp_path):
     assert "True" in err
 
 
+@pytest.mark.parametrize("command", (["esum", "--m", "1", "--r", "0", "--p", "0", "--lambda", "2"], ["interp", "--r", "0"]))
+def test_bare_file_seq_is_a_path(capsys, tmp_path, monkeypatch, command):
+    # "file" without a colon names a file like any other path: a missing one
+    # is bad sequence input, and one that exists is read
+    monkeypatch.chdir(tmp_path)
+    argv = [*command, "--n", "3", "--seq", "file"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert "cannot read file" in err
+    (tmp_path / "file").write_text(json.dumps({"n": 3, "values": ["1", "0", "0"]}))
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv[:-1], "file:file")[0] == 0
+
+
 def test_esum_bad_family_exit_and_diagnostic(capsys):
     code, _, err = run(
         capsys,

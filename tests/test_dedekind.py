@@ -325,8 +325,7 @@ def _assert_orbit_weights_match_literal_weights(c_seq):
         if weights is None:
             assert not any(literal)
         else:
-            vecs, den = weights
-            assert [CycloNum(n, v, den) for v in vecs] == literal
+            assert list(weights) == literal
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 from cyclosum.arith import euler_phi
 from cyclosum.cyclotomic import CycloNum, normalize_scalar, zeta_pow
 from cyclosum.errors import NotDivisible
-from cyclosum.qpoly import QPoly, _build, geometric_block, q, sum_of_products
+from cyclosum.qpoly import (QPoly, _build, geometric_block, matrix_product, poly_rows, q, sum_of_products,
+                            value_columns)
 
 rationals = st.tuples(st.integers(-50, 50), st.integers(1, 12)).map(
     lambda t: Fraction(t[0], t[1])
@@ -366,3 +367,27 @@ def test_pickle_round_trip(args):
     back = pickle.loads(pickle.dumps(p))
     assert back == p and hash(back) == hash(p)
     assert (back.level, back.rows, back.den) == (p.level, p.rows, p.den)
+
+
+def _layout_pairs(n):
+    """(n, [(P, V), ...]): rational QPolys of mixed lengths, zero ones too,
+    each with a level-n CycloNum that is zero, rational or arbitrary."""
+    d = euler_phi(n)
+    values = st.one_of(
+        st.just(CycloNum.of(n, 0)),
+        small.map(lambda c: CycloNum.of(n, c)),
+        st.lists(small, min_size=d, max_size=d).map(lambda cs: CycloNum.from_coeffs(n, cs)),
+    )
+    pairs = st.lists(st.tuples(st.lists(small, max_size=5).map(QPoly), values), max_size=6)
+    return st.tuples(st.just(n), pairs)
+
+
+@given(st.integers(3, 15).flatmap(_layout_pairs))
+def test_matrix_product_of_the_layouts_is_the_sum_of_products(args):
+    # poly_rows pads the shorter polys with zero rows and value_columns
+    # trims each column's trailing zeros; neither may change the product
+    n, pairs = args
+    rows = poly_rows([p for p, _ in pairs])
+    got = matrix_product(n, rows, value_columns([v for _, v in pairs]))
+    assert_canonical(got)
+    assert got == sum_of_products([(1, p, v) for p, v in pairs])

@@ -15,7 +15,7 @@ from cyclosum.dedekind import e_sum, g_series_oracle
 from cyclosum.errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from cyclosum.qpoly import QPoly
 from cyclosum.series import TruncSeries
-from cyclosum.spectra import PeriodicSeq, dft_inverse, family
+from cyclosum.spectra import dft_inverse, family
 from cyclosum.verify import (
     DEFAULT_SEED,
     IDENTITIES,
@@ -91,12 +91,13 @@ JOB_KEYS = {
 
 def _judged(identity, group, perturbs=None):
     """The cases of one key group, judged by _judge on the first job's
-    checker kwargs and labelled with each job's params."""
-    perturbs = tuple(perturbs or [False] * len(group))
+    checker kwargs and labelled with each job's params; a perturbed job
+    takes the perturbed verdict."""
+    perturbs = perturbs or [False] * len(group)
     kwargs = {k: v for k, v in group[0].items() if k != "seq_desc"}
-    verdicts = _judge((identity, kwargs, perturbs))
-    assert len(verdicts) == len(group)
-    return [IdentityCase(identity, JOB_PARAMS[identity](kw), *v) for kw, v in zip(group, verdicts)]
+    verdict, perturbed = _judge((identity, kwargs, any(perturbs)))
+    return [IdentityCase(identity, JOB_PARAMS[identity](kw), *(perturbed if flag else verdict))
+            for kw, flag in zip(group, perturbs)]
 
 
 def _job_route(spec):
@@ -525,8 +526,8 @@ def test_mult_passes_at_least_values_and_lambda_minus_one():
     ):
         cases = run_grid(GridSpec.from_json(grid), workers=1)
         assert cases and all(c.status == "pass" for c in cases)
-    basis = _bernoulli_basis(3, 4, Fraction(-1))
-    assert basis.scaled.degree == 2 and {v.degree for v in basis.shifts} == {3}
+    scaled, shifts = _bernoulli_basis(3, 4, Fraction(-1))
+    assert scaled.degree == 2 and {v.degree for v in shifts} == {3}
     assert len(_basis_matrix(3, 4, Fraction(-1))[0]) == 4
 
 
@@ -601,13 +602,17 @@ def test_run_grid_deterministic_across_workers():
 
 def test_judge_decides_the_group_once_and_the_perturbed_case_again(checker_calls):
     calls = checker_calls("moebius")
-    verdicts = _judge(("moebius", {"n": 6}, (False, True, False)))
+    verdict, perturbed = _judge(("moebius", {"n": 6}, True))
     assert len(calls) == 1
-    assert verdicts[0] is verdicts[2] is verify._PASS
-    assert verdicts[1][:2] == ("fail", "divisor-sum form disagrees with the totative indicator")
+    assert verdict is verify._PASS
+    assert perturbed[:2] == ("fail", "divisor-sum form disagrees with the totative indicator")
+    # a group without the perturbed case gets its one verdict twice
+    verdict, unperturbed = _judge(("moebius", {"n": 6}, False))
+    assert verdict is unperturbed is verify._PASS
     reason = "lambda = zeta_4^(-2): the k=2 term of the sum divides by zero"
     kwargs = {"m": 2, "n": 4, "r": 0, "p": 1, "lam": -1, "c_seq": RAM4}
-    assert _judge(("prop2", kwargs, (True, False))) == [("skipped", reason)] * 2
+    for flag in (True, False):
+        assert _judge(("prop2", kwargs, flag)) == (("skipped", reason),) * 2
 
 
 # one small grid per identity: prop2 has lambda = -1 colliding at n = 2,
