@@ -4,7 +4,10 @@ Two independent routes to the same objects on purpose: the recurrences
 below are the production path, and series_oracle_B / series_oracle_H
 extract the same polynomials from the defining generating functions via
 series inversion.  Tests hold the two routes equal; do not fold them into
-one.
+one.  The Frobenius-Euler recurrence runs on the Appell numbers
+h_i = H_i(0): h_m is one weighted sum of the lower h_i, and H_m is
+sum_k C(m, k) h_k q^(m-k), so each index costs one scalar sum and one
+field product, not a sum of polynomials.
 
 B_m(q, lam) is the Apostol-Bernoulli polynomial, EGF t e^{qt}/(lam e^t - 1),
 which at lam = 1 degenerates to the classical Bernoulli branch (the lam - 1
@@ -66,14 +69,15 @@ def frobenius_euler(m: int, p: int, lam, gamma) -> QPoly:
 
 @lru_cache(maxsize=4096)
 def _frob_euler(m: int, p: int, lam, gamma) -> QPoly:
-    w = (1 - gamma) ** p
-    inv_lg = 1 / (lam - gamma)
     if m == 0:
-        return QPoly((w * inv_lg,))
-    # (lam-gamma) H_m = (1-gamma)^p q^m - lam sum_{i<m} C(m,i) H_i
-    terms = [(1, QPoly.monomial(m), w)]
-    terms += [(-comb(m, i), lam, _frob_euler(i, p, lam, gamma)) for i in range(m)]
-    return sum_of_products(terms) * inv_lg
+        return QPoly(((1 - gamma) ** p / (lam - gamma),))
+    # The Appell numbers h_i = H_i(0), each the constant of a cached lower
+    # entry, solve (lam-gamma) h_m = -lam sum_{i<m} C(m,i) h_i, and
+    # H_m(q) = sum_k C(m,k) h_k q^(m-k)
+    h = [_frob_euler(i, p, lam, gamma)[0] for i in range(m)]
+    total = sum_of_products([(comb(m, i), h_i, 1) for i, h_i in enumerate(h)])[0]
+    h.append(total * (-lam / (lam - gamma)))
+    return QPoly(comb(m, i) * h[m - i] for i in range(m + 1))
 
 
 def series_oracle_B(m_max: int, lam) -> list[QPoly]:

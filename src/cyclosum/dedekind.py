@@ -23,7 +23,9 @@ spectra.root_sums table.  So _e_sum is one qpoly.matrix_product: the
 seeds of every divisor d > 1 of n laid side by side by poly_rows, one
 Frobenius-Euler polynomial per divisor and not one per k, cached per
 (m, n, lam); and the weights rotated by s, stacked to match by
-value_columns, cached per (n, s, C).
+value_columns, cached per (n, s, C).  Each seed comes from
+appell.frobenius_euler, which builds it from its Appell numbers, one
+scalar sum per index.
 
 g_series_oracle is the independent series route: the closed form of the
 generating function whose EGF coefficient m must equal e_sum at index m+1.

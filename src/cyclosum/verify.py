@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import merge
-from itertools import count, groupby, islice, product, repeat, starmap
-from math import factorial
+from itertools import chain, count, groupby, islice, product, repeat, starmap
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
 from .appell import apostol_bernoulli, apostol_bernoulli_number
@@ -37,7 +37,7 @@ from .arith import divisors, euler_phi, moebius, totatives
 from .cyclotomic import format_scalar, normalize_scalar, scalar_from_json
 from .dedekind import e_sum, g_series_oracle, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
-from .qpoly import QPoly, geometric_block, matrix_product, poly_rows, sum_of_products, value_columns
+from .qpoly import QPoly, _build, geometric_block, matrix_product, sum_of_products, value_columns
 from .scalars import parse_int
 from .series import TruncSeries, t_over_exp_affine, weighted_sum
 from .spectra import (PeriodicSeq, SpectralSeq, dft_inverse, family, interp_poly, lagrange_oracle,
@@ -80,24 +80,59 @@ def check_prop1(c_seq: PeriodicSeq, r: int) -> Comparisons:
     return ((None, interp_poly(dft_inverse(c_seq), r), lagrange_oracle(c_seq, r)),)
 
 
+def _shift_table(b: QPoly, n: int) -> tuple[list[list[int]], int]:
+    """The numerators of b(q + j/n), j < n, over one denominator: entry j
+    holds those of q^0, q^1, ... row after row, phi(level) to a row.
+
+    With b_k the numerators of q^k over D, top = deg b and
+    Q(y) = sum_k b_k n^(top-k) y^k, the polynomial Q(nq + j) is
+    D n^top b(q + j/n), so the numerators of q^i over D n^top are n^i times
+    coefficient i of Q(y + j).  Q(y + j) is a Taylor shift of Q(y + j - 1)
+    by 1, which takes additions only; each coordinate is shifted alone."""
+    top = len(b.rows) - 1
+    coords = [[v * n ** (top - k) for k, v in enumerate(col)] for col in zip(*b.rows)]
+    powers = [n**i for i in range(top + 1)]
+    table = []
+    for j in range(n):
+        if j:
+            for c in coords:
+                for i in range(top):
+                    for k in range(top - 1, i - 1, -1):
+                        c[k] += c[k + 1]
+        table.append([c[i] * powers[i] for i in range(top + 1) for c in coords])
+    return table, b.den * n ** max(top, 0)
+
+
 def _bernoulli_basis(m: int, n: int, lam) -> tuple[QPoly, tuple[QPoly, ...]]:
     """A = B_m(nq, lam) and the V_j = lam^j B_m(q + j/n, lam^n), j < n, the
-    Apostol-Bernoulli pieces of the prop2 and mult right sides.  Uncached: a
-    rational lam reads them once through _basis_matrix, and mult's cases
-    never repeat a key."""
+    Apostol-Bernoulli pieces of the prop2 and mult right sides: the columns
+    of _shift_table, times lam^j.  Uncached: a rational lam reads the table
+    once through _basis_matrix, and mult's cases never repeat a key."""
     b = apostol_bernoulli(m, lam**n)
-    shifts = tuple(b.shift(Fraction(j, n)) * lam**j for j in range(n))
+    table, den = _shift_table(b, n)
+    shifts = tuple(_build(b.level, flat, den) * lam**j for j, flat in enumerate(table))
     return apostol_bernoulli(m, lam).scale_arg(n), shifts
 
 
 @lru_cache(maxsize=1024)
 def _basis_matrix(m: int, n: int, lam: Fraction):
-    """The basis of a rational lam as poly_rows lays it out: row i holds
-    the numerators of q^i in A, -n^m V_0, ..., -n^m V_{n-1}."""
-    scaled, shifts = _bernoulli_basis(m, n, lam)
-    rows, den = poly_rows((scaled, *shifts))
-    w = -(n**m)
-    return tuple((row[0], *[v * w for v in row[1:]]) for row in rows), den
+    """The basis of a rational lam = a/c as poly_rows lays it out: row i
+    holds the numerators of q^i in A, -n^m V_0, ..., -n^m V_{n-1}, over one
+    denominator and with their content divided out.  Over the table's
+    denominator times c^(n-1), -n^m V_j has the numerators of table
+    column j times the integer -n^m a^j c^(n-1-j).  A = B_m(nq, lam) has at
+    most as many rows as B_m(q, lam^n): fewer only when lam != 1 = lam^n,
+    where the degrees are m - 1 and m."""
+    a, c = lam.numerator, lam.denominator
+    table, den = _shift_table(apostol_bernoulli(m, lam**n), n)
+    scaled = apostol_bernoulli(m, lam).scale_arg(n)
+    den *= c ** (n - 1)
+    common = lcm(den, scaled.den)
+    f, g = -(n**m) * (common // den), common // scaled.den
+    cols = [[row[0] * g for row in scaled.rows] + [0] * (len(table[0]) - len(scaled.rows))]
+    cols += [[v * (f * a**j * c ** (n - 1 - j)) for v in col] for j, col in enumerate(table)]
+    content = gcd(common, *chain.from_iterable(cols))
+    return tuple(zip(*[[v // content for v in col] for col in cols])), common // content
 
 
 @lru_cache(maxsize=1024)
@@ -503,8 +538,9 @@ def _axis_values(spec: GridSpec) -> tuple[dict, dict]:
     return seqs, values
 
 
-def _job(row: _Identity, spec: GridSpec, seqs: dict, point) -> dict:
-    """The checker kwargs at one point: one value per axis, outermost first."""
+def _job(row: _Identity, spec: GridSpec, seqs: dict, point, names: tuple[str, ...]) -> dict:
+    """The checker kwargs `names` at one point: one value per axis,
+    outermost first."""
     at = dict(zip(row.axes, point), order=spec.order)
     if "lambdas" in at:
         at["lam"] = at["lambdas"]
@@ -512,14 +548,15 @@ def _job(row: _Identity, spec: GridSpec, seqs: dict, point) -> dict:
         at["r"], at["p"] = at["rp_pairs"]
     if "sequences" in at:
         at["seq_desc"], at["c_seq"] = seqs[at["n"]][at["sequences"]]
-    return {k: at[k] for k in row.kwargs}
+    return {k: at[k] for k in names}
 
 
 def _enumerate_jobs(spec: GridSpec):
     """One checker kwargs dict per case in job order, which perturb_index
     counts in: the product of the axes, outermost first."""
+    row = _IDENTITY_TABLE[spec.identity]
     seqs, values = _axis_values(spec)
-    return (_job(_IDENTITY_TABLE[spec.identity], spec, seqs, point) for point in product(*values.values()))
+    return (_job(row, spec, seqs, point, row.kwargs) for point in product(*values.values()))
 
 
 def _walk(spec: GridSpec) -> tuple[list[dict], list[int], dict[int, tuple[dict, bool]], int | None]:
@@ -566,11 +603,10 @@ def _walk(spec: GridSpec) -> tuple[list[dict], list[int], dict[int, tuple[dict, 
             p.update(zip(field, p.pop(field)))
     perturbed = None if index is None else jobs.index(index)
     hit = None if index is None else groups[perturbed]
-    units = {}
+    shipped, units = tuple(k for k in row.kwargs if k != "seq_desc"), {}
     for first in by_key.values():
         point = [values[a][jobs[first] // strides[a] % len(values[a])] for a in row.axes]
-        kwargs = {k: v for k, v in _job(row, spec, seqs, point).items() if k != "seq_desc"}
-        units[first] = kwargs, first == hit
+        units[first] = _job(row, spec, seqs, point, shipped), first == hit
     return params, groups, units, perturbed
 
 

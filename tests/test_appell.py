@@ -97,6 +97,17 @@ def test_series_route_matches_recurrence():
         assert series[m] == frobenius_euler(m, -1, 2, zeta_pow(4, 3))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 9, 15, 35, 45])
+def test_series_route_matches_recurrence_at_the_prop2_seeds(d):
+    # gamma = zeta_d^(-1) at every level the prop2-hilevel seeds read
+    gamma = zeta_pow(d, -1)
+    for p in (-2, 0, 1, 3):
+        for lam in (Fraction(2), Fraction(-1, 2), Fraction(0)):
+            series = series_oracle_H(9, p, lam, gamma)
+            for m in range(10):
+                assert frobenius_euler(m, p, lam, gamma) == series[m], (m, p, lam)
+
+
 def test_series_route_guards_match():
     with pytest.raises(ParameterCollision):
         series_oracle_H(4, 1, 3, 3)

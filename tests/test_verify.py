@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclosum import verify
 from cyclosum.appell import apostol_bernoulli
-from cyclosum.cyclotomic import CycloNum, format_scalar, normalize_scalar
+from cyclosum.cyclotomic import CycloNum, format_scalar, normalize_scalar, zeta_pow
 from cyclosum.dedekind import e_sum, g_series_oracle
 from cyclosum.errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
-from cyclosum.qpoly import QPoly
+from cyclosum.qpoly import QPoly, poly_rows
 from cyclosum.series import TruncSeries
 from cyclosum.spectra import dft_inverse, family
 from cyclosum.verify import (
@@ -529,6 +529,44 @@ def test_mult_passes_at_least_values_and_lambda_minus_one():
     scaled, shifts = _bernoulli_basis(3, 4, Fraction(-1))
     assert scaled.degree == 2 and {v.degree for v in shifts} == {3}
     assert len(_basis_matrix(3, 4, Fraction(-1))[0]) == 4
+
+
+def _per_j_basis(m, n, lam):
+    # A and each V_j = lam^j B_m(q + j/n, lam^n) by its own Taylor shift
+    b = apostol_bernoulli(m, lam**n)
+    return apostol_bernoulli(m, lam).scale_arg(n), tuple(b.shift(Fraction(j, n)) * lam**j for j in range(n))
+
+
+basis_lambdas = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(5, 7)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 10), n=st.integers(2, 45), lam=basis_lambdas)
+@example(m=10, n=45, lam=Fraction(2))
+@example(m=4, n=6, lam=Fraction(-1))  # lam^n = 1: A has degree m - 1, each V_j degree m
+@example(m=3, n=2, lam=Fraction(0))  # 0^0 = 1: V_0 alone is nonzero
+def test_basis_matrix_equals_the_per_j_route(m, n, lam):
+    scaled, shifts = _per_j_basis(m, n, lam)
+    rows, den = poly_rows((scaled, *shifts))
+    expected = [[Fraction(row[0], den), *(Fraction(-(n**m) * v, den) for v in row[1:])] for row in rows]
+    got, got_den = _basis_matrix(m, n, lam)
+    assert [[Fraction(v, got_den) for v in row] for row in got] == expected
+    assert gcd(got_den, *(v for row in got for v in row)) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(0, 5), n=st.integers(1, 8), level=st.sampled_from([3, 4, 5, 12]), k=st.integers(1, 11),
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    shift=st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+@example(m=3, n=4, level=4, k=1, c=Fraction(1), shift=Fraction(0))  # lam = i, lam^n = 1
+def test_bernoulli_basis_at_an_irrational_lambda_equals_the_per_j_route(m, n, level, k, c, shift):
+    lam = normalize_scalar(c * zeta_pow(level, k) + shift)
+    assert _bernoulli_basis(m, n, lam) == _per_j_basis(m, n, lam)
 
 
 def _literal_t_over_exp_affine(lam, s, order):
