@@ -564,7 +564,8 @@ def test_basis_matrix_equals_the_per_j_route(m, n, lam):
     shift=st.fractions(min_value=-2, max_value=2, max_denominator=3),
 )
 @example(m=3, n=4, level=4, k=1, c=Fraction(1), shift=Fraction(0))  # lam = i, lam^n = 1
-def test_bernoulli_basis_at_an_irrational_lambda_equals_the_per_j_route(m, n, level, k, c, shift):
+def test_bernoulli_basis_at_cyclotomic_lambdas_equals_the_per_j_route(m, n, level, k, c, shift):
+    # irrational unless the level divides k, which gives a rational lam, the route mult takes
     lam = normalize_scalar(c * zeta_pow(level, k) + shift)
     assert _bernoulli_basis(m, n, lam) == _per_j_basis(m, n, lam)
 
