@@ -1,29 +1,24 @@
 """Appell-family polynomials by recurrence, with truncated-series oracles.
 
-Two independent routes to the same objects on purpose: the recurrences
-below are the production path, and series_oracle_B / series_oracle_H
-extract the same polynomials from the defining generating functions via
-series inversion.  Tests hold the two routes equal; do not fold them into
-one.  The Frobenius-Euler recurrence runs on the Appell numbers
-h_i = H_i(0): h_m is one weighted sum of the lower h_i, and H_m is
-sum_k C(m, k) h_k q^(m-k), so each index costs one scalar sum and one
-field product, not a sum of polynomials.
+The recurrences are the production path; series_oracle_B / series_oracle_H
+read the same polynomials off the generating functions by series inversion,
+an independent route that tests hold equal to it.  Both recurrences solve
+for the Appell numbers b_m = B_m(0), h_m = H_m(0) from the cached lower
+entries and build sum_k C(m, k) h_k q^(m-k) from them in one pass (_appell).
 
-B_m(q, lam) is the Apostol-Bernoulli polynomial, EGF t e^{qt}/(lam e^t - 1),
-which at lam = 1 degenerates to the classical Bernoulli branch (the lam - 1
-division disappears and degrees shift from m-1 to m).  H_m^{(p)}(q, lam,
-gamma) is the generalized Frobenius-Euler polynomial, EGF
-(1-gamma)^p e^{qt}/(lam e^t - gamma).
+B_m(q, lam) is the Apostol-Bernoulli polynomial, EGF t e^{qt}/(lam e^t - 1);
+at lam = 1 it is the classical Bernoulli polynomial, of degree m, not m-1.
+H_m^{(p)}(q, lam, gamma) is the generalized Frobenius-Euler polynomial, EGF
+(1-gamma)^p e^{qt}/(lam e^t - gamma), so p is a scalar factor on H^{(0)}.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .cyclotomic import normalize_scalar
 from .errors import InvalidPower, ParameterCollision
-from .qpoly import QPoly, q, sum_of_products
+from .qpoly import QPoly, _build, q, sum_of_products
 from .series import TruncSeries, t_over_exp_affine
 
 
@@ -36,17 +31,16 @@ def apostol_bernoulli(m: int, lam) -> QPoly:
 
 @lru_cache(maxsize=1024)
 def _bernoulli(m: int, lam) -> QPoly:
+    b = [_bernoulli(i, lam)[0] for i in range(m)]
     if lam == 1:
-        # sum_{i<=m} C(m+1,i) B_i(q) = (m+1) q^m, solved for B_m
-        terms = [(1, QPoly.monomial(m), 1)]
-        terms += [(Fraction(-comb(m + 1, i), m + 1), _bernoulli(i, lam), 1) for i in range(m)]
-        return sum_of_products(terms)
-    if m == 0:
-        return QPoly.zero()
-    # (lam-1) B_m = m q^{m-1} - lam sum_{i<m} C(m,i) B_i
-    terms = [(m, QPoly.monomial(m - 1), 1)]
-    terms += [(-comb(m, i), lam, _bernoulli(i, lam)) for i in range(m)]
-    return sum_of_products(terms) * (1 / (lam - 1))
+        # sum_{i<=m} C(m+1, i) b_i = [m = 0]
+        total = sum_of_products([(-comb(m + 1, i), b_i, 1) for i, b_i in enumerate(b)] + [(int(m == 0), 1, 1)])
+        b.append(total[0] / (m + 1))
+    else:
+        # (lam-1) b_m = [m = 1] - lam sum_{i<m} C(m, i) b_i
+        total = sum_of_products([(comb(m, i), b_i, -lam) for i, b_i in enumerate(b)] + [(int(m == 1), 1, 1)])
+        b.append(total[0] / (lam - 1))
+    return _appell(b)
 
 
 def apostol_bernoulli_number(i: int, lam):
@@ -64,20 +58,26 @@ def frobenius_euler(m: int, p: int, lam, gamma) -> QPoly:
         raise ParameterCollision("lambda equals gamma: defining denominator vanishes")
     if p < 0 and gamma == 1:
         raise InvalidPower("p < 0 with gamma = 1: the (1-gamma)^p factor degenerates")
-    return _frob_euler(m, p, lam, gamma)
+    h = _frob_euler(m, lam, gamma)
+    return h * (1 - gamma) ** p if p else h
 
 
 @lru_cache(maxsize=4096)
-def _frob_euler(m: int, p: int, lam, gamma) -> QPoly:
-    if m == 0:
-        return QPoly(((1 - gamma) ** p / (lam - gamma),))
-    # The Appell numbers h_i = H_i(0), each the constant of a cached lower
-    # entry, solve (lam-gamma) h_m = -lam sum_{i<m} C(m,i) h_i, and
-    # H_m(q) = sum_k C(m,k) h_k q^(m-k)
-    h = [_frob_euler(i, p, lam, gamma)[0] for i in range(m)]
-    total = sum_of_products([(comb(m, i), h_i, 1) for i, h_i in enumerate(h)])[0]
-    h.append(total * (-lam / (lam - gamma)))
-    return QPoly(comb(m, i) * h[m - i] for i in range(m + 1))
+def _frob_euler(m: int, lam, gamma) -> QPoly:
+    if not m:
+        return QPoly((1 / (lam - gamma),))
+    # h_m = -lam h_0 sum_{i<m} C(m, i) h_i: a rational lam folds into the sum
+    h = [_frob_euler(i, lam, gamma)[0] for i in range(m)]
+    h.append(sum_of_products([(comb(m, i), h_i, -lam) for i, h_i in enumerate(h)])[0] * h[0])
+    return _appell(h)
+
+
+def _appell(h: list) -> QPoly:
+    """sum_k C(m, k) h_k q^(m-k) from the Appell numbers h_0..h_m: the
+    binomials scale the numbers' integer numerators, then one build."""
+    m = len(h) - 1
+    nums = QPoly(reversed(h))  # row i holds h_(m-i), over one denominator
+    return _build(nums.level, [comb(m, i) * v for i, row in enumerate(nums.rows) for v in row], nums.den)
 
 
 def series_oracle_B(m_max: int, lam) -> list[QPoly]:

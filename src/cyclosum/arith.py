@@ -1,6 +1,6 @@
 """Elementary arithmetic functions used throughout: divisors, totient,
-Moebius, totatives.  Trial division is plenty at desk scale (n <= a few
-thousand)."""
+Moebius, totatives, and square-and-multiply powers.  Trial division is
+plenty at desk scale (n <= a few thousand)."""
 from __future__ import annotations
 
 from functools import cache
@@ -58,3 +58,16 @@ def moebius(n: int) -> int:
 def totatives(n: int) -> tuple[int, ...]:
     """Integers j with 1 <= j <= n and gcd(j, n) = 1."""
     return tuple(j for j in range(1, n + 1) if gcd(j, n) == 1)
+
+
+def power(base, k: int, one):
+    """base**k for an integer k >= 0 by square-and-multiply from `one`, the
+    identity of base's arithmetic; no squaring is left unused."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out

@@ -194,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.grid is not None:
             try:
                 obj = json.loads(Path(args.grid).read_text())
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise InvalidGrid(f"cannot read grid file: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise InvalidGrid(f"grid file is not valid JSON: {exc}") from exc

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import _kernel as _K
-from .arith import divisors, euler_phi
+from .arith import divisors, euler_phi, power
 from .scalars import format_rational, parse_rational
 
 
@@ -192,17 +192,8 @@ class CycloNum:
     def __pow__(self, k: int) -> CycloNum:
         if not isinstance(k, int):
             return NotImplemented
-        base = self
-        if k < 0:
-            base = cyclo_inv(base)
-            k = -k
-        out = CycloNum.of(self.level, 1)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        base = cyclo_inv(self) if k < 0 else self
+        return power(base, abs(k), CycloNum.of(self.level, 1))
 
     def inverse(self) -> CycloNum:
         return cyclo_inv(self)

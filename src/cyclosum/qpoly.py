@@ -32,7 +32,7 @@ from operator import add, mul
 from typing import Iterable
 
 from . import _kernel as _K
-from .arith import euler_phi
+from .arith import euler_phi, power
 from .cyclotomic import _EXACT, CycloNum, _join_levels, _reduction_rows, _scalar, _scalar_parts
 from .errors import NotDivisible
 from .scalars import format_rational
@@ -140,14 +140,7 @@ class QPoly:
     def __pow__(self, k: int) -> QPoly:
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = QPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, QPoly.one())
 
     def divexact(self, other: QPoly) -> QPoly:
         """Exact quotient self / other; NotDivisible on a nonzero remainder."""

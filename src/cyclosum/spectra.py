@@ -255,7 +255,7 @@ def load_sequence(path: str | Path) -> PeriodicSeq:
     """Read a sequence JSON file; all failures become SequenceFileError."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SequenceFileError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclosum.appell import (
+    _frob_euler,
     apostol_bernoulli,
     apostol_bernoulli_number,
     frobenius_euler,
@@ -106,6 +107,29 @@ def test_series_route_matches_recurrence_at_the_prop2_seeds(d):
             series = series_oracle_H(9, p, lam, gamma)
             for m in range(10):
                 assert frobenius_euler(m, p, lam, gamma) == series[m], (m, p, lam)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 12])
+def test_series_routes_match_recurrences_at_cyclotomic_lambdas(level):
+    # the recurrences' field branch: irrational numbers, lam not folded
+    for lam in (zeta_pow(level, 1), 2 * zeta_pow(level, -1) + Fraction(1, 3)):
+        series_b = series_oracle_B(8, lam)
+        series_h = series_oracle_H(8, 1, lam, Fraction(1, 2))
+        for m in range(9):
+            assert apostol_bernoulli(m, lam) == series_b[m], (m, lam)
+            assert frobenius_euler(m, 1, lam, Fraction(1, 2)) == series_h[m], (m, lam)
+
+
+@pytest.mark.parametrize("lam, gamma", [(Fraction(2), zeta_pow(5, -1)), (zeta_pow(4, 1), Fraction(-1, 2))])
+def test_frobenius_euler_order_scales_the_order_zero_entry(lam, gamma):
+    base = [frobenius_euler(m, 0, lam, gamma) for m in range(7)]
+    misses = _frob_euler.cache_info().misses
+    for p in (-2, 1, 3):
+        for m in range(7):
+            assert frobenius_euler(m, p, lam, gamma) == (1 - gamma) ** p * base[m], (m, p)
+    # p adds no cache entry, and p = 0 returns the cached polynomial itself
+    assert _frob_euler.cache_info().misses == misses
+    assert all(frobenius_euler(m, 0, lam, gamma) is base[m] for m in range(7))
 
 
 def test_series_route_guards_match():

@@ -309,6 +309,33 @@ def test_verify_file_period_mismatch_exits_4(capsys, tmp_path):
         assert desc in err and "period 4" in err
 
 
+def test_undecodable_sequence_file_exits_4(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff")
+    code, out, err = run(
+        capsys, "esum", "--m", "1", "--n", "3", "--r", "0", "--p", "0", "--lambda", "2", "--seq", str(path)
+    )
+    assert (code, out) == (4, "")
+    assert "cannot read" in err and "decode" in err
+
+
+def test_verify_undecodable_sequence_file_exits_4(capsys, tmp_path):
+    seq = tmp_path / "bad.json"
+    seq.write_bytes(b"\xff")
+    grid = {"identity": "prop1", "n": [3], "r": [0], "sequences": [f"file:{seq}"]}
+    code, out, err = _verify_grid(capsys, tmp_path, grid)
+    assert (code, out) == (4, "")
+    assert "cannot read" in err and "decode" in err
+
+
+def test_undecodable_grid_file_is_a_bad_grid(capsys, tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_bytes(b"\xff")
+    code, out, err = run(capsys, "verify", "--identity", "mult", "--grid", str(path), "--workers", "1")
+    assert (code, out) == (2, "")
+    assert "bad grid: cannot read grid file" in err
+
+
 def test_verify_bad_random_count_exits_2(capsys, tmp_path):
     for desc in ("random:x", "random:0"):
         grid = {"identity": "prop1", "n": [3], "r": [0], "sequences": [desc]}

@@ -241,7 +241,7 @@ UNBOUNDED_CACHES = {
 # without limit.  A new cache is added here with its key.
 BOUNDED_CACHES = {
     "cyclosum.appell._bernoulli": "(m, lambda)",
-    "cyclosum.appell._frob_euler": "(m, p, lambda, gamma)",
+    "cyclosum.appell._frob_euler": "(m, lambda, gamma)",
     "cyclosum.cyclotomic.cyclo_inv": "the element",
     "cyclosum.dedekind._excluded_lambdas": "n",
     "cyclosum.dedekind._e_sum": "(m, n, (r + p) mod n, lambda, C)",

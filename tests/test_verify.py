@@ -1,4 +1,5 @@
 """Identity checkers, grid specs, campaign runner, reports."""
+import hashlib
 import json
 import random
 import re
@@ -919,6 +920,36 @@ def test_report_json_bytes_equal_json_dumps_on_default_grids(identity):
         report = build_report(identity, run_grid(spec), [spec])
         assert report["summary"]["fail"] == (perturb is not None)
         assert report_json_bytes(report) == _dumps_oracle(report)
+
+
+# No default grid has an irrational lambda, so these two pin the report
+# bytes that `cyclosum verify` writes for grids whose Appell recurrences run
+# over Q(zeta_n); each perturbed case prints an irrational lhs and rhs.
+IRRATIONAL_LAMBDA_REPORTS = [
+    (
+        {
+            "identity": "prop2", "m": {"min": 1, "max": 4}, "n": [2, 4], "r": [0, 1], "p": [1],
+            "lambdas": ["2", {"level": 4, "coeffs": ["0", "2"]}, {"level": 4, "coeffs": ["1", "1"]}],
+            "sequences": ["delta", "ramanujan"], "perturb_index": 51,
+        },
+        "ff410df668b81e602f27abf48856fa4ce1d31cc71ebc15d85b96614b585695a0",
+    ),
+    (
+        {
+            "identity": "mult", "m": {"min": 0, "max": 5}, "n": [2, 3, 4, 5],
+            "lambdas": ["-1/2", {"level": 3, "coeffs": ["1", "1"]}, {"level": 5, "coeffs": ["0", "0", "2", "0"]}],
+            "perturb_index": 43,
+        },
+        "b932e0a21d6882068df060d54237ef14a507605fba8f11d1999e26a4e6fd0586",
+    ),
+]
+
+
+@pytest.mark.parametrize("grid, digest", IRRATIONAL_LAMBDA_REPORTS, ids=("prop2", "mult"))
+def test_irrational_lambda_reports_are_pinned(grid, digest):
+    spec = GridSpec.from_json(grid)
+    data = report_json_bytes(build_report(grid["identity"], run_grid(spec, workers=1), [spec]))
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_default_grids_cover_all_identities():
