@@ -2,9 +2,12 @@
 
 The recurrences are the production path; series_oracle_B / series_oracle_H
 read the same polynomials off the generating functions by series inversion,
-an independent route that tests hold equal to it.  Both recurrences solve
-for the Appell numbers b_m = B_m(0), h_m = H_m(0) from the cached lower
-entries and build sum_k C(m, k) h_k q^(m-k) from them in one pass (_appell).
+an independent route that tests hold equal to it.  Both families are Appell
+sequences, B_m' = m B_{m-1} and H_m' = m H_{m-1}, so each index reads only
+the cached entry below it: B_m is P = m times the integral of B_{m-1} from
+0 (_integral, one integer pass), plus the Appell number b_m = B_m(0), which
+one condition at q = 1 fixes through the single scalar P(1) (_at_one); H_m
+likewise.
 
 B_m(q, lam) is the Apostol-Bernoulli polynomial, EGF t e^{qt}/(lam e^t - 1);
 at lam = 1 it is the classical Bernoulli polynomial, of degree m, not m-1.
@@ -14,11 +17,12 @@ H_m^{(p)}(q, lam, gamma) is the generalized Frobenius-Euler polynomial, EGF
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import lcm
 
-from .cyclotomic import normalize_scalar
+from .arith import euler_phi
+from .cyclotomic import _scalar, normalize_scalar
 from .errors import InvalidPower, ParameterCollision
-from .qpoly import QPoly, _build, q, sum_of_products
+from .qpoly import QPoly, _build, q
 from .series import TruncSeries, t_over_exp_affine
 
 
@@ -31,16 +35,16 @@ def apostol_bernoulli(m: int, lam) -> QPoly:
 
 @lru_cache(maxsize=1024)
 def _bernoulli(m: int, lam) -> QPoly:
-    b = [_bernoulli(i, lam)[0] for i in range(m)]
+    if not m:
+        return QPoly((int(lam == 1),))
+    p = _integral(_bernoulli(m - 1, lam), m)
     if lam == 1:
-        # sum_{i<=m} C(m+1, i) b_i = [m = 0]
-        total = sum_of_products([(-comb(m + 1, i), b_i, 1) for i, b_i in enumerate(b)] + [(int(m == 0), 1, 1)])
-        b.append(total[0] / (m + 1))
+        # the integral of B_m over [0, 1] vanishes for m >= 1
+        b = -_at_one(_integral(p, 1))
     else:
-        # (lam-1) b_m = [m = 1] - lam sum_{i<m} C(m, i) b_i
-        total = sum_of_products([(comb(m, i), b_i, -lam) for i, b_i in enumerate(b)] + [(int(m == 1), 1, 1)])
-        b.append(total[0] / (lam - 1))
-    return _appell(b)
+        # lam B_m(1) - B_m(0) = [m = 1]
+        b = (int(m == 1) - lam * _at_one(p)) / (lam - 1)
+    return p + b
 
 
 def apostol_bernoulli_number(i: int, lam):
@@ -66,18 +70,22 @@ def frobenius_euler(m: int, p: int, lam, gamma) -> QPoly:
 def _frob_euler(m: int, lam, gamma) -> QPoly:
     if not m:
         return QPoly((1 / (lam - gamma),))
-    # h_m = -lam h_0 sum_{i<m} C(m, i) h_i: a rational lam folds into the sum
-    h = [_frob_euler(i, lam, gamma)[0] for i in range(m)]
-    h.append(sum_of_products([(comb(m, i), h_i, -lam) for i, h_i in enumerate(h)])[0] * h[0])
-    return _appell(h)
+    # h_m = -lam h_0 sum_{i<m} C(m, i) h_i, and the sum is P(1)
+    p = _integral(_frob_euler(m - 1, lam, gamma), m)
+    return p + _at_one(p) * (-lam * _frob_euler(0, lam, gamma)[0])
 
 
-def _appell(h: list) -> QPoly:
-    """sum_k C(m, k) h_k q^(m-k) from the Appell numbers h_0..h_m: the
-    binomials scale the numbers' integer numerators, then one build."""
-    m = len(h) - 1
-    nums = QPoly(reversed(h))  # row i holds h_(m-i), over one denominator
-    return _build(nums.level, [comb(m, i) * v for i, row in enumerate(nums.rows) for v in row], nums.den)
+def _integral(p: QPoly, m: int) -> QPoly:
+    """m times the integral of p from 0 to q: row j of p, times m / (j + 1),
+    is row j + 1, all over den * lcm(1, ..., deg p + 1)."""
+    scale = lcm(*range(1, len(p.rows) + 1))
+    flat = [0] * euler_phi(p.level) + [v * (m * scale // j) for j, row in enumerate(p.rows, 1) for v in row]
+    return _build(p.level, flat, p.den * scale)
+
+
+def _at_one(p: QPoly):
+    """p(1), the sum of the coefficients, as one scalar."""
+    return _scalar(p.level, [sum(col) for col in zip(*p.rows)] or [0], p.den)
 
 
 def series_oracle_B(m_max: int, lam) -> list[QPoly]:

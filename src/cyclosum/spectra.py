@@ -4,7 +4,11 @@ spectrum, with the Lagrange construction as an independent second path.
 
 Both DFTs and the Ramanujan sums are tables of weighted sums over the n-th
 roots of unity; root_sums builds each table in one integer pass, by
-exponent mod n.  The Lagrange path does not use it.
+exponent mod n.  The Lagrange path does not use it: _lagrange_columns
+builds the basis polynomials L_k once per n, by products over the nodes,
+and keeps the integer numerators of every L_k zeta_n^e, e < n, over one
+denominator, so that each interpolant is a sum of integer columns, one per
+nonzero coordinate of each value, and one build.
 
 Indexing is always mod n with nonnegative representative, so C[-k] and
 K[j - r - p + 1] mean exactly what the summation formulas want.
@@ -20,9 +24,10 @@ from pathlib import Path
 
 from . import _kernel as _K
 from .arith import euler_phi, totatives
-from .cyclotomic import CycloNum, _join_levels, _scalar, _scalar_parts, cyclo_inv, scalar_from_json, zeta_pow
+from .cyclotomic import (CycloNum, _join_levels, _reduction_rows, _scalar, _scalar_parts, cyclo_inv, scalar_from_json,
+                         zeta_pow)
 from .errors import InvalidParam, SequenceFileError
-from .qpoly import QPoly, sum_of_products
+from .qpoly import QPoly, _build
 from .scalars import parse_int, parse_rational
 
 
@@ -202,10 +207,17 @@ def interp_poly(k_seq: SpectralSeq, r: int) -> QPoly:
 
 
 @lru_cache(maxsize=64)
-def _lagrange_basis(n: int) -> tuple[QPoly, ...]:
-    # basis polynomial k is 1 at zeta_n^{-k} and 0 at the other nodes
+def _lagrange_columns(n: int) -> tuple[tuple[list[int], ...], int]:
+    """The numerators of L_k zeta_n^e for every k and e < n, over one
+    denominator: entry [k][e] holds those of q^0, q^1, ... row after row,
+    phi(n) to a row.
+
+    L_k is the Lagrange basis polynomial that is 1 at zeta_n^{-k} and 0 at
+    the other nodes, built as the product of (q - node)/(node_k - node).
+    Times zeta, each row moves up one coordinate and its top coordinate
+    folds back once through the reduction row of zeta^phi."""
     nodes = [zeta_pow(n, -k) for k in range(n)]
-    out = []
+    basis = []
     for k in range(n):
         num = QPoly.one()
         den = CycloNum.of(n, 1)
@@ -214,20 +226,43 @@ def _lagrange_basis(n: int) -> tuple[QPoly, ...]:
                 continue
             num = num * QPoly((-nodes[l], 1))
             den = den * (nodes[k] - nodes[l])
-        out.append(num * cyclo_inv(den))
-    return tuple(out)
+        basis.append(num * cyclo_inv(den))
+    phi = euler_phi(n)
+    fold = _reduction_rows(n)[0]
+    common = lcm(*(b.den for b in basis))
+    columns = []
+    for b in basis:
+        f = common // b.den
+        # rational rows are lifted to phi coordinates
+        rows = [[v * f for v in row] + [0] * (phi - len(row)) for row in b.rows]
+        powers = []
+        for _ in range(n):
+            powers.append([v for row in rows for v in row])
+            rows = [_K.vec_lincomb([0, *row[:-1]], fold, 1, row[-1]) for row in rows]
+        columns.append(tuple(powers))
+    return tuple(columns), common
 
 
 def lagrange_oracle(c_seq: PeriodicSeq, r: int) -> QPoly:
     """Interpolate the values zeta_n^{-kr} C_{-k} at the nodes zeta_n^{-k}.
 
     Independent second path to interp_poly(dft_inverse(C), r); the equality
-    of the two is the interpolation proposition itself.
+    of the two is the interpolation proposition itself.  With C_{-k} the sum
+    of c_u zeta_n^u over its coordinates, the sum of L_k zeta_n^{-kr} C_{-k}
+    is the sum of c_u times the column of (k, (u - kr) mod n): integer
+    vector sums over one denominator and one build.
     """
     n = c_seq.n
-    return sum_of_products(
-        [(1, basis, zeta_pow(n, -k * r) * c_seq[-k]) for k, basis in enumerate(_lagrange_basis(n))]
-    )
+    columns, den = _lagrange_columns(n)
+    values = [c_seq[-k] for k in range(n)]
+    common = lcm(*(v.den for v in values))
+    acc = [0] * len(columns[0][0])
+    for k, (v, powers) in enumerate(zip(values, columns)):
+        f = common // v.den
+        for u, c in enumerate(v.nums):
+            if c:
+                acc = _K.vec_lincomb(acc, powers[(u - k * r) % n], 1, c * f)
+    return _build(n, acc, common * den)
 
 
 def sequence_from_json(obj) -> PeriodicSeq:

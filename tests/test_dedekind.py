@@ -250,9 +250,10 @@ BOUNDED_CACHES = {
     "cyclosum.dedekind._weight_matrix": "(n, (r + p) mod n, C)",
     "cyclosum.dedekind._oracle_term": "(n, k, lambda, T)",
     "cyclosum.spectra.dft_inverse": "C",
-    "cyclosum.spectra._lagrange_basis": "n",
+    "cyclosum.spectra._lagrange_columns": "n",
     "cyclosum.verify._basis_matrix": "(m, n, lambda)",
-    "cyclosum.verify._spectrum_matrix": "(C_0, K, (r + p - 1) mod n)",
+    "cyclosum.verify._left_matrix": "(m, n, lambda)",
+    "cyclosum.verify._spectrum_matrix": "(C, (r + p - 1) mod n)",
     "cyclosum.verify._gseries_terms": "(n, lambda, T)",
 }
 
@@ -271,7 +272,7 @@ def _package_caches() -> dict:
 def test_value_keyed_caches_are_bounded():
     caches = _package_caches()
     assert set(caches) == set(UNBOUNDED_CACHES) | set(BOUNDED_CACHES)
-    assert len(caches) == 21
+    assert len(caches) == 22
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == set(UNBOUNDED_CACHES)
 

@@ -7,14 +7,16 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclosum.arith import euler_phi
 from cyclosum.cyclotomic import CycloNum, cyclo_inv, zeta_pow
 from cyclosum.errors import InvalidParam, SequenceFileError
-from cyclosum.qpoly import QPoly, q
+from cyclosum.qpoly import QPoly, q, sum_of_products
 from cyclosum.spectra import (
     PeriodicSeq,
     SpectralSeq,
@@ -338,6 +340,39 @@ def test_interp_values_at_roots():
 def test_interp_matches_lagrange(k_seq, r):
     c = dft_forward(k_seq)
     assert interp_poly(dft_inverse(c), r) == lagrange_oracle(c, r)
+
+
+@lru_cache(maxsize=None)
+def _product_basis(n):
+    # L_k = prod_{l != k} (q - x_l) / (x_k - x_l) over the nodes x_l = zeta_n^{-l}
+    nodes = [zeta_pow(n, -k) for k in range(n)]
+    basis = []
+    for k in range(n):
+        num, den = QPoly.one(), CycloNum.of(n, 1)
+        for l in range(n):
+            if l != k:
+                num, den = num * QPoly((-nodes[l], 1)), den * (nodes[k] - nodes[l])
+        basis.append(num * cyclo_inv(den))
+    return basis
+
+
+def _entries(n):
+    # zero, rational and irrational values at level n
+    irrational = st.lists(small_fracs, min_size=euler_phi(n), max_size=euler_phi(n)).map(
+        lambda cs: CycloNum.from_coeffs(n, cs)
+    )
+    return st.lists(st.one_of(st.just(0), small_fracs, irrational), min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16).flatmap(lambda n: st.tuples(_entries(n), st.integers(-2 * n, 2 * n))))
+def test_lagrange_oracle_is_the_per_k_lagrange_sum(case):
+    values, r = case
+    n = len(values)
+    c = PeriodicSeq(n, values)
+    want = sum_of_products([(1, basis, zeta_pow(n, -k * r) * c[-k]) for k, basis in enumerate(_product_basis(n))])
+    got = lagrange_oracle(c, r)
+    assert (got.level, got.rows, got.den) == (want.level, want.rows, want.den)
 
 
 def test_sequence_json_roundtrip(tmp_path):

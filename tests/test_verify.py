@@ -451,6 +451,7 @@ def test_prop2_grid_builds_one_comparison_per_reduced_key(monkeypatch, checker_c
         return dft_inverse(*args)
 
     monkeypatch.setattr(verify, "dft_inverse", counting)
+    verify._spectrum_matrix.cache_clear()
     calls = checker_calls("prop2")
     cases = run_grid(spec)
     assert all(case.status == "pass" for case in cases)
@@ -458,8 +459,9 @@ def test_prop2_grid_builds_one_comparison_per_reduced_key(monkeypatch, checker_c
              c.params["lambda"], c.params["seq"]) for c in cases}
     assert len(keys) == 2 * (3 + 4) * 3 * 2 < len(cases)
     assert len(calls) == len(keys)
-    # each call reads the spectrum once, as the right side is built
-    assert len(spectra) == len(keys)
+    # the spectrum is read once per (C, (r + p - 1) mod n), as its matrix is built
+    rotations = {(c.params["seq"], c.params["n"], (c.params["r"] + c.params["p"] - 1) % c.params["n"]) for c in cases}
+    assert len(spectra) == len(rotations) == 2 * (3 + 4)
 
 
 small_fracs = st.tuples(st.integers(-4, 4), st.integers(1, 5)).map(lambda t: Fraction(*t))
@@ -495,6 +497,55 @@ def test_prop2_right_side_matches_literal(case):
     m, n, lam, c_seq = case
     for s in range(n):
         assert _prop2_rhs(m, n, s, lam, c_seq) == _literal_prop2_rhs(m, n, s + 1, 0, lam, c_seq)
+
+
+def _e_sum_left_side(m, n, r, p, lam, c_seq):
+    # (-1)^(p-1) m E(nq) through e_sum, as check_prop2 built it at every lambda
+    return e_sum(m, n, r, p, lam, c_seq).scale_arg(n, (-1) ** ((p - 1) % 2) * m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.integers(1, 6),
+            st.just(n),
+            st.integers(-2 * n, 2 * n),
+            st.integers(-2, 2),
+            st.one_of(
+                st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(5, 7))),
+                small_fracs,
+            ),
+            st.sampled_from((Fraction, int, lambda v: CycloNum.of(4, v))),
+            _prop2_sequences(n),
+        )
+    )
+)
+def test_prop2_left_side_matches_the_e_sum_route(case):
+    m, n, r, p0, lam, form, c_seq = case
+    if form is int:
+        form = lambda v: v.numerator if v.denominator == 1 else v  # noqa: E731
+    for p in (p0, p0 + 1):
+        if lam == -1 and n % 2 == 0:
+            with pytest.raises(ParameterCollision, match=rf"^lambda = zeta_{n}\^\(-{n // 2}\)"):
+                check_prop2(m, n, r, p, form(lam), c_seq)
+            with pytest.raises(ParameterCollision):
+                _e_sum_left_side(m, n, r, p, lam, c_seq)
+            continue
+        [(reason, lhs, rhs)] = check_prop2(m, n, r, p, form(lam), c_seq)
+        assert reason is None and lhs == rhs
+        expected = _e_sum_left_side(m, n, r, p, lam, c_seq)
+        assert (lhs.level, lhs.rows, lhs.den) == (expected.level, expected.rows, expected.den)
+
+
+@pytest.mark.parametrize("m, n, period, message", [
+    (0, 4, 4, "m must be >= 1"), (2, 1, 2, "n must be >= 2"), (2, 4, 3, "sequence period 3 differs from n = 4"),
+])
+def test_prop2_keeps_the_argument_errors_of_e_sum(m, n, period, message):
+    # checked before the collision: lambda = -1 would collide at n = 4
+    for lam in (Fraction(2), -1, CycloNum(4, (1, 1))):
+        with pytest.raises(ValueError, match=message):
+            check_prop2(m, n, 0, 1, lam, family("ramanujan", period))
 
 
 IRRATIONAL_LAMBDAS = (
@@ -682,6 +733,7 @@ def test_run_grids_matches_one_run_grid_per_identity(workers):
 
 
 def test_pool_is_capped_at_its_number_of_chunks(monkeypatch):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
     sizes = []
 
     class Recording(verify.ProcessPoolExecutor):
@@ -693,6 +745,39 @@ def test_pool_is_capped_at_its_number_of_chunks(monkeypatch):
     cases = run_grid(GridSpec("moebius", n=(2, 3)), workers=50)
     assert [c.status for c in cases] == ["pass", "pass"]
     assert sizes == [2]
+
+
+class _SerialPool:
+    """Stands in for the process pool: records its size and chunk size and
+    maps in this process, so that no worker starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work, chunksize=1):
+        self.sizes.append(chunksize)
+        return map(fn, work)
+
+
+@pytest.mark.parametrize("cpus, sizes", [(3, [3, 3]), (None, [])])
+def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, sizes):
+    # --identity all with 5,000 workers: without the cap, 5,000 processes
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    cases = run_grids(MIXED_GRIDS, workers=5000)
+    # 43 key groups: 3 workers with chunks of 43 // (3 * 4) groups, where the
+    # uncapped count gave 43 workers with chunks of 1; no CPU count, no pool
+    assert _SerialPool.sizes == sizes
+    assert [c.to_json() for c in cases] == [c.to_json() for c in run_grids(MIXED_GRIDS, workers=1)]
 
 
 def _run_grid_per_job(spec):
@@ -950,6 +1035,39 @@ def test_irrational_lambda_reports_are_pinned(grid, digest):
     spec = GridSpec.from_json(grid)
     data = report_json_bytes(build_report(grid["identity"], run_grid(spec, workers=1), [spec]))
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Irrational sequence values at rational lambdas: prop1's Lagrange oracle at
+# n up to 12, and prop2's left side with lambda = -1 colliding at n = 4, 6.
+# Each perturbed case prints its lhs and rhs.
+IRRATIONAL_SEQUENCE_REPORTS = [
+    (
+        {
+            "identity": "prop1", "n": {"min": 2, "max": 12}, "r": {"min": -2, "max": 13},
+            "sequences": ["fourier-dedekind:a=1", "apostol-dedekind:a=1", "ramanujan", "random:2"],
+            "perturb_index": 435,
+        },
+        "58de5c6e34d6f105607d1420e5040793ee934742f65de474488885384e0046ad",
+        {"pass": 879, "fail": 1, "skipped": 0},
+    ),
+    (
+        {
+            "identity": "prop2", "m": {"min": 1, "max": 4}, "n": [3, 4, 6], "r": [0, 1], "p": [0, 1],
+            "lambdas": ["2", "-1", "5/7"], "sequences": ["fourier-dedekind:a=1,c0=1/2", "random:1"],
+            "perturb_index": 77,
+        },
+        "bd6ce688af34f84a97334b32c80b12bb1023d769c25b9aa8f4c12155ccf43e56",
+        {"pass": 223, "fail": 1, "skipped": 64},
+    ),
+]
+
+
+@pytest.mark.parametrize("grid, digest, summary", IRRATIONAL_SEQUENCE_REPORTS, ids=("prop1", "prop2"))
+def test_irrational_sequence_reports_are_pinned(grid, digest, summary):
+    spec = GridSpec.from_json(grid)
+    report = build_report(grid["identity"], run_grid(spec, workers=1), [spec])
+    assert report["summary"] == summary
+    assert hashlib.sha256(report_json_bytes(report)).hexdigest() == digest
 
 
 def test_default_grids_cover_all_identities():
