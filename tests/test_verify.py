@@ -747,36 +747,34 @@ def test_pool_is_capped_at_its_number_of_chunks(monkeypatch):
     assert sizes == [2]
 
 
-class _SerialPool:
-    """Stands in for the process pool: records its size and chunk size and
-    maps in this process, so that no worker starts."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers=None):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, work, chunksize=1):
-        self.sizes.append(chunksize)
-        return map(fn, work)
-
-
 @pytest.mark.parametrize("cpus, sizes", [(3, [3, 3]), (None, [])])
 def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, sizes):
     # --identity all with 5,000 workers: without the cap, 5,000 processes
+    seen = []
+
+    class SerialPool:
+        """Records its size and chunk size and maps in this process, so
+        that no worker starts."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work, chunksize):
+            seen.append(chunksize)
+            return map(fn, work)
+
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
     cases = run_grids(MIXED_GRIDS, workers=5000)
     # 43 key groups: 3 workers with chunks of 43 // (3 * 4) groups, where the
     # uncapped count gave 43 workers with chunks of 1; no CPU count, no pool
-    assert _SerialPool.sizes == sizes
+    assert seen == sizes
     assert [c.to_json() for c in cases] == [c.to_json() for c in run_grids(MIXED_GRIDS, workers=1)]
 
 
