@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import gcd
 
 from .appell import frobenius_euler
 from .arith import divisors, euler_phi, totatives
@@ -68,15 +70,20 @@ def check_lambda_collision(n: int, lam):
     return lam
 
 
-def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
-    """The Dedekind-type sum as a polynomial in q over Q(zeta_n)."""
+def check_e_sum_args(m: int, n: int, lam, c_seq: PeriodicSeq):
+    """Reject the arguments e_sum is undefined at; return lam normalized."""
     if m < 1:
         raise ValueError("m must be >= 1 (the summand uses index m-1)")
     if n < 2:
         raise ValueError("n must be >= 2 (the sum over 1 <= k < n is empty)")
     if c_seq.n != n:
         raise ValueError(f"sequence period {c_seq.n} differs from n = {n}")
-    lam = check_lambda_collision(n, lam)
+    return check_lambda_collision(n, lam)
+
+
+def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
+    """The Dedekind-type sum as a polynomial in q over Q(zeta_n)."""
+    lam = check_e_sum_args(m, n, lam, c_seq)
     poly = _e_sum(m, n, (r + p) % n, lam, c_seq)
     return -poly if p % 2 else poly
 
@@ -110,6 +117,24 @@ def _seed_matrix(m: int, n: int, lam: Fraction):
     coefficient 1/(lam - zeta_d^{-1}) puts it at level d, except Y_2,
     which is rational with phi(2) = 1 coordinate."""
     return poly_rows([frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1)) for d in divisors(n)[1:]])
+
+
+def scaled_e_sum(m: int, n: int, s: int, lam: Fraction, c_seq: PeriodicSeq) -> QPoly:
+    """-m _e_sum(m, n, s, lam, C) at nq, which is (-1)^(p-1) m e_sum(m, n,
+    r, p, lam, C) at nq for any r, p with r + p = s mod n.  For a rational
+    lam that check_e_sum_args accepted: the rational branch of _e_sum with
+    the scaling folded into a cached left matrix, so one product per call."""
+    return matrix_product(n, _left_matrix(m, n, lam), _weight_matrix(n, s, c_seq))
+
+
+@lru_cache(maxsize=1024)
+def _left_matrix(m: int, n: int, lam: Fraction):
+    """The seed matrix of (m, n, lam) with row i, the coefficient of q^i,
+    scaled by -m n^i and its content divided out."""
+    rows, den = _seed_matrix(m, n, lam)
+    rows = [[v * (-m * n**i) for v in row] for i, row in enumerate(rows)]
+    content = gcd(den, *chain.from_iterable(rows))
+    return tuple(tuple(v // content for v in row) for row in rows), den // content
 
 
 @lru_cache(maxsize=1024)

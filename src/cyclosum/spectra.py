@@ -6,9 +6,11 @@ Both DFTs and the Ramanujan sums are tables of weighted sums over the n-th
 roots of unity; root_sums builds each table in one integer pass, by
 exponent mod n.  The Lagrange path does not use it: _lagrange_columns
 builds the basis polynomials L_k once per n, by products over the nodes,
-and keeps the integer numerators of every L_k zeta_n^e, e < n, over one
-denominator, so that each interpolant is a sum of integer columns, one per
-nonzero coordinate of each value, and one build.
+and keeps their integer numerators over one denominator.  An interpolant
+then sums those integer columns, one per nonzero coordinate of each
+value, into one sum per power of zeta_n they are multiplied by, moves
+each sum up by its power and takes the result into the basis once: no
+field product per interpolant.
 
 Indexing is always mod n with nonnegative representative, so C[-k] and
 K[j - r - p + 1] mean exactly what the summation formulas want.
@@ -24,8 +26,7 @@ from pathlib import Path
 
 from . import _kernel as _K
 from .arith import euler_phi, totatives
-from .cyclotomic import (CycloNum, _join_levels, _reduction_rows, _scalar, _scalar_parts, cyclo_inv, scalar_from_json,
-                         zeta_pow)
+from .cyclotomic import CycloNum, _join_levels, _scalar, _scalar_parts, cyclo_inv, scalar_from_json, zeta_pow
 from .errors import InvalidParam, SequenceFileError
 from .qpoly import QPoly, _build
 from .scalars import parse_int, parse_rational
@@ -208,14 +209,12 @@ def interp_poly(k_seq: SpectralSeq, r: int) -> QPoly:
 
 @lru_cache(maxsize=64)
 def _lagrange_columns(n: int) -> tuple[tuple[list[int], ...], int]:
-    """The numerators of L_k zeta_n^e for every k and e < n, over one
-    denominator: entry [k][e] holds those of q^0, q^1, ... row after row,
-    phi(n) to a row.
+    """The numerators of the Lagrange basis polynomials L_k, k < n, over one
+    denominator, coordinate by coordinate: entry k holds coordinate 0 of
+    the coefficients of q^0, ..., q^(n-1), then coordinate 1, and so on.
 
-    L_k is the Lagrange basis polynomial that is 1 at zeta_n^{-k} and 0 at
-    the other nodes, built as the product of (q - node)/(node_k - node).
-    Times zeta, each row moves up one coordinate and its top coordinate
-    folds back once through the reduction row of zeta^phi."""
+    L_k is 1 at zeta_n^{-k} and 0 at the other nodes, built as the product
+    of (q - node)/(node_k - node)."""
     nodes = [zeta_pow(n, -k) for k in range(n)]
     basis = []
     for k in range(n):
@@ -228,19 +227,12 @@ def _lagrange_columns(n: int) -> tuple[tuple[list[int], ...], int]:
             den = den * (nodes[k] - nodes[l])
         basis.append(num * cyclo_inv(den))
     phi = euler_phi(n)
-    fold = _reduction_rows(n)[0]
     common = lcm(*(b.den for b in basis))
-    columns = []
-    for b in basis:
-        f = common // b.den
-        # rational rows are lifted to phi coordinates
-        rows = [[v * f for v in row] + [0] * (phi - len(row)) for row in b.rows]
-        powers = []
-        for _ in range(n):
-            powers.append([v for row in rows for v in row])
-            rows = [_K.vec_lincomb([0, *row[:-1]], fold, 1, row[-1]) for row in rows]
-        columns.append(tuple(powers))
-    return tuple(columns), common
+    # rational rows are lifted to phi coordinates
+    return tuple(
+        [v * (common // b.den) for t in range(phi) for v in (row[t] if t < len(row) else 0 for row in b.rows)]
+        for b in basis
+    ), common
 
 
 def lagrange_oracle(c_seq: PeriodicSeq, r: int) -> QPoly:
@@ -249,20 +241,38 @@ def lagrange_oracle(c_seq: PeriodicSeq, r: int) -> QPoly:
     Independent second path to interp_poly(dft_inverse(C), r); the equality
     of the two is the interpolation proposition itself.  With C_{-k} the sum
     of c_u zeta_n^u over its coordinates, the sum of L_k zeta_n^{-kr} C_{-k}
-    is the sum of c_u times the column of (k, (u - kr) mod n): integer
-    vector sums over one denominator and one build.
+    is the sum of c_u zeta_n^e L_k with e = (u - kr) mod n.  Laid out
+    coordinate by coordinate, zeta_n^e L_k is the column of L_k moved up e
+    coordinates, so the sum is integer column sums over one denominator,
+    into exponents up to n + phi(n) - 2.  Those >= n wrap around, and those
+    from phi(n) to n - 1 go into the basis once, through the coordinates of
+    zeta_n^e.
     """
     n = c_seq.n
     columns, den = _lagrange_columns(n)
     values = [c_seq[-k] for k in range(n)]
     common = lcm(*(v.den for v in values))
-    acc = [0] * len(columns[0][0])
-    for k, (v, powers) in enumerate(zip(values, columns)):
+    size = len(columns[0])  # phi(n) coordinates of n coefficients
+    phi = size // n
+    wide = [0] * (size + n * (n - 1))
+    for k, (v, column) in enumerate(zip(values, columns)):
         f = common // v.den
         for u, c in enumerate(v.nums):
             if c:
-                acc = _K.vec_lincomb(acc, powers[(u - k * r) % n], 1, c * f)
-    return _build(n, acc, common * den)
+                at = (u - k * r) % n * n
+                wide[at : at + size] = _K.vec_lincomb(wide[at : at + size], column, 1, c * f)
+    # exponents n .. n + phi - 2 wrap around to 0 .. phi - 2
+    low = n * (phi - 1)
+    wide = _K.vec_lincomb(wide[:low], wide[n * n :], 1, 1) + wide[low : n * n]
+    coords = [wide[j * n : (j + 1) * n] for j in range(n)]  # exponent j of every coefficient
+    for j in range(phi, n):
+        high = coords[j]
+        if any(high):
+            for t, z in enumerate(zeta_pow(n, j).nums):
+                if z:
+                    coords[t] = _K.vec_lincomb(coords[t], high, 1, z)
+    del coords[phi:]
+    return _build(n, list(chain.from_iterable(zip(*coords))), common * den)
 
 
 def sequence_from_json(obj) -> PeriodicSeq:

@@ -36,12 +36,13 @@ from operator import itemgetter
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
 from .cyclotomic import format_scalar, normalize_scalar, scalar_from_json
-from .dedekind import _seed_matrix, _weight_matrix, check_lambda_collision, e_sum, g_series_oracle, v_sum
+from .dedekind import check_e_sum_args, e_sum, g_series_oracle, scaled_e_sum, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from .qpoly import QPoly, _build, geometric_block, matrix_product, sum_of_products, value_columns
 from .scalars import parse_int
 from .series import TruncSeries, t_over_exp_affine, weighted_sum
-from .spectra import PeriodicSeq, dft_inverse, family, interp_poly, lagrange_oracle, load_sequence, parse_family
+from .spectra import (PeriodicSeq, SpectralSeq, dft_inverse, family, interp_poly, lagrange_oracle,
+                      load_sequence, parse_family)
 
 DEFAULT_SEED = 1009
 
@@ -136,10 +137,10 @@ def _basis_matrix(m: int, n: int, lam: Fraction):
 
 
 @lru_cache(maxsize=1024)
-def _spectrum_matrix(c_seq: PeriodicSeq, s: int):
+def _spectrum_matrix(c_seq: PeriodicSeq, kseq: SpectralSeq, s: int):
     """C_0 and the spectrum K of C rotated by s, as value_columns lays them
-    out: column t holds coordinate t of C_0, K_{-s}, K_{1-s}, ..., K_{n-1-s}."""
-    kseq = dft_inverse(c_seq)
+    out: column t holds coordinate t of C_0, K_{-s}, K_{1-s}, ..., K_{n-1-s}.
+    Keyed on C as well as K, whose hashes are cached, instead of on C_0."""
     return value_columns((c_seq[0], *(kseq[j - s] for j in range(kseq.n))))
 
 
@@ -149,36 +150,24 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     For rational lam this is the basis matrix of (m, n, lam) times the
     spectrum matrix of (C, s).
     """
-    if isinstance(lam, Fraction):
-        return matrix_product(n, _basis_matrix(m, n, lam), _spectrum_matrix(c_seq, s))
     kseq = dft_inverse(c_seq)
+    if isinstance(lam, Fraction):
+        return matrix_product(n, _basis_matrix(m, n, lam), _spectrum_matrix(c_seq, kseq, s))
     scaled, shifts = _bernoulli_basis(m, n, lam)
     terms = [(1, c_seq[0], scaled)]
     terms += [(-(n**m), v, kseq[j - s]) for j, v in enumerate(shifts)]
     return sum_of_products(terms)
 
 
-@lru_cache(maxsize=1024)
-def _left_matrix(m: int, n: int, lam: Fraction):
-    """The seed matrix of (m, n, lam) with row i scaled by -m n^i and its
-    content divided out: times the weight matrix of (n, s, C) it gives
-    -m E_s(nq), where E_s is (-1)^p e_sum at any r, p with r + p = s mod n."""
-    rows, den = _seed_matrix(m, n, lam)
-    rows = [[v * (-m * n**i) for v in row] for i, row in enumerate(rows)]
-    content = gcd(den, *chain.from_iterable(rows))
-    return tuple(tuple(v // content for v in row) for row in rows), den // content
-
-
 def check_prop2(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> Comparisons:
     """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n).
 
-    The left side is -m E_s(nq) with s = (r + p) mod n, as e_sum carries
-    (-1)^p; at a rational lam it is one product of cached matrices."""
-    lam = normalize_scalar(lam)
-    if isinstance(lam, Fraction) and m >= 1 and n >= 2 and c_seq.n == n:
-        lam = check_lambda_collision(n, lam)
-        lhs = matrix_product(n, _left_matrix(m, n, lam), _weight_matrix(n, (r + p) % n, c_seq))
-    else:  # an irrational lam, and e_sum's argument errors
+    At a rational lam the left side is scaled_e_sum, one product of cached
+    matrices."""
+    lam = check_e_sum_args(m, n, lam, c_seq)
+    if isinstance(lam, Fraction):
+        lhs = scaled_e_sum(m, n, (r + p) % n, lam, c_seq)
+    else:
         lhs = e_sum(m, n, r, p, lam, c_seq).scale_arg(n, m if p % 2 else -m)
     return ((None, lhs, _prop2_rhs(m, n, (r + p - 1) % n, lam, c_seq)),)
 

@@ -3,7 +3,8 @@
 Tests that start a fresh interpreter need the package this session imports,
 also when it comes from pytest's `pythonpath` setting rather than an install.
 The `checker_calls` fixture counts the calls the campaign runner makes to an
-identity's checker."""
+identity's checker, and the `cpus` fixture lets the runner start a process
+pool on a machine with fewer CPUs than the test asks workers for."""
 import os
 from pathlib import Path
 
@@ -33,3 +34,10 @@ def checker_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Report 8 CPUs to the campaign runner, which caps its pool at the CPU
+    count: a test of the pool starts one on any machine."""
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)

@@ -225,6 +225,7 @@ def test_verify_same_seed_same_bytes(capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.usefixtures("cpus")
 def test_verify_all_csv_is_the_same_at_one_and_two_workers(capsys, monkeypatch):
     pools = []
 
@@ -446,6 +447,7 @@ def test_verify_missing_grid_file(capsys):
     assert "bad grid" in err
 
 
+@pytest.mark.usefixtures("cpus")
 def test_dead_pool_worker_exits_5(capsys, monkeypatch):
     # the forked workers inherit the patched checker, and the first to run it
     # dies, alone or in the pool that runs every identity of the campaign

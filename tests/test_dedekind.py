@@ -247,13 +247,13 @@ BOUNDED_CACHES = {
     "cyclosum.dedekind._e_sum": "(m, n, (r + p) mod n, lambda, C)",
     "cyclosum.dedekind._orbit_weights": "(n, d, C)",
     "cyclosum.dedekind._seed_matrix": "(m, n, lambda)",
+    "cyclosum.dedekind._left_matrix": "(m, n, lambda)",
     "cyclosum.dedekind._weight_matrix": "(n, (r + p) mod n, C)",
     "cyclosum.dedekind._oracle_term": "(n, k, lambda, T)",
     "cyclosum.spectra.dft_inverse": "C",
     "cyclosum.spectra._lagrange_columns": "n",
     "cyclosum.verify._basis_matrix": "(m, n, lambda)",
-    "cyclosum.verify._left_matrix": "(m, n, lambda)",
-    "cyclosum.verify._spectrum_matrix": "(C, (r + p - 1) mod n)",
+    "cyclosum.verify._spectrum_matrix": "(C, K, (r + p - 1) mod n)",
     "cyclosum.verify._gseries_terms": "(n, lambda, T)",
 }
 
