@@ -56,14 +56,20 @@ def frobenius_euler(m: int, p: int, lam, gamma) -> QPoly:
     """H_m^{(p)}(q, lam, gamma).  Needs lam != gamma; p < 0 needs gamma != 1."""
     if m < 0:
         raise ValueError("index m must be >= 0")
-    lam = normalize_scalar(lam)
-    gamma = normalize_scalar(gamma)
+    lam, gamma = _check_h_args(p, lam, gamma)
+    h = _frob_euler(m, lam, gamma)
+    return h * (1 - gamma) ** p if p else h
+
+
+def _check_h_args(p: int, lam, gamma):
+    """Reject the (p, lam, gamma) where H^{(p)} is undefined, for the
+    recurrence and its series oracle alike; return lam, gamma normalized."""
+    lam, gamma = normalize_scalar(lam), normalize_scalar(gamma)
     if lam == gamma:
         raise ParameterCollision("lambda equals gamma: defining denominator vanishes")
     if p < 0 and gamma == 1:
         raise InvalidPower("p < 0 with gamma = 1: the (1-gamma)^p factor degenerates")
-    h = _frob_euler(m, lam, gamma)
-    return h * (1 - gamma) ** p if p else h
+    return lam, gamma
 
 
 @lru_cache(maxsize=4096)
@@ -96,14 +102,7 @@ def series_oracle_B(m_max: int, lam) -> list[QPoly]:
 
 def series_oracle_H(m_max: int, p: int, lam, gamma) -> list[QPoly]:
     """H_0..H_{m_max} read off (1-gamma)^p e^{qt}/(lam e^t - gamma)."""
-    lam = normalize_scalar(lam)
-    gamma = normalize_scalar(gamma)
-    if lam == gamma:
-        raise ParameterCollision("lambda equals gamma: defining denominator vanishes")
-    if p < 0 and gamma == 1:
-        raise InvalidPower("p < 0 with gamma = 1: the (1-gamma)^p factor degenerates")
-    t = m_max
-    w = (1 - gamma) ** p
-    den = TruncSeries.exp_affine(lam, -gamma, t)
-    s = (den.inverse() * TruncSeries.exp_linear(q, t)) * w
+    lam, gamma = _check_h_args(p, lam, gamma)
+    den = TruncSeries.exp_affine(lam, -gamma, m_max)
+    s = (den.inverse() * TruncSeries.exp_linear(q, m_max)) * (1 - gamma) ** p
     return [s[i] for i in range(m_max + 1)]

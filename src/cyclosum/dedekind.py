@@ -59,8 +59,14 @@ def _excluded_lambdas(n: int) -> dict:
     return {zeta_pow(n, -k): k for k in range(1, n)}
 
 
-def check_lambda_collision(n: int, lam):
-    """Normalize lam and reject lam in {zeta_n^{-k} : 1 <= k < n}, naming k."""
+def _check_sum_args(n: int, lam, c_seq: PeriodicSeq):
+    """Reject an n, a sequence period or a lam = zeta_n^{-k}, naming k, at
+    which the sum over 1 <= k < n is undefined; return lam normalized.
+    e_sum and its series oracle both call it."""
+    if n < 2:
+        raise ValueError("n must be >= 2 (the sum over 1 <= k < n is empty)")
+    if c_seq.n != n:
+        raise ValueError(f"sequence period {c_seq.n} differs from n = {n}")
     lam = normalize_scalar(lam)
     k = _excluded_lambdas(n).get(lam)
     if k is not None:
@@ -74,11 +80,7 @@ def check_e_sum_args(m: int, n: int, lam, c_seq: PeriodicSeq):
     """Reject the arguments e_sum is undefined at; return lam normalized."""
     if m < 1:
         raise ValueError("m must be >= 1 (the summand uses index m-1)")
-    if n < 2:
-        raise ValueError("n must be >= 2 (the sum over 1 <= k < n is empty)")
-    if c_seq.n != n:
-        raise ValueError(f"sequence period {c_seq.n} differs from n = {n}")
-    return check_lambda_collision(n, lam)
+    return _check_sum_args(n, lam, c_seq)
 
 
 def e_sum(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> QPoly:
@@ -119,11 +121,14 @@ def _seed_matrix(m: int, n: int, lam: Fraction):
     return poly_rows([frobenius_euler(m - 1, 0, lam, zeta_pow(d, -1)) for d in divisors(n)[1:]])
 
 
-def scaled_e_sum(m: int, n: int, s: int, lam: Fraction, c_seq: PeriodicSeq) -> QPoly:
+def scaled_e_sum(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
     """-m _e_sum(m, n, s, lam, C) at nq, which is (-1)^(p-1) m e_sum(m, n,
-    r, p, lam, C) at nq for any r, p with r + p = s mod n.  For a rational
-    lam that check_e_sum_args accepted: the rational branch of _e_sum with
-    the scaling folded into a cached left matrix, so one product per call."""
+    r, p, lam, C) at nq for any r, p with r + p = s mod n.  For a lam that
+    check_e_sum_args accepted and normalized.  At a rational lam this is the
+    rational branch of _e_sum with the scaling folded into a cached left
+    matrix, so one product per call."""
+    if not isinstance(lam, Fraction):
+        return _e_sum(m, n, s, lam, c_seq).scale_arg(n, -m)
     return matrix_product(n, _left_matrix(m, n, lam), _weight_matrix(n, s, c_seq))
 
 
@@ -167,13 +172,9 @@ def _orbit_weights(n: int, d: int, c_seq: PeriodicSeq):
 def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> TruncSeries:
     """Closed form (-1)^p sum_k zeta^{-k(r+p)} C_{-k} e^{qt}/(lam e^t - zeta^{-k}),
     truncated; EGF coefficient m carries e_sum at index m+1."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if c_seq.n != n:
-        raise ValueError(f"sequence period {c_seq.n} differs from n = {n}")
     if order < 0:
         raise ValueError("order must be >= 0")
-    lam = check_lambda_collision(n, lam)
+    lam = _check_sum_args(n, lam, c_seq)
     sign = -1 if p % 2 else 1
     terms = []
     for k in range(1, n):

@@ -5,8 +5,9 @@ spectrum, with the Lagrange construction as an independent second path.
 Both DFTs and the Ramanujan sums are tables of weighted sums over the n-th
 roots of unity; root_sums builds each table in one integer pass, by
 exponent mod n.  The Lagrange path does not use it: _lagrange_columns
-builds the basis polynomials L_k once per n, by products over the nodes,
-and keeps their integer numerators over one denominator.  An interpolant
+builds the basis polynomials L_k once per n, each from the one product
+of q - node over all nodes by exact division, and keeps their integer
+numerators over one denominator.  An interpolant
 then sums those integer columns, one per nonzero coordinate of each
 value, into one sum per power of zeta_n they are multiplied by, moves
 each sum up by its power and takes the result into the basis once: no
@@ -21,7 +22,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 from . import _kernel as _K
@@ -36,7 +37,7 @@ class _Cycle:
     """Shared machinery of PeriodicSeq and SpectralSeq: n values at level n,
     indexed modulo n."""
 
-    __slots__ = ("n", "values", "_hash")
+    __slots__ = ("n", "values", "_key", "_hash")
 
     def __init__(self, n: int, values):
         if n < 2:
@@ -46,9 +47,11 @@ class _Cycle:
             raise ValueError(f"period {n} needs {n} values, got {len(vals)}")
         self.n = n
         self.values = vals
-        # cache lookups hash whole sequences; no type name in it, because
+        # cache lookups hash and compare whole sequences by the raw (nums,
+        # den) pairs, canonical at level n; no type name in the hash, because
         # str hashes differ between the processes a pickled slot travels to
-        self._hash = hash((n, vals))
+        self._key = tuple((v.nums, v.den) for v in vals)
+        self._hash = hash(self._key)
 
     def __getitem__(self, k: int) -> CycloNum:
         return self.values[k % self.n]
@@ -60,7 +63,7 @@ class _Cycle:
         return self.n
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.n == other.n and self.values == other.values
+        return type(other) is type(self) and self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
@@ -213,19 +216,15 @@ def _lagrange_columns(n: int) -> tuple[tuple[list[int], ...], int]:
     denominator, coordinate by coordinate: entry k holds coordinate 0 of
     the coefficients of q^0, ..., q^(n-1), then coordinate 1, and so on.
 
-    L_k is 1 at zeta_n^{-k} and 0 at the other nodes, built as the product
-    of (q - node)/(node_k - node)."""
+    L_k is 1 at zeta_n^{-k} and 0 at the other nodes: prod_l (q - node_l)
+    divided exactly by q - node_k, over its value at node_k."""
     nodes = [zeta_pow(n, -k) for k in range(n)]
+    factors = [QPoly((-x, 1)) for x in nodes]
+    node_product = prod(factors, start=QPoly.one())
     basis = []
-    for k in range(n):
-        num = QPoly.one()
-        den = CycloNum.of(n, 1)
-        for l in range(n):
-            if l == k:
-                continue
-            num = num * QPoly((-nodes[l], 1))
-            den = den * (nodes[k] - nodes[l])
-        basis.append(num * cyclo_inv(den))
+    for x, factor in zip(nodes, factors):
+        num = node_product.divexact(factor)
+        basis.append(num * cyclo_inv(num.eval_at(x)))
     phi = euler_phi(n)
     common = lcm(*(b.den for b in basis))
     # rational rows are lifted to phi coordinates

@@ -162,13 +162,10 @@ def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
 def check_prop2(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> Comparisons:
     """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n).
 
-    At a rational lam the left side is scaled_e_sum, one product of cached
+    The left side is scaled_e_sum: at a rational lam, one product of cached
     matrices."""
     lam = check_e_sum_args(m, n, lam, c_seq)
-    if isinstance(lam, Fraction):
-        lhs = scaled_e_sum(m, n, (r + p) % n, lam, c_seq)
-    else:
-        lhs = e_sum(m, n, r, p, lam, c_seq).scale_arg(n, m if p % 2 else -m)
+    lhs = scaled_e_sum(m, n, (r + p) % n, lam, c_seq)
     return ((None, lhs, _prop2_rhs(m, n, (r + p - 1) % n, lam, c_seq)),)
 
 
@@ -183,10 +180,10 @@ def check_section4_closed_form(m: int, n: int, r: int, p: int, lam) -> Compariso
     Bernoulli numbers and totative power sums on the right side."""
     if r + p != 1:
         raise ValueError("closed form requires r + p = 1")
-    e = e_sum(m, n, r, p, lam, family("ramanujan", n))
-    lam = normalize_scalar(lam)
-    sign = 1 if p % 2 else -1
-    lhs = e.scale_arg(n, sign * m)
+    c_seq = family("ramanujan", n)
+    lam = check_e_sum_args(m, n, lam, c_seq)
+    # (-1)^(p-1) m e_sum(nq), the left side of prop2 at r + p = 1
+    lhs = scaled_e_sum(m, n, 1, lam, c_seq)
     lam_n = lam**n
     terms = [(euler_phi(n), apostol_bernoulli(m, lam).scale_arg(n), 1)]
     for i in range(m + 1):

@@ -12,7 +12,7 @@ from cyclosum.appell import (
     series_oracle_B,
     series_oracle_H,
 )
-from cyclosum.cyclotomic import zeta_pow
+from cyclosum.cyclotomic import CycloNum, zeta_pow
 from cyclosum.errors import InvalidPower, ParameterCollision
 from cyclosum.qpoly import QPoly, q
 
@@ -133,10 +133,15 @@ def test_frobenius_euler_order_scales_the_order_zero_entry(lam, gamma):
 
 
 def test_series_route_guards_match():
-    with pytest.raises(ParameterCollision):
-        series_oracle_H(4, 1, 3, 3)
-    with pytest.raises(InvalidPower):
-        series_oracle_H(4, -2, 2, 1)
+    for p, lam, gamma, error in (
+        (1, 3, 3, ParameterCollision), (0, Fraction(1, 2), CycloNum.of(4, Fraction(1, 2)), ParameterCollision),
+        (-2, 2, 1, InvalidPower), (-1, 2, CycloNum.of(3, 1), InvalidPower),
+    ):
+        with pytest.raises(error) as from_recurrence:
+            frobenius_euler(4, p, lam, gamma)
+        with pytest.raises(error) as from_series:
+            series_oracle_H(4, p, lam, gamma)
+        assert str(from_series.value) == str(from_recurrence.value)
 
 
 small_fracs = st.tuples(st.integers(-4, 4), st.integers(1, 5)).map(

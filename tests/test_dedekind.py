@@ -90,6 +90,24 @@ def test_e_sum_validates_shape():
         e_sum(1, 5, 0, 1, 2, c)  # period mismatch
 
 
+@pytest.mark.parametrize("n, period, lam, error, message", [
+    (1, 2, 2, ValueError, "n must be >= 2"),
+    (4, 3, 2, ValueError, "sequence period 3 differs from n = 4"),
+    (4, 4, -1, ParameterCollision, r"lambda = zeta_4\^\(-2\)"),
+    (3, 3, zeta_pow(3, 1), ParameterCollision, r"lambda = zeta_3\^\(-2\)"),
+])
+def test_e_sum_and_its_series_oracle_reject_the_same_arguments(n, period, lam, error, message):
+    c = family("ramanujan", period)
+    with pytest.raises(error, match=message) as from_sum:
+        e_sum(2, n, 0, 1, lam, c)
+    with pytest.raises(error) as from_series:
+        g_series_oracle(n, 0, 1, lam, c, 3)
+    assert str(from_series.value) == str(from_sum.value)
+    # a negative order is refused before the other arguments are read
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        g_series_oracle(n, 0, 1, lam, c, -1)
+
+
 def test_e_sum_lambda_one_is_legal():
     # H_0^{(1)}(q, 1, zeta^{-k}) = 1 and C_{-k} (1 - zeta^k)^{-1} = (1 - i^k)^{-2},
     # so the sum over k = 1, 2, 3 is i/2 + 1/4 - i/2

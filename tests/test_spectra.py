@@ -365,7 +365,7 @@ def _entries(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 16).flatmap(lambda n: st.tuples(_entries(n), st.integers(-2 * n, 2 * n))))
+@given(st.integers(2, 24).flatmap(lambda n: st.tuples(_entries(n), st.integers(-2 * n, 2 * n))))
 def test_lagrange_oracle_is_the_per_k_lagrange_sum(case):
     values, r = case
     n = len(values)
@@ -373,6 +373,25 @@ def test_lagrange_oracle_is_the_per_k_lagrange_sum(case):
     want = sum_of_products([(1, basis, zeta_pow(n, -k * r) * c[-k]) for k, basis in enumerate(_product_basis(n))])
     got = lagrange_oracle(c, r)
     assert (got.level, got.rows, got.den) == (want.level, want.rows, want.den)
+
+
+def test_rebuilt_sequence_is_equal_without_comparing_field_values(monkeypatch):
+    # a cache keyed on a sequence compares a rebuilt sequence on every hit
+    def built():
+        return [family("fourier-dedekind", 5, a=2, c0=Fraction(1, 2)), random_sequence(5, DEFAULT_SEED, 1)]
+
+    first, again = built(), built()
+
+    def refuse(self, other):
+        raise AssertionError("sequence equality compared CycloNum values")
+
+    monkeypatch.setattr(CycloNum, "__eq__", refuse)
+    for seq, other in zip(first, again):
+        assert seq is not other and seq == other and hash(seq) == hash(other)
+    assert first[0] != first[1] and first[0] != SpectralSeq(5, first[0].values)
+    values = list(first[0].values)
+    values[3] = zeta_pow(5, 1)
+    assert first[0] != PeriodicSeq(5, values)
 
 
 def test_sequence_json_roundtrip(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from cyclosum import verify
 from cyclosum.appell import apostol_bernoulli
 from cyclosum.cyclotomic import CycloNum, format_scalar, normalize_scalar, zeta_pow
-from cyclosum.dedekind import e_sum, g_series_oracle
+from cyclosum.dedekind import e_sum, g_series_oracle, scaled_e_sum
 from cyclosum.errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from cyclosum.qpoly import QPoly, poly_rows
 from cyclosum.series import TruncSeries
@@ -536,6 +536,24 @@ def test_prop2_left_side_matches_the_e_sum_route(case):
         assert (lhs.level, lhs.rows, lhs.den) == (expected.level, expected.rows, expected.den)
 
 
+@pytest.mark.parametrize("lam, n", [
+    (Fraction(5, 7), 4), (Fraction(-1, 2), 6), (CycloNum(4, (1, 1)), 2), (CycloNum(4, (0, 2)), 4), (CycloNum(3, (2, 1)), 3),
+], ids=("5/7", "-1/2", "level4-n2", "level4-n4", "level3"))
+def test_prop2_and_section4_read_one_left_side(lam, n):
+    # scaled_e_sum is -m E_s(nq) at every lambda; prop2 reads it at s = r + p
+    # and section4 at s = 1, and both equal the e_sum route at either parity
+    ram = family("ramanujan", n)
+    for m in range(1, 5):
+        for c_seq in (ram, random_sequence(n, DEFAULT_SEED, 1)):
+            for s in range(n):
+                for p in (0, 1):
+                    got = scaled_e_sum(m, n, s, normalize_scalar(lam), c_seq)
+                    assert got == _e_sum_left_side(m, n, s - p, p, lam, c_seq)
+        for r, p in ((1, 0), (0, 1), (-1, 2)):
+            [(reason, lhs, rhs)] = check_section4_closed_form(m, n, r, p, lam)
+            assert reason is None and lhs == rhs == _e_sum_left_side(m, n, r, p, lam, ram)
+
+
 @pytest.mark.parametrize("m, n, period, message", [
     (0, 4, 4, "m must be >= 1"), (2, 1, 2, "n must be >= 2"), (2, 4, 3, "sequence period 3 differs from n = 4"),
 ])
@@ -1037,9 +1055,24 @@ def test_irrational_lambda_reports_are_pinned(grid, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_section4_report_is_pinned():
+    # the left side at rational, colliding and irrational lambdas, with one
+    # perturbed case printing its lhs and rhs; measured with e_sum's route
+    grid = {
+        "identity": "section4", "m": {"min": 1, "max": 4}, "n": [2, 4], "rp_pairs": [[1, 0], [0, 1], [-1, 2]],
+        "lambdas": ["2", "-1", "5/7", {"level": 4, "coeffs": ["0", "2"]}, {"level": 4, "coeffs": ["1", "1"]}],
+        "perturb_index": 5,
+    }
+    spec = GridSpec.from_json(grid)
+    report = build_report("section4", run_grid(spec, workers=1), [spec])
+    assert report["summary"] == {"pass": 95, "fail": 1, "skipped": 24}
+    digest = hashlib.sha256(report_json_bytes(report)).hexdigest()
+    assert digest == "8124349c16c6e96c77d57ca6eb479625f3b1c27ae262e82dfe423ead814a0d9f"
+
+
 # Irrational sequence values at rational lambdas: prop1's Lagrange oracle at
-# n up to 12, and prop2's left side with lambda = -1 colliding at n = 4, 6.
-# Each perturbed case prints its lhs and rhs.
+# n up to 12 and at n = 24, 32, 48, and prop2's left side with lambda = -1
+# colliding at n = 4, 6.  Each perturbed case prints its lhs and rhs.
 IRRATIONAL_SEQUENCE_REPORTS = [
     (
         {
@@ -1059,10 +1092,15 @@ IRRATIONAL_SEQUENCE_REPORTS = [
         "bd6ce688af34f84a97334b32c80b12bb1023d769c25b9aa8f4c12155ccf43e56",
         {"pass": 223, "fail": 1, "skipped": 64},
     ),
+    (
+        {"identity": "prop1", "n": [24, 32, 48], "r": [0, 1, 2], "sequences": ["random:2", "fourier-dedekind:a=1"]},
+        "9f8c0fce39e80a24be7d0f3842764fe4af33052c3aa7dabe6e081404d38b7c2f",
+        {"pass": 27, "fail": 0, "skipped": 0},
+    ),
 ]
 
 
-@pytest.mark.parametrize("grid, digest, summary", IRRATIONAL_SEQUENCE_REPORTS, ids=("prop1", "prop2"))
+@pytest.mark.parametrize("grid, digest, summary", IRRATIONAL_SEQUENCE_REPORTS, ids=("prop1", "prop2", "prop1-large-n"))
 def test_irrational_sequence_reports_are_pinned(grid, digest, summary):
     spec = GridSpec.from_json(grid)
     report = build_report(grid["identity"], run_grid(spec, workers=1), [spec])
