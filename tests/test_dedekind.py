@@ -272,7 +272,8 @@ BOUNDED_CACHES = {
     "cyclosum.spectra._lagrange_columns": "n",
     "cyclosum.verify._basis_matrix": "(m, n, lambda)",
     "cyclosum.verify._spectrum_matrix": "(C, K, (r + p - 1) mod n)",
-    "cyclosum.verify._gseries_terms": "(n, lambda, T)",
+    "cyclosum.verify._gseries_left": "(n, lambda, T)",
+    "cyclosum.verify._gseries_right": "(n, lambda, T)",
 }
 
 
@@ -290,7 +291,7 @@ def _package_caches() -> dict:
 def test_value_keyed_caches_are_bounded():
     caches = _package_caches()
     assert set(caches) == set(UNBOUNDED_CACHES) | set(BOUNDED_CACHES)
-    assert len(caches) == 22
+    assert len(caches) == 23
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == set(UNBOUNDED_CACHES)
 
@@ -433,11 +434,12 @@ def _literal_g_series(n, r, p, lam, c_seq, order):
 
 
 def _series_lambdas(n):
-    rational = st.sampled_from((Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(5, 7)))
-    if n % 3:
-        return rational
-    # 2 + zeta_3, an irrational value of Q(zeta_3) written at level n
-    return st.one_of(rational, st.just(2 + zeta_pow(n, n // 3)))
+    # 0 weights only R_0 on the right side: 0^0 = 1
+    rational = st.sampled_from((Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(-3, 4), Fraction(5, 7)))
+    # 2 + zeta_3 and 1 + zeta_4, irrational values of Q(zeta_3) and Q(zeta_4)
+    # written at level n
+    irrational = [2 + zeta_pow(n, n // 3)] * (n % 3 == 0) + [1 + zeta_pow(n, n // 4)] * (n % 4 == 0)
+    return st.one_of(rational, st.sampled_from(irrational)) if irrational else rational
 
 
 def _series_sequences(n):

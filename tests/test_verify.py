@@ -16,7 +16,7 @@ from cyclosum.dedekind import e_sum, g_series_oracle, scaled_e_sum
 from cyclosum.errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from cyclosum.qpoly import QPoly, poly_rows
 from cyclosum.series import TruncSeries
-from cyclosum.spectra import dft_inverse, family
+from cyclosum.spectra import PeriodicSeq, dft_inverse, family
 from cyclosum.verify import (
     DEFAULT_SEED,
     IDENTITIES,
@@ -25,7 +25,8 @@ from cyclosum.verify import (
     _basis_matrix,
     _bernoulli_basis,
     _enumerate_jobs,
-    _gseries_terms,
+    _gseries_left,
+    _gseries_right,
     _judge,
     _prop2_rhs,
     _spectrum_matrix,
@@ -665,6 +666,12 @@ def _literal_gseries_sides(n, r, p, lam, c_seq, g, order):
 
 @settings(max_examples=60, deadline=None)
 @given(series_cases(least_order=1))
+# both branches of the right side, and C_0 L[m] at an irrational C_0
+@example((5, 0, -1, Fraction(0), random_sequence(5, DEFAULT_SEED, 2), 4))
+@example((6, 3, 2, Fraction(-3, 4), family("ramanujan", 6), 6))
+@example((8, 2, 1, 1 + zeta_pow(8, 2), random_sequence(8, DEFAULT_SEED, 1), 5))
+@example((4, 1, 0, 1 + zeta_pow(4, 1), PeriodicSeq(4, [2 + zeta_pow(4, 1), 1, zeta_pow(4, 3), Fraction(1, 2)]), 4))
+@example((4, 0, 1, Fraction(2), PeriodicSeq(4, [2 + zeta_pow(4, 1), 1, zeta_pow(4, 3), Fraction(1, 2)]), 3))
 def test_gseries_sides_match_per_case_construction(case):
     n, r, p, lam, c_seq, order = case
     g = g_series_oracle(n, r, p, lam, c_seq, order)
@@ -684,7 +691,8 @@ def test_gseries_sides_match_per_case_construction(case):
 
 def test_gseries_series_are_built_once_per_grid_value(checker_calls):
     spec = default_grid("gseries")
-    _gseries_terms.cache_clear()
+    _gseries_left.cache_clear()
+    _gseries_right.cache_clear()
     calls = checker_calls("gseries")
     cases = run_grid(spec)
     assert all(case.status == "pass" for case in cases)
@@ -692,10 +700,9 @@ def test_gseries_series_are_built_once_per_grid_value(checker_calls):
     keys = {(c.params["n"], (c.params["r"] + c.params["p"]) % c.params["n"], c.params["p"] % 2,
              c.params["lambda"], c.params["seq"]) for c in cases}
     assert (len(cases), len(keys), len(calls)) == (96, 54, 54)
-    # one set of series per (n, lambda, T), whatever the sequence and (r, p)
-    assert _gseries_terms.cache_info().misses == len(spec.n) * len(spec.lambdas) == 12
-    # one set of series per (n, lambda, T), whatever the sequence and (r, p)
-    assert _gseries_terms.cache_info().misses == len(spec.n) * len(spec.lambdas) == 12
+    # one L and one R_j table per (n, lambda, T), whatever the sequence and (r, p)
+    for cache in (_gseries_left, _gseries_right):
+        assert cache.cache_info().misses == len(spec.n) * len(spec.lambdas) == 12
 
 
 @pytest.mark.usefixtures("cpus")
@@ -1104,6 +1111,39 @@ IRRATIONAL_SEQUENCE_REPORTS = [
 def test_irrational_sequence_reports_are_pinned(grid, digest, summary):
     spec = GridSpec.from_json(grid)
     report = build_report(grid["identity"], run_grid(spec, workers=1), [spec])
+    assert report["summary"] == summary
+    assert hashlib.sha256(report_json_bytes(report)).hexdigest() == digest
+
+
+# gseries past its default grid: an irrational lambda (both branches of the
+# right side), lambda = 0 (only R_0 is weighted, 0^0 = 1), lambda = 1 and
+# T = 10 on n = 2 .. 12.  Measured with the right side summed as whole
+# weighted R_j series; each is `cyclosum verify --identity gseries --grid`.
+GSERIES_REPORTS = [
+    (
+        {
+            "identity": "gseries", "n": [4], "r": [0, 1], "p": [0, 1],
+            "lambdas": [{"level": 4, "coeffs": ["1", "1"]}, "0", "1", "-3/4"],
+            "sequences": ["delta", "ramanujan", "random:2"], "T": 5,
+        },
+        "0c49c2ea1eb4ad8f059ce4ee07a30b7a2d6f23caf96740a09c87e00dc19bf9db",
+        {"pass": 64, "fail": 0, "skipped": 0},
+    ),
+    (
+        {
+            "identity": "gseries", "n": {"min": 2, "max": 12}, "r": [0, 3], "p": [-1, 2],
+            "lambdas": ["1", "2", "-1/2", "5/7"], "sequences": ["random:1", "fourier-dedekind:a=1"], "T": 10,
+        },
+        "f489fd39592d8f3aa5892d81a17893bbcb0f4e0a6cd55aa4566b5bdb55c447d6",
+        {"pass": 352, "fail": 0, "skipped": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize("grid, digest, summary", GSERIES_REPORTS, ids=("irrational-lambda", "wide"))
+def test_gseries_reports_are_pinned(grid, digest, summary):
+    spec = GridSpec.from_json(grid)
+    report = build_report("gseries", run_grid(spec, workers=1), [spec])
     assert report["summary"] == summary
     assert hashlib.sha256(report_json_bytes(report)).hexdigest() == digest
 
