@@ -116,25 +116,32 @@ def _bernoulli_basis(m: int, n: int, lam) -> tuple[QPoly, tuple[QPoly, ...]]:
     return apostol_bernoulli(m, lam).scale_arg(n), shifts
 
 
-@lru_cache(maxsize=1024)
-def _basis_matrix(m: int, n: int, lam: Fraction):
-    """The basis of a rational lam = a/c as poly_rows lays it out: row i
-    holds the numerators of q^i in A, -n^m V_0, ..., -n^m V_{n-1}, over one
-    denominator and with their content divided out.  Over the table's
-    denominator times c^(n-1), -n^m V_j has the numerators of table
-    column j times the integer -n^m a^j c^(n-1-j).  A = B_m(nq, lam) has at
-    most as many rows as B_m(q, lam^n): fewer only when lam != 1 = lam^n,
-    where the degrees are m - 1 and m."""
-    a, c = lam.numerator, lam.denominator
-    table, den = _shift_table(apostol_bernoulli(m, lam**n), n)
-    scaled = apostol_bernoulli(m, lam).scale_arg(n)
+def _table_matrix(first: QPoly, table: list[list[int]], den: int, f: int, lam: Fraction):
+    """A rational polynomial `first` and the columns of a _shift_table
+    (table, den) times f lam^j, j < n, for a rational lam = a/c, as
+    poly_rows lays them out: row i holds their numerators of q^i over one
+    denominator, with their content divided out.  Over den times c^(n-1),
+    column j times f lam^j has the numerators of table column j times the
+    integer f a^j c^(n-1-j).  `first` has at most as many rows as the
+    table."""
+    a, c, n = lam.numerator, lam.denominator, len(table)
     den *= c ** (n - 1)
-    common = lcm(den, scaled.den)
-    f, g = -(n**m) * (common // den), common // scaled.den
-    cols = [[row[0] * g for row in scaled.rows] + [0] * (len(table[0]) - len(scaled.rows))]
+    common = lcm(den, first.den)
+    f, g = f * (common // den), common // first.den
+    cols = [[row[0] * g for row in first.rows] + [0] * (len(table[0]) - len(first.rows))]
     cols += [[v * (f * a**j * c ** (n - 1 - j)) for v in col] for j, col in enumerate(table)]
     content = gcd(common, *chain.from_iterable(cols))
     return tuple(zip(*[[v // content for v in col] for col in cols])), common // content
+
+
+@lru_cache(maxsize=1024)
+def _basis_matrix(m: int, n: int, lam: Fraction):
+    """The basis of a rational lam as _table_matrix lays it out: row i holds
+    the numerators of q^i in A, -n^m V_0, ..., -n^m V_{n-1}.  A = B_m(nq, lam)
+    has at most as many rows as B_m(q, lam^n): fewer only when
+    lam != 1 = lam^n, where the degrees are m - 1 and m."""
+    table, den = _shift_table(apostol_bernoulli(m, lam**n), n)
+    return _table_matrix(apostol_bernoulli(m, lam).scale_arg(n), table, den, -(n**m), lam)
 
 
 @lru_cache(maxsize=1024)
@@ -237,23 +244,17 @@ def _gseries_right(n: int, lam, order: int) -> tuple:
 
     With P = e^{nqt} t / (lam^n e^{nt} - 1), e^{jt} P is P at q + j/n, so
     R_j[m] is n lam^j P_m(q + j/n): column j of _shift_table(P_m, n) times
-    n lam^j.  At a rational lam = a/c, entry m lays these out as
-    _basis_matrix does, over the table's denominator times c^(n-1), behind
-    a zero column that meets C_0 in _spectrum_matrix; at any other lam it
+    n lam^j.  At a rational lam, entry m is their _table_matrix behind a
+    zero column that meets C_0 in _spectrum_matrix; at any other lam it
     holds the R_j[m] as QPolys, for sum_of_products."""
     base = t_over_exp_affine(normalize_scalar(lam**n), n, order)
     out = []
     for pm in (TruncSeries.exp_linear(QPoly((0, n)), order) * base).coeffs:
         table, den = _shift_table(pm, n)
-        if not isinstance(lam, Fraction):
+        if isinstance(lam, Fraction):
+            out.append(_table_matrix(QPoly(), table, den, n, lam))
+        else:
             out.append(tuple(_build(pm.level, flat, den) * (n * lam**j) for j, flat in enumerate(table)))
-            continue
-        a, c = lam.numerator, lam.denominator
-        cols = [[0] * len(table[0])]
-        cols += [[v * (n * a**j * c ** (n - 1 - j)) for v in col] for j, col in enumerate(table)]
-        den *= c ** (n - 1)
-        content = gcd(den, *chain.from_iterable(cols))
-        out.append((tuple(zip(*[[v // content for v in col] for col in cols])), den // content))
     return tuple(out)
 
 
