@@ -33,10 +33,9 @@ from itertools import chain, count, groupby, islice, product, repeat, starmap, z
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 
-from . import _kernel as _K
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
-from .cyclotomic import _join_levels, _reduction_rows, _scalar_parts, format_scalar, normalize_scalar, scalar_from_json
+from .cyclotomic import _join_levels, format_scalar, normalize_scalar, scalar_from_json
 from .dedekind import check_e_sum_args, e_sum, g_series_oracle, scaled_e_sum, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from .qpoly import QPoly, _build, _flat, geometric_block, matrix_product, sum_of_products, value_columns
@@ -263,32 +262,24 @@ def _gseries_lhs(n: int, sign: int, c0, left: tuple[QPoly, ...], g: TruncSeries)
     coefficient, in one pass over the integer numerators of g.
 
     Coefficient m of tg is m sum_{i<m} C(m-1, i) ((n-1)q)^(m-1-i) g_i: each
-    g_i, over the common denominator of g, shifted up m-1-i rows.  C_0 L[m]
-    is added in the same pass: the numerators of L[m] times a rational C_0,
-    or else each row of L[m] times the numerators of C_0, reduced modulo
-    Phi_level."""
-    c_level, c_nums, c_den = _scalar_parts(c0)
-    level = _join_levels(chain((x.level for x in g.coeffs), (x.level for x in left), (c_level,)))
+    g_i, over the common denominator of g, shifted up m-1-i rows.  C_0 L[m],
+    one scalar product per coefficient, is added in the same pass."""
+    cl = [lm * c0 for lm in left]
+    level = _join_levels(chain((x.level for x in g.coeffs), (x.level for x in cl)))
     phi = euler_phi(level)
     den = lcm(*(x.den for x in g.coeffs))
     flats = [[v * (den // x.den) for v in _flat(x, phi, phi)] for x in g.coeffs]
     tg, lhs = [], []
-    for m, lm in enumerate(left):
+    for m, clm in enumerate(cl):
         acc = [0] * max(((m - 1 - i) * phi + len(flats[i]) for i in range(m)), default=0)
         for i in range(m):
             w, start = m * comb(m - 1, i) * (n - 1) ** (m - 1 - i), (m - 1 - i) * phi
             end = start + len(flats[i])
             acc[start:end] = [a + w * v for a, v in zip(acc[start:end], flats[i])]
         tg.append(_build(level, acc, den))
-        common = lcm(den, c_den * lm.den)
-        hc = [common // (c_den * lm.den) * v for v in c_nums]
-        if c_level == 1:
-            cl = [hc[0] * v for v in _flat(lm, phi, phi)]
-        else:
-            fold = _reduction_rows(level)
-            cl = [v for row in lm.rows for v in _K.reduce_cyclo(_K.conv(row, hc), fold, phi)]
-        f = sign * (common // den)
-        lhs.append(_build(level, [f * a + b for a, b in zip_longest(acc, cl, fillvalue=0)], common))
+        common = lcm(den, clm.den)
+        f, h = sign * (common // den), common // clm.den
+        lhs.append(_build(level, [f * a + h * b for a, b in zip_longest(acc, _flat(clm, phi, phi), fillvalue=0)], common))
     return tg, lhs
 
 
