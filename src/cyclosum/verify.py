@@ -104,26 +104,16 @@ def _shift_table(b: QPoly, n: int) -> tuple[list[list[int]], int]:
     return table, b.den * n ** max(top, 0)
 
 
-def _bernoulli_basis(m: int, n: int, lam) -> tuple[QPoly, tuple[QPoly, ...]]:
-    """A = B_m(nq, lam) and the V_j = lam^j B_m(q + j/n, lam^n), j < n, the
-    Apostol-Bernoulli pieces of the prop2 and mult right sides: the columns
-    of _shift_table, times lam^j.  Uncached: a rational lam reads the table
-    once through _basis_matrix, and mult's cases never repeat a key."""
-    b = apostol_bernoulli(m, lam**n)
+def _shift_basis(first: QPoly, b: QPoly, n: int, f: int, lam):
+    """`first` and the columns f lam^j b(q + j/n), j < n, of _shift_table(b, n),
+    which C_0 and the K_{j-s} weight in a right side.  At a rational lam = a/c
+    as poly_rows lays them out, content divided out: over den c^(n-1), column
+    j has the table's numerators times f a^j c^(n-1-j), and `first` has at
+    most as many rows as the table.  At any other lam (first, the columns)."""
     table, den = _shift_table(b, n)
-    shifts = tuple(_build(b.level, flat, den) * lam**j for j, flat in enumerate(table))
-    return apostol_bernoulli(m, lam).scale_arg(n), shifts
-
-
-def _table_matrix(first: QPoly, table: list[list[int]], den: int, f: int, lam: Fraction):
-    """A rational polynomial `first` and the columns of a _shift_table
-    (table, den) times f lam^j, j < n, for a rational lam = a/c, as
-    poly_rows lays them out: row i holds their numerators of q^i over one
-    denominator, with their content divided out.  Over den times c^(n-1),
-    column j times f lam^j has the numerators of table column j times the
-    integer f a^j c^(n-1-j).  `first` has at most as many rows as the
-    table."""
-    a, c, n = lam.numerator, lam.denominator, len(table)
+    if not isinstance(lam, Fraction):
+        return first, tuple(_build(b.level, flat, den) * (f * lam**j) for j, flat in enumerate(table))
+    a, c = lam.numerator, lam.denominator
     den *= c ** (n - 1)
     common = lcm(den, first.den)
     f, g = f * (common // den), common // first.den
@@ -134,13 +124,12 @@ def _table_matrix(first: QPoly, table: list[list[int]], den: int, f: int, lam: F
 
 
 @lru_cache(maxsize=1024)
-def _basis_matrix(m: int, n: int, lam: Fraction):
-    """The basis of a rational lam as _table_matrix lays it out: row i holds
-    the numerators of q^i in A, -n^m V_0, ..., -n^m V_{n-1}.  A = B_m(nq, lam)
-    has at most as many rows as B_m(q, lam^n): fewer only when
+def _basis_matrix(m: int, n: int, lam):
+    """The prop2 right-side basis of (m, n, lam) as _shift_basis gives it:
+    A = B_m(nq, lam), then -n^m V_j with V_j = lam^j B_m(q + j/n, lam^n).
+    A has at most as many rows as B_m(q, lam^n): fewer only when
     lam != 1 = lam^n, where the degrees are m - 1 and m."""
-    table, den = _shift_table(apostol_bernoulli(m, lam**n), n)
-    return _table_matrix(apostol_bernoulli(m, lam).scale_arg(n), table, den, -(n**m), lam)
+    return _shift_basis(apostol_bernoulli(m, lam).scale_arg(n), apostol_bernoulli(m, lam**n), n, -(n**m), lam)
 
 
 @lru_cache(maxsize=1024)
@@ -151,35 +140,37 @@ def _spectrum_matrix(c_seq: PeriodicSeq, kseq: SpectralSeq, s: int):
     return value_columns((c_seq[0], *(kseq[j - s] for j in range(kseq.n))))
 
 
-def _prop2_rhs(m: int, n: int, s: int, lam, c_seq: PeriodicSeq) -> QPoly:
-    """C_0 B_m(nq, lam) - n^m sum_j K_{j-s} lam^j B_m(q+j/n, lam^n).
-
-    For rational lam this is the basis matrix of (m, n, lam) times the
-    spectrum matrix of (C, s).
-    """
+def _spectrum_products(n: int, lam, bases, c_seq: PeriodicSeq, s: int) -> list[QPoly]:
+    """C_0 first + sum_j K_{j-s} column_j for each _shift_basis in `bases`, K
+    the spectrum of C, read once: at a rational lam one matrix_product with
+    _spectrum_matrix(C, K, s) each, at any other lam one sum_of_products."""
     kseq = dft_inverse(c_seq)
     if isinstance(lam, Fraction):
-        return matrix_product(n, _basis_matrix(m, n, lam), _spectrum_matrix(c_seq, kseq, s))
-    scaled, shifts = _bernoulli_basis(m, n, lam)
-    terms = [(1, c_seq[0], scaled)]
-    terms += [(-(n**m), v, kseq[j - s]) for j, v in enumerate(shifts)]
-    return sum_of_products(terms)
+        spectrum = _spectrum_matrix(c_seq, kseq, s)
+        return [matrix_product(n, basis, spectrum) for basis in bases]
+    weights = (c_seq[0], *(kseq[j - s] for j in range(n)))
+    return [sum_of_products(zip(repeat(1), (first, *columns), weights)) for first, columns in bases]
 
 
 def check_prop2(m: int, n: int, r: int, p: int, lam, c_seq: PeriodicSeq) -> Comparisons:
     """(-1)^(p-1) m E(nq) against C_0 B_m(nq) - n^m sum_j K_{j-r-p+1} lam^j B_m(q+j/n, lam^n).
 
-    The left side is scaled_e_sum: at a rational lam, one product of cached
-    matrices."""
+    The sides are scaled_e_sum and the _spectrum_products of _basis_matrix:
+    at a rational lam, each one product of cached matrices."""
     lam = check_e_sum_args(m, n, lam, c_seq)
     lhs = scaled_e_sum(m, n, (r + p) % n, lam, c_seq)
-    return ((None, lhs, _prop2_rhs(m, n, (r + p - 1) % n, lam, c_seq)),)
+    [rhs] = _spectrum_products(n, lam, [_basis_matrix(m, n, lam)], c_seq, (r + p - 1) % n)
+    return ((None, lhs, rhs),)
 
 
 def check_mult_formula(m: int, n: int, lam) -> Comparisons:
-    """B_m(nq, lam) = n^(m-1) sum_j lam^j B_m(q + j/n, lam^n)."""
-    lhs, shifts = _bernoulli_basis(m, n, normalize_scalar(lam))
-    return ((None, lhs, sum_of_products([(Fraction(n) ** (m - 1), v, 1) for v in shifts])),)
+    """B_m(nq, lam) = n^(m-1) sum_j lam^j B_m(q + j/n, lam^n), summed over the
+    columns of _shift_table, uncached: mult's cases never repeat a key."""
+    lam = normalize_scalar(lam)
+    b, c = apostol_bernoulli(m, lam**n), Fraction(n) ** (m - 1)
+    table, den = _shift_table(b, n)
+    rhs = sum_of_products([(c, _build(b.level, flat, den), lam**j) for j, flat in enumerate(table)])
+    return ((None, apostol_bernoulli(m, lam).scale_arg(n), rhs),)
 
 
 def check_section4_closed_form(m: int, n: int, r: int, p: int, lam) -> Comparisons:
@@ -239,22 +230,15 @@ def _gseries_left(n: int, lam, order: int) -> tuple[QPoly, ...]:
 @lru_cache(maxsize=256)
 def _gseries_right(n: int, lam, order: int) -> tuple:
     """Coefficient m <= order of the gseries right terms
-    R_j = n lam^j e^{(j+nq)t} t / (lam^n e^{nt} - 1), j < n, lam normalized.
+    R_j = n lam^j e^{(j+nq)t} t / (lam^n e^{nt} - 1), j < n, lam normalized,
+    as _shift_basis gives them behind the zero polynomial, which C_0 weights.
 
     With P = e^{nqt} t / (lam^n e^{nt} - 1), e^{jt} P is P at q + j/n, so
     R_j[m] is n lam^j P_m(q + j/n): column j of _shift_table(P_m, n) times
-    n lam^j.  At a rational lam, entry m is their _table_matrix behind a
-    zero column that meets C_0 in _spectrum_matrix; at any other lam it
-    holds the R_j[m] as QPolys, for sum_of_products."""
+    n lam^j."""
     base = t_over_exp_affine(normalize_scalar(lam**n), n, order)
-    out = []
-    for pm in (TruncSeries.exp_linear(QPoly((0, n)), order) * base).coeffs:
-        table, den = _shift_table(pm, n)
-        if isinstance(lam, Fraction):
-            out.append(_table_matrix(QPoly(), table, den, n, lam))
-        else:
-            out.append(tuple(_build(pm.level, flat, den) * (n * lam**j) for j, flat in enumerate(table)))
-    return tuple(out)
+    coeffs = (TruncSeries.exp_linear(QPoly((0, n)), order) * base).coeffs
+    return tuple(_shift_basis(QPoly(), pm, n, n, lam) for pm in coeffs)
 
 
 def _gseries_lhs(n: int, sign: int, c0, left: tuple[QPoly, ...], g: TruncSeries) -> tuple[list[QPoly], list[QPoly]]:
@@ -293,21 +277,15 @@ def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: 
 
     The series sides are lhs = C_0 L + (-1)^p t g e^{(n-1)qt}, from
     _gseries_left and one integer pass over g, and
-    rhs = sum_j K_{j-(r+p-1)} R_j, from _gseries_right: at a rational lam one
-    matrix_product with _spectrum_matrix per coefficient.
+    rhs = sum_j K_{j-(r+p-1)} R_j, the _spectrum_products of _gseries_right,
+    as prop2's right side is of its basis.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
     g = g_series_oracle(n, r, p, lam, c_seq, order)
     lam = normalize_scalar(lam)
     tg, lhs = _gseries_lhs(n, -1 if p % 2 else 1, c_seq[0], _gseries_left(n, lam, order), g)
-    kseq, s = dft_inverse(c_seq), (r + p - 1) % n
-    right = _gseries_right(n, lam, order)
-    if isinstance(lam, Fraction):
-        spectrum = _spectrum_matrix(c_seq, kseq, s)
-        rhs = [matrix_product(n, rows, spectrum) for rows in right]
-    else:
-        rhs = [sum_of_products([(1, rj, kseq[j - s]) for j, rj in enumerate(rm)]) for rm in right]
+    rhs = _spectrum_products(n, lam, _gseries_right(n, lam, order), c_seq, (r + p - 1) % n)
     # sums[i] is the index-(i + 1) sum: both chains read indices 1 .. order + 1
     sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
     return (

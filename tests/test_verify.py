@@ -23,13 +23,12 @@ from cyclosum.verify import (
     GridSpec,
     IdentityCase,
     _basis_matrix,
-    _bernoulli_basis,
     _enumerate_jobs,
     _gseries_left,
     _gseries_right,
     _judge,
-    _prop2_rhs,
     _spectrum_matrix,
+    _spectrum_products,
     build_report,
     check_gseries_chain,
     check_mult_formula,
@@ -478,6 +477,12 @@ def _prop2_sequences(n):
     return st.one_of(named, rand, dedekind)
 
 
+def _cyclotomic_lambdas(level):
+    # c zeta_level^k + shift: irrational unless zeta_level^k is rational
+    return st.tuples(small_fracs, st.integers(1, level - 1), small_fracs).map(
+        lambda t: normalize_scalar(t[0] * zeta_pow(level, t[1]) + t[2]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(2, 12).flatmap(
@@ -487,15 +492,21 @@ def _prop2_sequences(n):
             st.one_of(
                 st.sampled_from((Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(5, 7), Fraction(3), Fraction(-1))),
                 small_fracs,
+                _cyclotomic_lambdas(n),
             ),
             _prop2_sequences(n),
         )
     )
 )
+@example((3, 4, 1 + zeta_pow(4, 1), family("fourier-dedekind", 4, a=1, c0=Fraction(1, 2))))
+@example((2, 6, normalize_scalar(2 * zeta_pow(6, 1)), random_sequence(6, DEFAULT_SEED, 1)))
 def test_prop2_right_side_matches_literal(case):
+    # both branches of the spectrum product: the lambdas at the sequence's level n
     m, n, lam, c_seq = case
+    basis = _basis_matrix(m, n, lam)
     for s in range(n):
-        assert _prop2_rhs(m, n, s, lam, c_seq) == _literal_prop2_rhs(m, n, s + 1, 0, lam, c_seq)
+        [rhs] = _spectrum_products(n, lam, [basis], c_seq, s)
+        assert rhs == _literal_prop2_rhs(m, n, s + 1, 0, lam, c_seq)
 
 
 def _e_sum_left_side(m, n, r, p, lam, c_seq):
@@ -574,13 +585,16 @@ IRRATIONAL_LAMBDAS = (
 
 @pytest.mark.parametrize("lam, n", IRRATIONAL_LAMBDAS, ids=("level3", "level4", "level6"))
 def test_prop2_and_mult_pass_at_irrational_lambda(lam, n):
-    # the right sides take the literal sum over the basis polynomials here
+    # the right sides take the literal sum over the basis polynomials here;
+    # prop2 builds its basis once per m, for every (r + p) mod n and sequence
+    _basis_matrix.cache_clear()
     prop2 = GridSpec.from_json({
         "identity": "prop2", "m": {"min": 1, "max": 4}, "n": [n], "r": [0, 1, 2], "p": [-1, 0, 1, 2],
         "lambdas": [lam], "sequences": ["delta", "ramanujan", "random:2", "fourier-dedekind:a=1,c0=1"],
     })
     cases = run_grid(prop2, workers=1)
     assert len(cases) == 240 and all(c.status == "pass" for c in cases)
+    assert _basis_matrix.cache_info().misses == 4
     mult = GridSpec.from_json({"identity": "mult", "m": {"min": 0, "max": 4}, "n": [n], "lambdas": [lam]})
     cases = run_grid(mult, workers=1)
     assert len(cases) == 5 and all(c.status == "pass" for c in cases)
@@ -595,9 +609,18 @@ def test_mult_passes_at_least_values_and_lambda_minus_one():
     ):
         cases = run_grid(GridSpec.from_json(grid), workers=1)
         assert cases and all(c.status == "pass" for c in cases)
-    scaled, shifts = _bernoulli_basis(3, 4, Fraction(-1))
+    scaled, *shifts = _basis_polys(3, 4, Fraction(-1))
     assert scaled.degree == 2 and {v.degree for v in shifts} == {3}
     assert len(_basis_matrix(3, 4, Fraction(-1))[0]) == 4
+
+
+def _basis_polys(m, n, lam):
+    # _basis_matrix(m, n, lam) as its n + 1 polynomials, at either kind of lambda
+    basis = _basis_matrix(m, n, lam)
+    if not isinstance(lam, Fraction):
+        return (basis[0], *basis[1])
+    rows, den = basis
+    return tuple(QPoly([Fraction(row[t], den) for row in rows]) for t in range(n + 1))
 
 
 def _per_j_basis(m, n, lam):
@@ -634,9 +657,10 @@ def test_basis_matrix_equals_the_per_j_route(m, n, lam):
 )
 @example(m=3, n=4, level=4, k=1, c=Fraction(1), shift=Fraction(0))  # lam = i, lam^n = 1
 def test_bernoulli_basis_at_cyclotomic_lambdas_equals_the_per_j_route(m, n, level, k, c, shift):
-    # irrational unless the level divides k, which gives a rational lam, the route mult takes
+    # irrational unless the level divides k, which gives a rational lam and the integer layout
     lam = normalize_scalar(c * zeta_pow(level, k) + shift)
-    assert _bernoulli_basis(m, n, lam) == _per_j_basis(m, n, lam)
+    scaled, shifts = _per_j_basis(m, n, lam)
+    assert _basis_polys(m, n, lam) == (scaled, *(v * -(n**m) for v in shifts))
 
 
 def _literal_t_over_exp_affine(lam, s, order):
