@@ -1060,16 +1060,15 @@ def test_report_json_bytes_equal_json_dumps_on_default_grids(identity):
 # that `cyclosum verify` writes for grids whose Appell recurrences run over
 # Q(zeta_n); each perturbed case prints an irrational lhs and rhs.  The
 # prop2 grid is the one CI compares across hash seeds and worker counts
-# (lambda = 2, 2 zeta_4 and 1 + zeta_4), pinned with its case 51 (m = 3,
-# n = 2, lambda = 2 zeta_4) perturbed and as CI writes it.
-CYCLOTOMIC_PROP2_GRID = {
-    "identity": "prop2", "m": {"min": 1, "max": 4}, "n": [2, 4], "r": [0, 1], "p": [1],
-    "lambdas": ["2", {"level": 4, "coeffs": ["0", "2"]}, {"level": 4, "coeffs": ["1", "1"]}],
-    "sequences": ["delta", "ramanujan"],
-}
+# (lambda = 2, 2 zeta_4 and 1 + zeta_4), with its case 51 (m = 3, n = 2,
+# lambda = 2 zeta_4) perturbed.
 IRRATIONAL_LAMBDA_REPORTS = [
     (
-        dict(CYCLOTOMIC_PROP2_GRID, perturb_index=51),
+        {
+            "identity": "prop2", "m": {"min": 1, "max": 4}, "n": [2, 4], "r": [0, 1], "p": [1],
+            "lambdas": ["2", {"level": 4, "coeffs": ["0", "2"]}, {"level": 4, "coeffs": ["1", "1"]}],
+            "sequences": ["delta", "ramanujan"], "perturb_index": 51,
+        },
         "ff410df668b81e602f27abf48856fa4ce1d31cc71ebc15d85b96614b585695a0",
         {"pass": 95, "fail": 1, "skipped": 0},
     ),
@@ -1082,15 +1081,10 @@ IRRATIONAL_LAMBDA_REPORTS = [
         "b932e0a21d6882068df060d54237ef14a507605fba8f11d1999e26a4e6fd0586",
         {"pass": 71, "fail": 1, "skipped": 0},
     ),
-    (
-        CYCLOTOMIC_PROP2_GRID,
-        "ca5b0e3f53062bb8b35670fa0739ecd35bdba770bdf5f0c3c352ba18ff18b08b",
-        {"pass": 96, "fail": 0, "skipped": 0},
-    ),
 ]
 
 
-@pytest.mark.parametrize("grid, digest, summary", IRRATIONAL_LAMBDA_REPORTS, ids=("prop2", "mult", "prop2-ci"))
+@pytest.mark.parametrize("grid, digest, summary", IRRATIONAL_LAMBDA_REPORTS, ids=("prop2", "mult"))
 def test_irrational_lambda_reports_are_pinned(grid, digest, summary):
     spec = GridSpec.from_json(grid)
     report = build_report(grid["identity"], run_grid(spec, workers=1), [spec])
