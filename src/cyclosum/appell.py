@@ -1,13 +1,14 @@
 """Appell-family polynomials by recurrence, with truncated-series oracles.
 
 The recurrences are the production path; series_oracle_B / series_oracle_H
-read the same polynomials off the generating functions by series inversion,
-an independent route that tests hold equal to it.  Both families are Appell
-sequences, B_m' = m B_{m-1} and H_m' = m H_{m-1}, so each index reads only
-the cached entry below it: B_m is P = m times the integral of B_{m-1} from
-0 (_integral, one integer pass), plus the Appell number b_m = B_m(0), which
-one condition at q = 1 fixes through the single scalar P(1) (_at_one); H_m
-likewise.
+read the same polynomials off the generating functions, an independent
+route that tests hold equal to it: series.times_exp expands e^{qt} times
+t/(lam e^t - 1) or the inverse of lam e^t - gamma.  Both families are
+Appell sequences, B_m' = m B_{m-1} and H_m' = m H_{m-1}, so each index
+reads only the cached entry below it: B_m is P = m times the integral of
+B_{m-1} from 0 (_integral, one integer pass), plus the Appell number
+b_m = B_m(0), which one condition at q = 1 fixes through the single
+scalar P(1) (_at_one); H_m likewise.
 
 B_m(q, lam) is the Apostol-Bernoulli polynomial, EGF t e^{qt}/(lam e^t - 1);
 at lam = 1 it is the classical Bernoulli polynomial, of degree m, not m-1.
@@ -22,8 +23,8 @@ from math import lcm
 from .arith import euler_phi
 from .cyclotomic import _scalar, normalize_scalar
 from .errors import InvalidPower, ParameterCollision
-from .qpoly import QPoly, _build, q
-from .series import TruncSeries, t_over_exp_affine
+from .qpoly import QPoly, _build
+from .series import TruncSeries, t_over_exp_affine, times_exp
 
 
 def apostol_bernoulli(m: int, lam) -> QPoly:
@@ -96,13 +97,11 @@ def _at_one(p: QPoly):
 
 def series_oracle_B(m_max: int, lam) -> list[QPoly]:
     """B_0..B_{m_max} read off the EGF t e^{qt}/(lam e^t - 1) directly."""
-    s = t_over_exp_affine(normalize_scalar(lam), 1, m_max) * TruncSeries.exp_linear(q, m_max)
-    return [s[i] for i in range(m_max + 1)]
+    return list(times_exp(t_over_exp_affine(normalize_scalar(lam), 1, m_max).coeffs, 1))
 
 
 def series_oracle_H(m_max: int, p: int, lam, gamma) -> list[QPoly]:
     """H_0..H_{m_max} read off (1-gamma)^p e^{qt}/(lam e^t - gamma)."""
     lam, gamma = _check_h_args(p, lam, gamma)
-    den = TruncSeries.exp_affine(lam, -gamma, m_max)
-    s = (den.inverse() * TruncSeries.exp_linear(q, m_max)) * (1 - gamma) ** p
-    return [s[i] for i in range(m_max + 1)]
+    s = TruncSeries.exp_affine(lam, -gamma, m_max).inverse() * (1 - gamma) ** p
+    return list(times_exp(s.coeffs, 1))

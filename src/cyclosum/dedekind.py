@@ -29,10 +29,12 @@ scalar sum per index.
 
 g_series_oracle is the independent series route: the closed form of the
 generating function whose EGF coefficient m must equal e_sum at index m+1.
-Its terms T_k = e^{qt}/(lam e^t - zeta^{-k}) depend only on (n, k, lam, T)
-and are cached on those values; the sequence and (r, p) enter only as the
-scalar weights (-1)^p zeta^{-k(r+p)} C_{-k} of one weighted sum.  The
-oracle reads neither e_sum nor the Frobenius-Euler recurrence.
+It is e^{qt} times sum_k w_k S_k: the scalar series
+S_k = 1/(lam e^t - zeta^{-k}) depend only on (n, k, lam, T) and are cached
+on those values, the sequence and (r, p) enter only as the weights
+w_k = (-1)^p zeta^{-k(r+p)} C_{-k} of one weighted sum, and
+series.times_exp expands that sum once.  The oracle reads neither e_sum
+nor the Frobenius-Euler recurrence.
 """
 from __future__ import annotations
 
@@ -45,8 +47,8 @@ from .appell import frobenius_euler
 from .arith import divisors, euler_phi, totatives
 from .cyclotomic import CycloNum, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
-from .qpoly import QPoly, matrix_product, poly_rows, q, sum_of_products, value_columns
-from .series import TruncSeries, weighted_sum
+from .qpoly import QPoly, matrix_product, poly_rows, sum_of_products, value_columns
+from .series import TruncSeries, times_exp, weighted_sum
 from .spectra import PeriodicSeq, ramanujan_sum, root_sums
 
 __all__ = ["e_sum", "g_series_oracle", "v_sum", "ramanujan_sum"]
@@ -181,14 +183,13 @@ def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int)
         w = zeta_pow(n, -k * (r + p)) * c_seq[-k]
         if w:
             terms.append((_oracle_term(n, k, lam, order), sign * w))
-    return weighted_sum(terms, order)
+    return TruncSeries(times_exp(weighted_sum(terms, order).coeffs, 1), order)
 
 
 @lru_cache(maxsize=1024)
 def _oracle_term(n: int, k: int, lam, order: int) -> TruncSeries:
-    """T_k = e^{qt}/(lam e^t - zeta_n^{-k}), truncated; lam normalized."""
-    den = TruncSeries.exp_affine(lam, -zeta_pow(n, -k), order)
-    return den.inverse() * TruncSeries.exp_linear(q, order)
+    """S_k = 1/(lam e^t - zeta_n^{-k}), truncated; lam normalized."""
+    return TruncSeries.exp_affine(lam, -zeta_pow(n, -k), order).inverse()
 
 
 def v_sum(n: int, k: int, lam):

@@ -6,15 +6,19 @@ the way in), so generating functions like e^{qt}/(lam*e^t - 1) stay exact
 and polynomial-valued.  The Cauchy product therefore carries binomial
 weights, and multiplying by t shifts with a factor of m.  weighted_sum
 builds a scalar-weighted sum of series with one sum_of_products per
-coefficient.
+coefficient.  Every generating function here is e^{cqt} times a series,
+and times_exp expands that product in one integer pass, with no Cauchy
+product.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+from .arith import euler_phi
+from .cyclotomic import _join_levels
 from .errors import NotAUnit
-from .qpoly import QPoly, sum_of_products
+from .qpoly import QPoly, _build, _flat, sum_of_products
 
 
 def _as_poly(v) -> QPoly:
@@ -153,6 +157,25 @@ def weighted_sum(terms, order: int) -> TruncSeries:
         [sum_of_products([(1, s.coeffs[m], w) for s, w in terms]) for m in range(order + 1)],
         order,
     )
+
+
+def times_exp(coeffs, c: int) -> tuple[QPoly, ...]:
+    """The coefficients of e^{cqt} A(t) to A's order, for an integer c and
+    A's coefficients (QPolys or exact scalars).  Coefficient m is
+    sum_i C(m, i) (cq)^i a_(m-i): each a_(m-i), over one denominator,
+    shifted up i rows, in one integer pass."""
+    polys = [_as_poly(v) for v in coeffs]
+    level = _join_levels(p.level for p in polys)
+    phi, den = euler_phi(level), lcm(*(p.den for p in polys))
+    flats = [[v * (den // p.den) for v in _flat(p, phi, phi)] for p in polys]
+    out = []
+    for m in range(len(flats)):
+        acc = [0] * max(i * phi + len(flats[m - i]) for i in range(m + 1))
+        for i, f in enumerate(reversed(flats[: m + 1])):
+            w, start = comb(m, i) * c**i, i * phi
+            acc[start : start + len(f)] = [a + w * v for a, v in zip(acc[start:], f)]
+        out.append(_build(level, acc, den))
+    return tuple(out)
 
 
 def t_over_exp_affine(lam, s: int, order: int) -> TruncSeries:

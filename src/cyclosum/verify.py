@@ -29,18 +29,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import merge
-from itertools import chain, count, groupby, islice, product, repeat, starmap, zip_longest
-from math import comb, factorial, gcd, lcm
+from itertools import chain, count, groupby, islice, product, repeat, starmap
+from math import factorial, gcd, lcm
 from operator import itemgetter
 
 from .appell import apostol_bernoulli, apostol_bernoulli_number
 from .arith import divisors, euler_phi, moebius, totatives
-from .cyclotomic import _join_levels, format_scalar, normalize_scalar, scalar_from_json
+from .cyclotomic import format_scalar, normalize_scalar, scalar_from_json
 from .dedekind import check_e_sum_args, e_sum, g_series_oracle, scaled_e_sum, v_sum
 from .errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
-from .qpoly import QPoly, _build, _flat, geometric_block, matrix_product, sum_of_products, value_columns
+from .qpoly import QPoly, _build, geometric_block, matrix_product, sum_of_products, value_columns
 from .scalars import parse_int
-from .series import TruncSeries, t_over_exp_affine
+from .series import t_over_exp_affine, times_exp
 from .spectra import (PeriodicSeq, SpectralSeq, dft_inverse, family, interp_poly, lagrange_oracle,
                       load_sequence, parse_family)
 
@@ -221,50 +221,15 @@ def check_moebius_interp(n: int) -> Comparisons:
 
 
 @lru_cache(maxsize=256)
-def _gseries_left(n: int, lam, order: int) -> tuple[QPoly, ...]:
-    """The coefficients of the gseries left base L = t e^{nqt} / (lam e^t - 1)
-    up to t^order, lam normalized."""
-    return (t_over_exp_affine(lam, 1, order) * TruncSeries.exp_linear(QPoly((0, n)), order)).coeffs
-
-
-@lru_cache(maxsize=256)
-def _gseries_right(n: int, lam, order: int) -> tuple:
-    """Coefficient m <= order of the gseries right terms
-    R_j = n lam^j e^{(j+nq)t} t / (lam^n e^{nt} - 1), j < n, lam normalized,
-    as _shift_basis gives them behind the zero polynomial, which C_0 weights.
-
-    With P = e^{nqt} t / (lam^n e^{nt} - 1), e^{jt} P is P at q + j/n, so
-    R_j[m] is n lam^j P_m(q + j/n): column j of _shift_table(P_m, n) times
-    n lam^j."""
-    base = t_over_exp_affine(normalize_scalar(lam**n), n, order)
-    coeffs = (TruncSeries.exp_linear(QPoly((0, n)), order) * base).coeffs
-    return tuple(_shift_basis(QPoly(), pm, n, n, lam) for pm in coeffs)
-
-
-def _gseries_lhs(n: int, sign: int, c0, left: tuple[QPoly, ...], g: TruncSeries) -> tuple[list[QPoly], list[QPoly]]:
-    """tg = t g e^{(n-1)qt} and the left side C_0 L + sign tg, coefficient by
-    coefficient, in one pass over the integer numerators of g.
-
-    Coefficient m of tg is m sum_{i<m} C(m-1, i) ((n-1)q)^(m-1-i) g_i: each
-    g_i, over the common denominator of g, shifted up m-1-i rows.  C_0 L[m],
-    one scalar product per coefficient, is added in the same pass."""
-    cl = [lm * c0 for lm in left]
-    level = _join_levels(chain((x.level for x in g.coeffs), (x.level for x in cl)))
-    phi = euler_phi(level)
-    den = lcm(*(x.den for x in g.coeffs))
-    flats = [[v * (den // x.den) for v in _flat(x, phi, phi)] for x in g.coeffs]
-    tg, lhs = [], []
-    for m, clm in enumerate(cl):
-        acc = [0] * max(((m - 1 - i) * phi + len(flats[i]) for i in range(m)), default=0)
-        for i in range(m):
-            w, start = m * comb(m - 1, i) * (n - 1) ** (m - 1 - i), (m - 1 - i) * phi
-            end = start + len(flats[i])
-            acc[start:end] = [a + w * v for a, v in zip(acc[start:end], flats[i])]
-        tg.append(_build(level, acc, den))
-        common = lcm(den, clm.den)
-        f, h = sign * (common // den), common // clm.den
-        lhs.append(_build(level, [f * a + h * b for a, b in zip_longest(acc, _flat(clm, phi, phi), fillvalue=0)], common))
-    return tg, lhs
+def _gseries_bases(n: int, lam, order: int) -> tuple[tuple[QPoly, ...], tuple]:
+    """The coefficients up to t^order of the gseries bases, lam normalized:
+    L = t e^{nqt} / (lam e^t - 1), and R_j = n lam^j e^{jt} P, j < n, with
+    P = e^{nqt} t / (lam^n e^{nt} - 1), as _shift_basis gives them behind the
+    zero polynomial, which C_0 weights.  L and P are expanded at c = n; e^{jt} P
+    is P at q + j/n, so R_j[m] is column j of _shift_table(P_m, n) times n lam^j."""
+    left = times_exp(t_over_exp_affine(lam, 1, order).coeffs, n)
+    right = times_exp(t_over_exp_affine(normalize_scalar(lam**n), n, order).coeffs, n)
+    return left, tuple(_shift_basis(QPoly(), pm, n, n, lam) for pm in right)
 
 
 def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> Comparisons:
@@ -275,17 +240,21 @@ def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: 
     against e_sum at shifted index; and the t-shifted chain coefficients
     against m times e_sum at nq.
 
-    The series sides are lhs = C_0 L + (-1)^p t g e^{(n-1)qt}, from
-    _gseries_left and one integer pass over g, and
-    rhs = sum_j K_{j-(r+p-1)} R_j, the _spectrum_products of _gseries_right,
-    as prop2's right side is of its basis.
+    The series sides are lhs = C_0 L + (-1)^p tg, one sum_of_products per
+    coefficient, and rhs = sum_j K_{j-(r+p-1)} R_j, the _spectrum_products
+    of the R_j as prop2's right side is of its basis, with L and the R_j
+    from _gseries_bases.  tg = t g e^{(n-1)qt}: tg[m] is m times
+    coefficient m - 1 of g expanded at c = n - 1.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
     g = g_series_oracle(n, r, p, lam, c_seq, order)
     lam = normalize_scalar(lam)
-    tg, lhs = _gseries_lhs(n, -1 if p % 2 else 1, c_seq[0], _gseries_left(n, lam, order), g)
-    rhs = _spectrum_products(n, lam, _gseries_right(n, lam, order), c_seq, (r + p - 1) % n)
+    left, right = _gseries_bases(n, lam, order)
+    tg = [QPoly(), *(m * x for m, x in enumerate(times_exp(g.coeffs[:-1], n - 1), 1))]
+    sign, c0 = -1 if p % 2 else 1, c_seq[0]
+    lhs = [sum_of_products(((1, lm, c0), (sign, tm, 1))) for lm, tm in zip(left, tg)]
+    rhs = _spectrum_products(n, lam, right, c_seq, (r + p - 1) % n)
     # sums[i] is the index-(i + 1) sum: both chains read indices 1 .. order + 1
     sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
     return (
@@ -395,7 +364,7 @@ _IDENTITY_TABLE = {
             n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
             lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)), sequences=("random:1",),
         ),
-        cost_ms=1.5,
+        cost_ms=1.3,
     ),
 }
 
@@ -428,6 +397,9 @@ class GridSpec:
         for axis in row.axes:
             if not getattr(self, axis):
                 raise InvalidGrid(f"{self.identity} grid needs a nonempty {axis} axis")
+        for axis in ("m", "n", "r", "p", "rp_pairs", "lambdas", "sequences"):
+            if getattr(self, axis) and axis not in row.axes:
+                raise InvalidGrid(f"{self.identity} grid has a {axis} axis, which {self.identity} does not read")
         for axis, least in row.least.items():
             for v in getattr(self, axis):
                 if v < least:
@@ -458,6 +430,8 @@ class GridSpec:
             seed=_int_field(obj.get("seed", DEFAULT_SEED), "seed"),
         )
         spec.validate()
+        if "T" in obj and "order" not in _IDENTITY_TABLE[ident].kwargs:
+            raise InvalidGrid(f"{ident} grid has a T, which {ident} does not read")
         return spec
 
     def to_json(self) -> dict:

@@ -357,6 +357,21 @@ def test_verify_bad_axis_values_exit_2(capsys, tmp_path):
         assert "bad grid" in err and named in err
 
 
+def test_verify_axis_the_identity_does_not_read_exits_2(capsys, tmp_path):
+    grid = {"identity": "moebius", "n": [2, 3], "m": [1, 2], "lambdas": ["2"], "sequences": ["delta"], "T": 3}
+    code, out, err = _verify_grid(capsys, tmp_path, grid)
+    assert (code, out) == (2, "")
+    assert "bad grid" in err and "m axis" in err
+    del grid["m"], grid["lambdas"], grid["sequences"]
+    code, out, err = _verify_grid(capsys, tmp_path, grid)
+    assert (code, out) == (2, "")
+    assert "bad grid" in err and "has a T" in err
+    del grid["T"]
+    code, out, _ = _verify_grid(capsys, tmp_path, grid)
+    assert code == 0
+    assert json.loads(out)["grid"] == [{"identity": "moebius", "n": [2, 3], "seed": 1009}]
+
+
 def test_verify_rejects_non_ascii_and_newline_rationals(capsys, tmp_path):
     grid = {"identity": "mult", "m": [2], "n": [2], "lambdas": ["2\n"]}
     code, out, err = _verify_grid(capsys, tmp_path, grid)

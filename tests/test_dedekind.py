@@ -272,8 +272,7 @@ BOUNDED_CACHES = {
     "cyclosum.spectra._lagrange_columns": "n",
     "cyclosum.verify._basis_matrix": "(m, n, lambda)",
     "cyclosum.verify._spectrum_matrix": "(C, K, (r + p - 1) mod n)",
-    "cyclosum.verify._gseries_left": "(n, lambda, T)",
-    "cyclosum.verify._gseries_right": "(n, lambda, T)",
+    "cyclosum.verify._gseries_bases": "(n, lambda, T)",
 }
 
 
@@ -291,7 +290,7 @@ def _package_caches() -> dict:
 def test_value_keyed_caches_are_bounded():
     caches = _package_caches()
     assert set(caches) == set(UNBOUNDED_CACHES) | set(BOUNDED_CACHES)
-    assert len(caches) == 23
+    assert len(caches) == 22
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == set(UNBOUNDED_CACHES)
 

@@ -1,14 +1,15 @@
-"""Truncated exponential generating functions: products, inverses, t-shifts."""
+"""Truncated exponential generating functions: products, inverses, t-shifts,
+expansions times e^{cqt}."""
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclosum.cyclotomic import CycloNum, zeta_pow
 from cyclosum.errors import NotAUnit
 from cyclosum.qpoly import QPoly, q
-from cyclosum.series import TruncSeries, t_over_exp_affine, weighted_sum
+from cyclosum.series import TruncSeries, t_over_exp_affine, times_exp, weighted_sum
 
 fracs = st.tuples(st.integers(-20, 20), st.integers(1, 8)).map(
     lambda t: Fraction(t[0], t[1])
@@ -167,6 +168,17 @@ def test_weighted_sum_of_no_terms_is_zero():
     for order in (0, 3):
         assert weighted_sum([], order) == TruncSeries.zero(order)
         assert weighted_sum([], order).order == order
+
+
+# times_exp against the Cauchy product with e^{cqt}, which it replaces; a
+# coefficient is a rational or level-5 polynomial, zero, or a bare scalar
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(coeff_polys, st.just(QPoly()), weights), min_size=1, max_size=7), st.integers(0, 5))
+@example([1, 1, 1, 1], 2)  # coefficient 3 is 1 + 3(2q) + 3(2q)^2 + (2q)^3
+def test_times_exp_matches_product_with_exp_linear(coeffs, c):
+    a = TruncSeries(coeffs)
+    assert times_exp(coeffs, c) == (a * TruncSeries.exp_linear(QPoly((0, c)), a.order)).coeffs
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(-1, 2), 2 + zeta_pow(3, 1)],

@@ -24,8 +24,7 @@ from cyclosum.verify import (
     IdentityCase,
     _basis_matrix,
     _enumerate_jobs,
-    _gseries_left,
-    _gseries_right,
+    _gseries_bases,
     _judge,
     _spectrum_matrix,
     _spectrum_products,
@@ -272,6 +271,29 @@ def test_grid_from_json_and_validation():
     for ident, bad_m in (("prop2", 0), ("section4", 0), ("mult", -1)):
         with pytest.raises(InvalidGrid, match=f"axis m .*got {bad_m}"):
             GridSpec.from_json({"identity": ident, "n": [2], **dict(small[ident], m=[bad_m])})
+
+
+# one value for each GridSpec axis, valid where an identity reads the axis
+AXIS_VALUES = {"m": [1], "n": [2], "r": [0], "p": [1], "rp_pairs": [[1, 0]], "lambdas": ["2"], "sequences": ["delta"]}
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+def test_grid_axes_the_identity_does_not_read_are_grid_errors(identity):
+    grid = default_grid(identity).to_json()
+    assert GridSpec.from_json(grid).to_json() == grid
+    foreign = [axis for axis in AXIS_VALUES if axis not in grid]
+    assert foreign
+    for axis in foreign:
+        with pytest.raises(InvalidGrid, match=f"{identity} grid has a {axis} axis, which {identity} does not read"):
+            GridSpec.from_json({**grid, axis: AXIS_VALUES[axis]})
+    if "T" not in grid:
+        with pytest.raises(InvalidGrid, match=f"{identity} grid has a T"):
+            GridSpec.from_json({**grid, "T": 8})
+    # a spec built in code is held to the same rule when a campaign runs it
+    spec = default_grid(identity)
+    setattr(spec, foreign[0], tuple(AXIS_VALUES[foreign[0]]))
+    with pytest.raises(InvalidGrid, match=f"has a {foreign[0]} axis"):
+        run_grid(spec)
 
 
 def test_resolve_sequences_names_bad_descriptors(tmp_path):
@@ -715,8 +737,7 @@ def test_gseries_sides_match_per_case_construction(case):
 
 def test_gseries_series_are_built_once_per_grid_value(checker_calls):
     spec = default_grid("gseries")
-    _gseries_left.cache_clear()
-    _gseries_right.cache_clear()
+    _gseries_bases.cache_clear()
     calls = checker_calls("gseries")
     cases = run_grid(spec)
     assert all(case.status == "pass" for case in cases)
@@ -724,9 +745,9 @@ def test_gseries_series_are_built_once_per_grid_value(checker_calls):
     keys = {(c.params["n"], (c.params["r"] + c.params["p"]) % c.params["n"], c.params["p"] % 2,
              c.params["lambda"], c.params["seq"]) for c in cases}
     assert (len(cases), len(keys), len(calls)) == (96, 54, 54)
-    # one L and one R_j table per (n, lambda, T), whatever the sequence and (r, p)
-    for cache in (_gseries_left, _gseries_right):
-        assert cache.cache_info().misses == len(spec.n) * len(spec.lambdas) == 12
+    # one L and R_j table per (n, lambda, T), whatever the sequence and (r, p)
+    info = _gseries_bases.cache_info()
+    assert (info.misses, info.hits) == (len(spec.n) * len(spec.lambdas), 54 - 12) == (12, 42)
 
 
 @pytest.mark.usefixtures("cpus")
