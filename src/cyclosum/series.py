@@ -6,9 +6,9 @@ the way in), so generating functions like e^{qt}/(lam*e^t - 1) stay exact
 and polynomial-valued.  The Cauchy product therefore carries binomial
 weights, and multiplying by t shifts with a factor of m.  weighted_sum
 builds a scalar-weighted sum of series with one sum_of_products per
-coefficient.  Every generating function here is e^{cqt} times a series,
-and times_exp expands that product in one integer pass, with no Cauchy
-product.
+coefficient.  Each generating function the package reads is e^{cqt}
+times a series, and times_exp expands that product in one integer pass,
+with no Cauchy product.
 """
 from __future__ import annotations
 
