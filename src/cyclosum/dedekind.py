@@ -28,13 +28,15 @@ appell.frobenius_euler, which builds it from its Appell numbers, one
 scalar sum per index.
 
 g_series_oracle is the independent series route: the closed form of the
-generating function whose EGF coefficient m must equal e_sum at index m+1.
-It is e^{qt} times sum_k w_k S_k: the scalar series
-S_k = 1/(lam e^t - zeta^{-k}) depend only on (n, k, lam, T) and are cached
-on those values, the sequence and (r, p) enter only as the weights
-w_k = (-1)^p zeta^{-k(r+p)} C_{-k} of one weighted sum, and
-series.times_exp expands that sum once.  The oracle reads neither e_sum
-nor the Frobenius-Euler recurrence.
+generating function whose EGF coefficient m must equal e_sum at index m+1,
+e^{qt} sum_k w_k S_k with w_k = (-1)^p zeta^{-k(r+p)} C_{-k} and the scalar
+series S_k = 1/(lam e^t - zeta^{-k}); series.times_exp expands the sum once.
+At a rational lam S_k is sigma_u of the seed S_d at zeta_d^{-1}: one
+inverse per (d, lam, T), shared by every n that d divides, each orbit
+weighted by a root_sums table of its own, all orbits in one matrix_product.
+An irrational lam weights the n - 1 series S_k one by one.  The oracle reads
+no e_sum, _seed_matrix, _weight_matrix, _orbit_weights or Frobenius-Euler
+polynomial.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ from .arith import divisors, euler_phi, totatives
 from .cyclotomic import CycloNum, normalize_scalar, zeta_pow
 from .errors import ParameterCollision
 from .qpoly import QPoly, matrix_product, poly_rows, sum_of_products, value_columns
-from .series import TruncSeries, times_exp, weighted_sum
+from .series import TruncSeries, times_exp, times_exp_rows
 from .spectra import PeriodicSeq, ramanujan_sum, root_sums
 
 __all__ = ["e_sum", "g_series_oracle", "v_sum", "ramanujan_sum"]
@@ -177,19 +179,36 @@ def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int)
     if order < 0:
         raise ValueError("order must be >= 0")
     lam = _check_sum_args(n, lam, c_seq)
-    sign = -1 if p % 2 else 1
-    terms = []
-    for k in range(1, n):
-        w = zeta_pow(n, -k * (r + p)) * c_seq[-k]
-        if w:
-            terms.append((_oracle_term(n, k, lam, order), sign * w))
-    return TruncSeries(times_exp(weighted_sum(terms, order).coeffs, 1), order)
+    sign, s = (-1 if p % 2 else 1), (r + p) % n
+    if not isinstance(lam, Fraction):
+        # sigma_u moves an irrational lambda, so no orbit form: sum over k
+        terms = []
+        for k in range(1, n):
+            w = zeta_pow(n, -k * s) * c_seq[-k]
+            if w:
+                terms.append((_oracle_term(n, k, lam, order), sign * w))
+        scalars = [sum_of_products([(1, S[m], w) for S, w in terms]) for m in range(order + 1)]
+        return TruncSeries(times_exp(scalars, 1), order)
+    # The term k with d = n/gcd(k, n), g = n/d and u = k/g is sigma_u of the
+    # seed S_d in level n: coefficient m of S_d, sum_j y_j zeta_d^j, adds
+    # sum_j y_j V_j, V_j = (-1)^p sum_u C_{-gu} zeta_n^{gu(j-s)}, to G's.
+    seeds, weights = [], []
+    for d in divisors(n)[1:]:
+        g, tots = n // d, totatives(d)
+        exps = ([g * u * (j - s) for u in tots] for j in range(euler_phi(d)))
+        vs = root_sums(n, [sign * c_seq[-g * u] for u in tots], exps)
+        if any(vs):
+            seeds.append(_oracle_term(d, 1, lam, order))
+            weights += [CycloNum.of(n, v) for v in vs]
+    a = matrix_product(n, poly_rows(seeds), value_columns(weights))
+    return TruncSeries(times_exp_rows(a.level, a.rows + ((),) * (order + 1 - len(a.rows)), a.den, 1), order)
 
 
 @lru_cache(maxsize=1024)
-def _oracle_term(n: int, k: int, lam, order: int) -> TruncSeries:
-    """S_k = 1/(lam e^t - zeta_n^{-k}), truncated; lam normalized."""
-    return TruncSeries.exp_affine(lam, -zeta_pow(n, -k), order).inverse()
+def _oracle_term(n: int, k: int, lam, order: int) -> QPoly:
+    """The coefficients of 1/(lam e^t - zeta_n^{-k}) to t^order as one
+    polynomial in t, lam normalized; at a rational lam only seeds, k = 1."""
+    return QPoly(a[0] for a in TruncSeries.exp_affine(lam, -zeta_pow(n, -k), order).inverse().coeffs)
 
 
 def v_sum(n: int, k: int, lam):

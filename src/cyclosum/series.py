@@ -4,11 +4,10 @@ A TruncSeries of order T stores, for each m <= T, the full value multiplying
 t^m/m!.  Coefficients are QPoly values in q (plain scalars are wrapped on
 the way in), so generating functions like e^{qt}/(lam*e^t - 1) stay exact
 and polynomial-valued.  The Cauchy product therefore carries binomial
-weights, and multiplying by t shifts with a factor of m.  weighted_sum
-builds a scalar-weighted sum of series with one sum_of_products per
-coefficient.  Each generating function the package reads is e^{cqt}
-times a series, and times_exp expands that product in one integer pass,
-with no Cauchy product.
+weights, and multiplying by t shifts with a factor of m.  Each generating
+function the package reads is e^{cqt} times a series, and times_exp
+expands that product in one integer pass, with no Cauchy product;
+times_exp_rows takes the series' coefficients already packed.
 """
 from __future__ import annotations
 
@@ -145,20 +144,6 @@ class TruncSeries:
         return f"TruncSeries[{self.order}]({inner})"
 
 
-def weighted_sum(terms, order: int) -> TruncSeries:
-    """The sum of w * S over the (S, w) terms, truncated at `order`.
-
-    Each S is a TruncSeries of order at least `order` and each w an exact
-    scalar; coefficient m is one sum_of_products over the terms.  No terms
-    give the zero series of that order.
-    """
-    terms = tuple(terms)
-    return TruncSeries(
-        [sum_of_products([(1, s.coeffs[m], w) for s, w in terms]) for m in range(order + 1)],
-        order,
-    )
-
-
 def times_exp(coeffs, c: int) -> tuple[QPoly, ...]:
     """The coefficients of e^{cqt} A(t) to A's order, for an integer c and
     A's coefficients (QPolys or exact scalars).  Coefficient m is
@@ -168,7 +153,13 @@ def times_exp(coeffs, c: int) -> tuple[QPoly, ...]:
     level = _join_levels(p.level for p in polys)
     phi, den = euler_phi(level), lcm(*(p.den for p in polys))
     flats = [[v * (den // p.den) for v in _flat(p, phi, phi)] for p in polys]
-    out = []
+    return times_exp_rows(level, flats, den, c)
+
+
+def times_exp_rows(level: int, flats, den: int, c: int) -> tuple[QPoly, ...]:
+    """times_exp for coefficients given packed: flats[m] holds the
+    numerators of a_m over den, phi(level) per power of q, row-major."""
+    phi, out = euler_phi(level), []
     for m in range(len(flats)):
         acc = [0] * max(i * phi + len(flats[m - i]) for i in range(m + 1))
         for i, f in enumerate(reversed(flats[: m + 1])):

@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import floor, gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cyclosum
+from cyclosum import dedekind
 from cyclosum.arith import divisors, euler_phi, moebius, totatives
 from cyclosum.appell import apostol_bernoulli, frobenius_euler
 from cyclosum.cyclotomic import CycloNum, zeta_pow
@@ -27,7 +28,7 @@ from cyclosum.qpoly import QPoly, q, sum_of_products
 from cyclosum.series import TruncSeries
 from cyclosum.spectra import PeriodicSeq, family
 from cyclosum.verify import (
-    DEFAULT_SEED, default_grid, random_sequence, resolve_sequences, run_grid,
+    DEFAULT_SEED, default_grid, random_sequence, run_grid,
 )
 
 
@@ -267,7 +268,7 @@ BOUNDED_CACHES = {
     "cyclosum.dedekind._seed_matrix": "(m, n, lambda)",
     "cyclosum.dedekind._left_matrix": "(m, n, lambda)",
     "cyclosum.dedekind._weight_matrix": "(n, (r + p) mod n, C)",
-    "cyclosum.dedekind._oracle_term": "(n, k, lambda, T)",
+    "cyclosum.dedekind._oracle_term": "(d, 1, lambda, T) at a rational lambda, else (n, k, lambda, T)",
     "cyclosum.spectra.dft_inverse": "C",
     "cyclosum.spectra._lagrange_columns": "n",
     "cyclosum.verify._basis_matrix": "(m, n, lambda)",
@@ -442,7 +443,8 @@ def _series_lambdas(n):
 
 
 def _series_sequences(n):
-    ram = st.just(family("ramanujan", n))
+    # delta weights no k >= 1, so G vanishes
+    ram = st.sampled_from((family("ramanujan", n), family("delta", n)))
     rand = st.integers(1, 3).map(lambda i: random_sequence(n, DEFAULT_SEED, i))
     fourier = st.tuples(
         st.sampled_from([a for a in range(1, n) if gcd(a, n) == 1]), small_fracs
@@ -461,11 +463,32 @@ def series_cases(least_order=0):
     )
 
 
+# n = 12 has five orbits, d = 2, 3, 4, 6, 12; the Ramanujan sum weights
+# neither d = 12 nor d = 4, so their seeds are skipped
 @settings(max_examples=60, deadline=None)
 @given(series_cases())
+@example((12, 1, 1, Fraction(0), family("ramanujan", 12), 0))
+@example((12, 1, 1, Fraction(0), family("ramanujan", 12), 6))
+@example((12, 5, 0, Fraction(1), family("ramanujan", 12), 0))
+@example((12, 5, 0, Fraction(1), family("ramanujan", 12), 6))
+@example((12, 0, 2, Fraction(-3, 4), family("ramanujan", 12), 0))
+@example((12, 0, 2, Fraction(-3, 4), family("ramanujan", 12), 6))
 def test_g_series_oracle_matches_per_k_loop(case):
     n, r, p, lam, c, order = case
     assert g_series_oracle(n, r, p, lam, c, order) == _literal_g_series(n, r, p, lam, c, order)
+
+
+@pytest.mark.parametrize(
+    "lam", (Fraction(0), Fraction(2), Fraction(-3, 4), 1 + zeta_pow(12, 3)), ids=("0", "2", "-3/4", "1+zeta_4"),
+)
+def test_g_series_oracle_reads_no_e_sum_route(monkeypatch, lam):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read e_sum's route")
+
+    for name in ("_e_sum", "_seed_matrix", "_weight_matrix", "_orbit_weights", "frobenius_euler"):
+        monkeypatch.setattr(dedekind, name, refuse)
+    for c in (family("ramanujan", 12), random_sequence(12, DEFAULT_SEED, 1)):
+        assert g_series_oracle(12, 1, 1, lam, c, 4) == _literal_g_series(12, 1, 1, lam, c, 4)
 
 
 def test_oracle_terms_are_built_once_per_grid_value(checker_calls):
@@ -475,14 +498,7 @@ def test_oracle_terms_are_built_once_per_grid_value(checker_calls):
     assert all(case.status == "pass" for case in run_grid(spec))
     # no comparison outlives a campaign: the oracle runs once per key
     assert len(calls) == 54
-    # one T_k per (n, k, lambda, T) that some sequence weights; the
-    # sequence and (r, p) only scale it
-    used = {
-        (n, k, lam)
-        for n in spec.n
-        for _, c in resolve_sequences(spec.sequences, n, spec.seed)
-        for k in range(1, n)
-        if c[-k]
-        for lam in spec.lambdas
-    }
-    assert _oracle_term.cache_info().misses == len(used)
+    # at a rational lambda one seed per (d, lambda, T), d > 1 dividing some
+    # n, which every such n shares; the sequence and (r, p) only weight it
+    used = {(d, lam) for n in spec.n for d in divisors(n)[1:] for lam in spec.lambdas}
+    assert _oracle_term.cache_info().misses == len(used) == 12

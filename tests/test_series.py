@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from cyclosum.cyclotomic import CycloNum, zeta_pow
 from cyclosum.errors import NotAUnit
 from cyclosum.qpoly import QPoly, q
-from cyclosum.series import TruncSeries, t_over_exp_affine, times_exp, weighted_sum
+from cyclosum.series import TruncSeries, t_over_exp_affine, times_exp
 
 fracs = st.tuples(st.integers(-20, 20), st.integers(1, 8)).map(
     lambda t: Fraction(t[0], t[1])
@@ -114,7 +114,8 @@ def test_binomial_weights_visible_in_product():
     assert [p[0] for p in prod.coeffs] == [comb(m, 1) for m in range(5)]
 
 
-# weighted_sum against repeated series + and scalar *
+# times_exp against the Cauchy product with e^{cqt}, which it replaces; a
+# coefficient is a rational or level-5 polynomial, zero, or a bare scalar
 
 LEVEL = 5
 level_nums = st.lists(fracs, min_size=4, max_size=4)
@@ -125,56 +126,15 @@ coeff_polys = st.one_of(
         lambda rows: QPoly(tuple(CycloNum.from_coeffs(LEVEL, row) for row in rows))
     ),
 )
-weights = st.one_of(
+scalars = st.one_of(
     st.integers(-5, 5),
     fracs,
     level_nums.map(lambda row: CycloNum.from_coeffs(LEVEL, row)),
 )
 
 
-def _repeated_sum(terms, order):
-    acc = TruncSeries.zero(order)
-    for s, w in terms:
-        acc = acc + s * w
-    return acc
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 4).flatmap(
-        lambda order: st.tuples(
-            st.just(order),
-            st.lists(
-                st.tuples(
-                    # a series may run past the order; the sum truncates it
-                    st.integers(order, order + 2).flatmap(
-                        lambda t: st.lists(coeff_polys, min_size=t + 1, max_size=t + 1)
-                    ).map(TruncSeries),
-                    weights,
-                ),
-                max_size=4,
-            ),
-        )
-    )
-)
-def test_weighted_sum_matches_repeated_add_and_scale(case):
-    order, terms = case
-    got = weighted_sum(terms, order)
-    assert got.order == order
-    assert got == _repeated_sum(terms, order)
-
-
-def test_weighted_sum_of_no_terms_is_zero():
-    for order in (0, 3):
-        assert weighted_sum([], order) == TruncSeries.zero(order)
-        assert weighted_sum([], order).order == order
-
-
-# times_exp against the Cauchy product with e^{cqt}, which it replaces; a
-# coefficient is a rational or level-5 polynomial, zero, or a bare scalar
-
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.one_of(coeff_polys, st.just(QPoly()), weights), min_size=1, max_size=7), st.integers(0, 5))
+@given(st.lists(st.one_of(coeff_polys, st.just(QPoly()), scalars), min_size=1, max_size=7), st.integers(0, 5))
 @example([1, 1, 1, 1], 2)  # coefficient 3 is 1 + 3(2q) + 3(2q)^2 + (2q)^3
 def test_times_exp_matches_product_with_exp_linear(coeffs, c):
     a = TruncSeries(coeffs)
