@@ -191,7 +191,7 @@ def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int)
         return TruncSeries(times_exp(scalars, 1), order)
     # The term k with d = n/gcd(k, n), g = n/d and u = k/g is sigma_u of the
     # seed S_d in level n: coefficient m of S_d, sum_j y_j zeta_d^j, adds
-    # sum_j y_j V_j, V_j = (-1)^p sum_u C_{-gu} zeta_n^{gu(j-s)}, to G's.
+    # sum_j y_j V_j to G's, V_j = (-1)^p sum_u C_{-gu} zeta_n^{gu(j-s)}.
     seeds, weights = [], []
     for d in divisors(n)[1:]:
         g, tots = n // d, totatives(d)
@@ -201,13 +201,14 @@ def g_series_oracle(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int)
             seeds.append(_oracle_term(d, 1, lam, order))
             weights += [CycloNum.of(n, v) for v in vs]
     a = matrix_product(n, poly_rows(seeds), value_columns(weights))
-    return TruncSeries(times_exp_rows(a.level, a.rows + ((),) * (order + 1 - len(a.rows)), a.den, 1), order)
+    rows = a.rows + ((),) * (order + 1 - len(a.rows))  # zeros past a's degree
+    return TruncSeries(times_exp_rows(a.level, rows, a.den, 1), order)
 
 
 @lru_cache(maxsize=1024)
 def _oracle_term(n: int, k: int, lam, order: int) -> QPoly:
     """The coefficients of 1/(lam e^t - zeta_n^{-k}) to t^order as one
-    polynomial in t, lam normalized; at a rational lam only seeds, k = 1."""
+    polynomial in t, lam normalized; a rational lam asks only for seeds, k = 1."""
     return QPoly(a[0] for a in TruncSeries.exp_affine(lam, -zeta_pow(n, -k), order).inverse().coeffs)
 
 

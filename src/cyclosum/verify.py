@@ -364,7 +364,7 @@ _IDENTITY_TABLE = {
             n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
             lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)), sequences=("random:1",),
         ),
-        cost_ms=1.3,
+        cost_ms=1.1,
     ),
 }
 

@@ -473,6 +473,8 @@ def series_cases(least_order=0):
 @example((12, 5, 0, Fraction(1), family("ramanujan", 12), 6))
 @example((12, 0, 2, Fraction(-3, 4), family("ramanujan", 12), 0))
 @example((12, 0, 2, Fraction(-3, 4), family("ramanujan", 12), 6))
+@example((12, 0, 1, Fraction(2), family("delta", 12), 3))  # no term: G = 0
+@example((12, 0, 1, 1 + zeta_pow(12, 3), family("delta", 12), 3))
 def test_g_series_oracle_matches_per_k_loop(case):
     n, r, p, lam, c, order = case
     assert g_series_oracle(n, r, p, lam, c, order) == _literal_g_series(n, r, p, lam, c, order)
