@@ -149,27 +149,22 @@ def _left_matrix(m: int, n: int, lam: Fraction):
 @lru_cache(maxsize=1024)
 def _weight_matrix(n: int, s: int, c_seq: PeriodicSeq):
     """The weights W_{(j-s) mod d}, j < phi(d), of the divisors d > 1 of n
-    stacked to match _seed_matrix, as value_columns lays them out.  A
-    divisor whose weights all vanish gives a zero block."""
+    stacked to match _seed_matrix, as value_columns lays them out."""
     stack = []
     for d in divisors(n)[1:]:
         weights = _orbit_weights(n, d, c_seq)
-        if weights is None:
-            stack += [CycloNum.of(n, 0)] * euler_phi(d)
-        else:
-            stack += [weights[(j - s) % d] for j in range(euler_phi(d))]
+        stack += [weights[(j - s) % d] for j in range(euler_phi(d))]
     return value_columns(stack)
 
 
 @lru_cache(maxsize=1024)
 def _orbit_weights(n: int, d: int, c_seq: PeriodicSeq):
     """The level-n CycloNums W_i = sum_{u in (Z/d)^*} C_{-gu} zeta_n^{gui},
-    g = n/d, for i < d; None when every W_i vanishes."""
+    g = n/d, for every i < d, so that any rotation s reads its phi(d) of
+    them; each is zero where the orbit's weights C_{-gu} all vanish."""
     g = n // d
     tots = totatives(d)
     ws = root_sums(n, [c_seq[-g * u] for u in tots], ([g * u * i for u in tots] for i in range(d)))
-    if not any(ws):
-        return None
     return tuple(CycloNum.of(n, w) for w in ws)
 
 

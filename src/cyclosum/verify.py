@@ -18,6 +18,7 @@ so two runs with the same seed are byte-identical.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -274,7 +275,6 @@ class _Identity:
 
     checker: Callable[..., Comparisons]
     axes: tuple[str, ...]  # GridSpec axes, outermost first: this is the job order
-    kwargs: tuple[str, ...]  # the keyword arguments each job passes the checker
     # (GridSpec field or fixed values, the report field(s) a value gives), by
     # sorted field name: a case's params, and the order of the report
     fields: tuple[tuple, ...]
@@ -283,28 +283,20 @@ class _Identity:
     key: Callable[..., tuple]
     least: dict[str, int]  # smallest value of an axis that the checker accepts
     defaults: dict  # GridSpec fields of the default (acceptance) grid
-    # mean checker-call time on the default grid, measured serially on cold
-    # caches (median of three fresh interpreters; 2-vCPU Linux VM, Python
-    # 3.11.7): the pool gets the costliest groups first, so that no worker is
-    # left alone with them
-    cost_ms: float
 
 
 _IDENTITY_TABLE = {
     "prop1": _Identity(
         check_prop1,
         axes=("n", "r", "sequences"),
-        kwargs=("c_seq", "r", "seq_desc"),  # n is the period of c_seq
         fields=(("n", "n"), ("r", "r"), ("sequences", "seq")),
         key=lambda n, r, seq: (seq[n], r % n),
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 9)), r=tuple(range(-2, 6)), sequences=("random:50",)),
-        cost_ms=0.066,
     ),
     "prop2": _Identity(
         check_prop2,
         axes=("m", "n", "r", "p", "lambdas", "sequences"),
-        kwargs=("m", "n", "r", "p", "lam", "c_seq", "seq_desc"),
         fields=(("lambdas", "lambda"), ("m", "m"), ("n", "n"), ("p", "p"), ("r", "r"), ("sequences", "seq")),
         # the left side is -m E_s(nq) for every p, as e_sum carries (-1)^p
         key=lambda lam, m, n, p, r, seq: (m, n, (r + p) % n, lam, seq[n]),
@@ -314,12 +306,10 @@ _IDENTITY_TABLE = {
             lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2), Fraction(3), Fraction(5, 7)),
             sequences=("delta", "ramanujan", "random:3"),
         ),
-        cost_ms=0.032,
     ),
     "mult": _Identity(
         check_mult_formula,
         axes=("m", "n", "lambdas"),
-        kwargs=("m", "n", "lam"),
         fields=(("lambdas", "lambda"), ("m", "m"), ("n", "n")),
         key=lambda lam, m, n: (m, n, lam),
         least={"m": 0, "n": 1},
@@ -327,12 +317,10 @@ _IDENTITY_TABLE = {
             m=tuple(range(1, 7)), n=tuple(range(2, 9)),
             lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)),
         ),
-        cost_ms=0.13,
     ),
     "section4": _Identity(
         check_section4_closed_form,
         axes=("m", "n", "rp_pairs", "lambdas"),
-        kwargs=("m", "n", "r", "p", "lam"),
         fields=(("lambdas", "lambda"), ("m", "m"), ("n", "n"), ("rp_pairs", ("p", "r")), (("ramanujan",), "seq")),
         key=lambda lam, m, n, rp, seq: (m, n, lam),  # r + p = 1, as in prop2
         least={"m": 1, "n": 2},
@@ -340,22 +328,18 @@ _IDENTITY_TABLE = {
             m=tuple(range(1, 6)), n=(2, 3, 4, 6), rp_pairs=((1, 0), (0, 1), (-1, 2)),
             lambdas=(Fraction(2), Fraction(-1, 2)),
         ),
-        cost_ms=0.32,
     ),
     "moebius": _Identity(
         check_moebius_interp,
         axes=("n",),
-        kwargs=("n",),
         fields=(("n", "n"),),
         key=lambda n: (n,),
         least={"n": 2},
         defaults=dict(n=tuple(range(2, 13))),
-        cost_ms=0.50,
     ),
     "gseries": _Identity(
         check_gseries_chain,
         axes=("n", "r", "p", "lambdas", "sequences"),
-        kwargs=("n", "r", "p", "lam", "c_seq", "order", "seq_desc"),
         fields=(("order", "T"), ("lambdas", "lambda"), ("n", "n"), ("p", "p"), ("r", "r"), ("sequences", "seq")),
         # no reason text names r or p
         key=lambda order, lam, n, p, r, seq: (n, (r + p) % n, p % 2, lam, seq[n], order),
@@ -364,7 +348,6 @@ _IDENTITY_TABLE = {
             n=(2, 3, 4, 6), r=(0, 2), p=(-1, 0, 1, 2),
             lambdas=(Fraction(1), Fraction(2), Fraction(-1, 2)), sequences=("random:1",),
         ),
-        cost_ms=1.1,
     ),
 }
 
@@ -372,6 +355,8 @@ IDENTITIES = tuple(_IDENTITY_TABLE)
 
 # Looked up at call time, so that a wrapper stored here sees every case.
 _CHECKERS = {name: row.checker for name, row in _IDENTITY_TABLE.items()}
+# The keyword arguments a key group ships to its checker, read once per row.
+_PARAMETERS = {name: tuple(inspect.signature(row.checker).parameters) for name, row in _IDENTITY_TABLE.items()}
 
 
 @dataclass
@@ -406,7 +391,7 @@ class GridSpec:
                     raise InvalidGrid(f"{self.identity} grid axis {axis} needs values >= {least}, got {v}")
         if self.identity == "section4" and any(r + p != 1 for r, p in self.rp_pairs):
             raise InvalidGrid("section4 grid requires r + p = 1 in every pair")
-        if "order" in row.kwargs and self.order < 1:
+        if "order" in _PARAMETERS[self.identity] and self.order < 1:
             raise InvalidGrid(f"{self.identity} grid needs order >= 1")
 
     @classmethod
@@ -430,7 +415,7 @@ class GridSpec:
             seed=_int_field(obj.get("seed", DEFAULT_SEED), "seed"),
         )
         spec.validate()
-        if "T" in obj and "order" not in _IDENTITY_TABLE[ident].kwargs:
+        if "T" in obj and "order" not in _PARAMETERS[ident]:
             raise InvalidGrid(f"{ident} grid has a T, which {ident} does not read")
         return spec
 
@@ -445,7 +430,7 @@ class GridSpec:
             # in the forms _lambda_axis reads back
             out["lambdas"] = [format_scalar(v) if isinstance(normalize_scalar(v), Fraction) else v.to_json()
                               for v in self.lambdas]
-        if "order" in _IDENTITY_TABLE[self.identity].kwargs:
+        if "order" in _PARAMETERS[self.identity]:
             out["T"] = self.order
         return out
 
@@ -562,10 +547,12 @@ def _job(row: _Identity, spec: GridSpec, seqs: dict, point, names: tuple[str, ..
 
 def _enumerate_jobs(spec: GridSpec):
     """One checker kwargs dict per case in job order, which perturb_index
-    counts in: the product of the axes, outermost first."""
+    counts in: the product of the axes, outermost first.  A case with a
+    sequence also names it, as seq_desc, which no checker reads."""
     row = _IDENTITY_TABLE[spec.identity]
     seqs, values = _axis_values(spec)
-    return (_job(row, spec, seqs, point, row.kwargs) for point in product(*values.values()))
+    names = _PARAMETERS[spec.identity] + (("seq_desc",) if "sequences" in row.axes else ())
+    return (_job(row, spec, seqs, point, names) for point in product(*values.values()))
 
 
 def _walk(spec: GridSpec) -> tuple[list[dict], list[int], dict[int, tuple[dict, bool]], int | None]:
@@ -612,10 +599,10 @@ def _walk(spec: GridSpec) -> tuple[list[dict], list[int], dict[int, tuple[dict, 
             p.update(zip(field, p.pop(field)))
     perturbed = None if index is None else jobs.index(index)
     hit = None if index is None else groups[perturbed]
-    shipped, units = tuple(k for k in row.kwargs if k != "seq_desc"), {}
+    units = {}
     for first in by_key.values():
         point = [values[a][jobs[first] // strides[a] % len(values[a])] for a in row.axes]
-        units[first] = _job(row, spec, seqs, point, shipped), first == hit
+        units[first] = _job(row, spec, seqs, point, _PARAMETERS[spec.identity]), first == hit
     return params, groups, units, perturbed
 
 
@@ -651,13 +638,15 @@ def run_grids(specs: list[GridSpec], workers: int = 1) -> list[IdentityCase]:
     """All cases of the grids in report order: by identity, then by params.
 
     The cases that share a key are one unit of work, and the units of every
-    grid go to one pool, costliest identity first.  A unit travels as the
-    checker kwargs of its first case and whether it holds the perturbed
-    case, and comes back as one verdict pair, its cases' and its perturbed
-    case's, into the cases that _walk laid out; the grids of one identity
-    are merged by sort_key.
+    grid go to one pool, the grid with the fewest units first: on the
+    default grids the identities with the fewest keys have the costliest
+    ones, so these leave in the first chunks and no worker is left alone
+    with them at the end.  A unit travels as the checker kwargs of its
+    first case and whether it holds the perturbed case, and comes back as
+    one verdict pair, its cases' and its perturbed case's, into the cases
+    that _walk laid out; the grids of one identity are merged by sort_key.
     """
-    walks = sorted([(spec.identity, *_walk(spec)) for spec in specs], key=lambda w: -_IDENTITY_TABLE[w[0]].cost_ms)
+    walks = sorted([(spec.identity, *_walk(spec)) for spec in specs], key=lambda w: len(w[3]))
     work = [(identity, *unit) for identity, _, _, units, _ in walks for unit in units.values()]
     # a fork pool starts all its workers at the first submit, so never more
     # than there are CPUs; no report depends on the worker count

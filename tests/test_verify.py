@@ -1,10 +1,14 @@
 """Identity checkers, grid specs, campaign runner, reports."""
 import hashlib
+import inspect
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -817,17 +821,17 @@ def test_pool_is_capped_at_its_number_of_chunks(monkeypatch):
     assert sizes == [2]
 
 
-@pytest.mark.parametrize("cpus, sizes", [(3, [3, 3]), (None, [])])
-def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, sizes):
-    # --identity all with 5,000 workers: without the cap, 5,000 processes
-    seen = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands a pool in for the process pool that maps in this process, so
+    that no worker starts, and returns what it was handed: its size and its
+    chunk size in `seen`, and the identity of each unit of work, in the
+    order handed out, in `identities`."""
+    record = SimpleNamespace(seen=[], identities=[])
 
     class SerialPool:
-        """Records its size and chunk size and maps in this process, so
-        that no worker starts."""
-
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            record.seen.append(max_workers)
 
         def __enter__(self):
             return self
@@ -836,16 +840,61 @@ def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, sizes):
             return False
 
         def map(self, fn, work, chunksize):
-            seen.append(chunksize)
+            record.seen.append(chunksize)
+            record.identities += [identity for identity, _, _ in work]
             return map(fn, work)
 
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+    return record
+
+
+@pytest.mark.parametrize("cpus, sizes", [(3, [3, 3]), (None, [])])
+def test_pool_is_capped_at_the_cpu_count(monkeypatch, serial_pool, cpus, sizes):
+    # --identity all with 5,000 workers: without the cap, 5,000 processes
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     cases = run_grids(MIXED_GRIDS, workers=5000)
     # 43 key groups: 3 workers with chunks of 43 // (3 * 4) groups, where the
     # uncapped count gave 43 workers with chunks of 1; no CPU count, no pool
-    assert seen == sizes
+    assert serial_pool.seen == sizes
     assert [c.to_json() for c in cases] == [c.to_json() for c in run_grids(MIXED_GRIDS, workers=1)]
+
+
+def test_pool_gets_the_grids_with_the_fewest_key_groups_first(monkeypatch, serial_pool):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    run_grids(MIXED_GRIDS, workers=2)
+    # each grid's groups leave together, in non-decreasing group count
+    counts = Counter(serial_pool.identities)
+    handed = [identity for identity, _ in groupby(serial_pool.identities)]
+    assert sorted(handed) == sorted(IDENTITIES)
+    assert [counts[identity] for identity in handed] == sorted(counts.values())
+
+
+def test_first_chunk_of_the_default_grids_holds_every_costly_group(monkeypatch, serial_pool):
+    # --identity all at 2 workers: gseries, moebius, section4 and mult keys
+    # cost several times a prop1 or prop2 key, and all of them leave in the
+    # first of the 8 chunks, as when the pool took them costliest first
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    run_grids([default_grid(identity) for identity in IDENTITIES], workers=2)
+    counts = Counter(serial_pool.identities)
+    assert counts == {"moebius": 11, "section4": 40, "gseries": 54, "mult": 126, "prop1": 1750, "prop2": 5100}
+    assert serial_pool.seen == [2, 885]
+    first = Counter(serial_pool.identities[:885])
+    assert {identity: first[identity] for identity in ("moebius", "section4", "gseries", "mult")} == {
+        identity: counts[identity] for identity in ("moebius", "section4", "gseries", "mult")}
+
+
+def test_checker_parameters_are_read_once_per_identity(monkeypatch):
+    # reading a checker's signature for each of prop2's 5,100 key groups
+    # made the default prop2 grid about 30% slower
+    reads, signature = Counter(), inspect.signature
+
+    def counting(fn, *args, **kwargs):
+        reads[fn] += 1
+        return signature(fn, *args, **kwargs)
+
+    monkeypatch.setattr(inspect, "signature", counting)
+    run_grid(default_grid("prop2"))
+    assert all(n <= 1 for n in reads.values()), reads
 
 
 def _run_grid_per_job(spec):
