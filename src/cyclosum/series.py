@@ -12,6 +12,7 @@ times_exp_rows takes the series' coefficients already packed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 from .arith import euler_phi
@@ -144,35 +145,39 @@ class TruncSeries:
         return f"TruncSeries[{self.order}]({inner})"
 
 
-def times_exp(coeffs, c: int) -> tuple[QPoly, ...]:
+def times_exp(coeffs, c: int, t_factor: int | None = None) -> tuple[QPoly, ...]:
     """The coefficients of e^{cqt} A(t) to A's order, for an integer c and
     A's coefficients (QPolys or exact scalars).  Coefficient m is
     sum_i C(m, i) (cq)^i a_(m-i): each a_(m-i), over one denominator,
-    shifted up i rows, in one integer pass."""
+    shifted up i rows, in one integer pass.  With an integer t_factor f,
+    those of f t e^{cqt} A(t) to one order further instead: coefficient
+    m + 1 is f (m + 1) times coefficient m, a factor of the pass's weights."""
     polys = [_as_poly(v) for v in coeffs]
     level = _join_levels(p.level for p in polys)
     phi, den = euler_phi(level), lcm(*(p.den for p in polys))
     flats = [[v * (den // p.den) for v in _flat(p, phi, phi)] for p in polys]
-    return times_exp_rows(level, flats, den, c)
+    return times_exp_rows(level, flats, den, c, t_factor)
 
 
-def times_exp_rows(level: int, flats, den: int, c: int) -> tuple[QPoly, ...]:
+def times_exp_rows(level: int, flats, den: int, c: int, t_factor: int | None = None) -> tuple[QPoly, ...]:
     """times_exp for coefficients given packed: flats[m] holds the
     numerators of a_m over den, phi(level) per power of q, row-major."""
-    phi, out = euler_phi(level), []
+    phi, out = euler_phi(level), ([] if t_factor is None else [QPoly()])
     for m in range(len(flats)):
         acc = [0] * max(i * phi + len(flats[m - i]) for i in range(m + 1))
+        scale = 1 if t_factor is None else t_factor * (m + 1)
         for i, f in enumerate(reversed(flats[: m + 1])):
-            w, start = comb(m, i) * c**i, i * phi
+            w, start = scale * comb(m, i) * c**i, i * phi
             acc[start : start + len(f)] = [a + w * v for a, v in zip(acc[start:], f)]
         out.append(_build(level, acc, den))
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
 def t_over_exp_affine(lam, s: int, order: int) -> TruncSeries:
     """t / (lam e^{st} - 1), truncated; lam normalized.  For lam = 1 the
     constant term of the denominator vanishes, so divide t through before
-    inverting."""
+    inverting.  Cached per (lam, s, order): every n shares the lam series."""
     if lam == 1:
         den = TruncSeries([Fraction(s ** (k + 1), k + 1) for k in range(order + 1)], order)
         return den.inverse()

@@ -222,48 +222,47 @@ def check_moebius_interp(n: int) -> Comparisons:
 
 
 @lru_cache(maxsize=256)
-def _gseries_bases(n: int, lam, order: int) -> tuple[tuple[QPoly, ...], tuple]:
-    """The coefficients up to t^order of the gseries bases, lam normalized:
-    L = t e^{nqt} / (lam e^t - 1), and R_j = n lam^j e^{jt} P, j < n, with
-    P = e^{nqt} t / (lam^n e^{nt} - 1), as _shift_basis gives them behind the
-    zero polynomial, which C_0 weights.  L and P are expanded at c = n; e^{jt} P
-    is P at q + j/n, so R_j[m] is column j of _shift_table(P_m, n) times n lam^j."""
+def _gseries_bases(n: int, lam, order: int) -> tuple:
+    """The gseries bases up to t^order, lam normalized: entry m is the
+    _shift_basis of L[m] and P_m with f = -n, L = t e^{nqt} / (lam e^t - 1)
+    in the C_0 column and P = e^{nqt} t / (lam^n e^{nt} - 1), both expanded at
+    c = n.  e^{jt} P is P at q + j/n, so column j is -R_j[m], R_j = n lam^j
+    e^{jt} P, and C_0 L - sum_j K_{j-s} R_j is one _spectrum_products call."""
     left = times_exp(t_over_exp_affine(lam, 1, order).coeffs, n)
     right = times_exp(t_over_exp_affine(normalize_scalar(lam**n), n, order).coeffs, n)
-    return left, tuple(_shift_basis(QPoly(), pm, n, n, lam) for pm in right)
+    return tuple(_shift_basis(lm, pm, n, -n, lam) for lm, pm in zip(left, right))
 
 
 def check_gseries_chain(n: int, r: int, p: int, lam, c_seq: PeriodicSeq, order: int) -> Comparisons:
     """The generating-series identity chain, modulo t^(order+1).
 
-    Three layers in one case: the series identity tying C_0/(lam e^t - 1),
-    the G series and the K-weighted right side together; the G coefficients
-    against e_sum at shifted index; and the t-shifted chain coefficients
-    against m times e_sum at nq.
+    Three layers in one case: the series identity
+    C_0 L + (-1)^p t g e^{(n-1)qt} = sum_j K_{j-(r+p-1)} R_j tying
+    C_0/(lam e^t - 1), the G series and the K-weighted right side together;
+    the G coefficients against e_sum at shifted index; and the t-shifted
+    chain coefficients against m times e_sum at nq.
 
-    The series sides are lhs = C_0 L + (-1)^p tg, one sum_of_products per
-    coefficient, and rhs = sum_j K_{j-(r+p-1)} R_j, the _spectrum_products
-    of the R_j as prop2's right side is of its basis, with L and the R_j
-    from _gseries_bases.  tg = t g e^{(n-1)qt}: tg[m] is m times
-    coefficient m - 1 of g expanded at c = n - 1.
+    The first layer is read as u = -(-1)^p t g e^{(n-1)qt} against
+    C_0 L - sum_j K_{j-(r+p-1)} R_j, the _spectrum_products of the
+    _gseries_bases as prop2's right side is of its basis.  u[m] is -(-1)^p m
+    times coefficient m - 1 of g expanded at c = n - 1, in the one integer
+    pass of times_exp, and the third layer holds it against scaled_e_sum.
+    The series sides read no apostol_bernoulli, _basis_matrix or e_sum.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
     g = g_series_oracle(n, r, p, lam, c_seq, order)
-    lam = normalize_scalar(lam)
-    left, right = _gseries_bases(n, lam, order)
-    tg = [QPoly(), *(m * x for m, x in enumerate(times_exp(g.coeffs[:-1], n - 1), 1))]
-    sign, c0 = -1 if p % 2 else 1, c_seq[0]
-    lhs = [sum_of_products(((1, lm, c0), (sign, tm, 1))) for lm, tm in zip(left, tg)]
-    rhs = _spectrum_products(n, lam, right, c_seq, (r + p - 1) % n)
-    # sums[i] is the index-(i + 1) sum: both chains read indices 1 .. order + 1
+    lam, s = normalize_scalar(lam), (r + p) % n
+    u = times_exp(g.coeffs[:-1], n - 1, 1 if p % 2 else -1)
+    rhs = _spectrum_products(n, lam, _gseries_bases(n, lam, order), c_seq, (s - 1) % n)
+    # sums[i] is the index-(i + 1) sum
     sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
     return (
-        *((f"series sides differ at coefficient {m}", lhs[m], rhs[m]) for m in range(order + 1)),
+        *((f"series sides differ at coefficient {m}", u[m], rhs[m]) for m in range(order + 1)),
         *((f"G coefficient {m} differs from the index-{m + 1} sum", g[m], sums[m]) for m in range(order + 1)),
         *(
             (f"t-shifted chain coefficient {m} differs from m times the index-{m} sum",
-             tg[m], sums[m - 1].scale_arg(n, m))
+             u[m], scaled_e_sum(m, n, s, lam, c_seq))
             for m in range(1, order + 1)
         ),
     )

@@ -271,6 +271,7 @@ BOUNDED_CACHES = {
     "cyclosum.dedekind._oracle_term": "(d, 1, lambda, T) at a rational lambda, else (n, k, lambda, T)",
     "cyclosum.spectra.dft_inverse": "C",
     "cyclosum.spectra._lagrange_columns": "n",
+    "cyclosum.series.t_over_exp_affine": "(lambda, s, T)",
     "cyclosum.verify._basis_matrix": "(m, n, lambda)",
     "cyclosum.verify._spectrum_matrix": "(C, K, (r + p - 1) mod n)",
     "cyclosum.verify._gseries_bases": "(n, lambda, T)",
@@ -291,7 +292,7 @@ def _package_caches() -> dict:
 def test_value_keyed_caches_are_bounded():
     caches = _package_caches()
     assert set(caches) == set(UNBOUNDED_CACHES) | set(BOUNDED_CACHES)
-    assert len(caches) == 22
+    assert len(caches) == 23
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == set(UNBOUNDED_CACHES)
 

@@ -141,6 +141,15 @@ def test_times_exp_matches_product_with_exp_linear(coeffs, c):
     assert times_exp(coeffs, c) == (a * TruncSeries.exp_linear(QPoly((0, c)), a.order)).coeffs
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(coeff_polys, st.just(QPoly()), scalars), min_size=1, max_size=7), st.integers(0, 5),
+       st.integers(-3, 3))
+def test_times_exp_with_t_factor_matches_scaled_mul_t(coeffs, c, f):
+    # f t e^{cqt} A(t), one order past A's
+    a = TruncSeries(coeffs, len(coeffs))
+    assert times_exp(coeffs, c, f) == (f * (a * TruncSeries.exp_linear(QPoly((0, c)), a.order)).mul_t()).coeffs
+
+
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(-1, 2), 2 + zeta_pow(3, 1)],
                          ids=["1", "2", "-1/2", "2+zeta_3"])
 def test_t_over_exp_affine_times_its_denominator_is_t(lam):

@@ -19,7 +19,7 @@ from cyclosum.cyclotomic import CycloNum, format_scalar, normalize_scalar, zeta_
 from cyclosum.dedekind import e_sum, g_series_oracle, scaled_e_sum
 from cyclosum.errors import InvalidGrid, InvalidParam, ParameterCollision, SequenceFileError
 from cyclosum.qpoly import QPoly, poly_rows
-from cyclosum.series import TruncSeries
+from cyclosum.series import TruncSeries, t_over_exp_affine
 from cyclosum.spectra import PeriodicSeq, dft_inverse, family
 from cyclosum.verify import (
     DEFAULT_SEED,
@@ -699,11 +699,13 @@ def _literal_t_over_exp_affine(lam, s, order):
 
 
 def _literal_gseries_sides(n, r, p, lam, c_seq, g, order):
-    """(tg, lhs, rhs) with every series factor rebuilt for the case."""
+    """(L, P, tg, lhs, rhs) with every series factor rebuilt for the case:
+    lhs = C_0 L + (-1)^p tg and rhs = sum_j K_{j-(r+p-1)} R_j."""
     sign_p = -1 if p % 2 else 1
     nq = QPoly((0, n))
     tg = (g * TruncSeries.exp_linear(QPoly((0, n - 1)), order)).mul_t()
-    lhs = c_seq[0] * (_literal_t_over_exp_affine(lam, 1, order) * TruncSeries.exp_linear(nq, order)) + sign_p * tg
+    left = _literal_t_over_exp_affine(lam, 1, order) * TruncSeries.exp_linear(nq, order)
+    lhs = c_seq[0] * left + sign_p * tg
     kseq = dft_inverse(c_seq)
     base = _literal_t_over_exp_affine(normalize_scalar(lam**n), n, order)
     acc = TruncSeries.zero(order)
@@ -711,7 +713,7 @@ def _literal_gseries_sides(n, r, p, lam, c_seq, g, order):
         w = kseq[j - r - p + 1] * lam**j
         if w:
             acc = acc + TruncSeries.exp_linear(QPoly((j, n)), order) * w
-    return tg, lhs, (acc * base) * n
+    return left, base * TruncSeries.exp_linear(nq, order), tg, lhs, (acc * base) * n
 
 
 @settings(max_examples=60, deadline=None)
@@ -722,26 +724,52 @@ def _literal_gseries_sides(n, r, p, lam, c_seq, g, order):
 @example((8, 2, 1, 1 + zeta_pow(8, 2), random_sequence(8, DEFAULT_SEED, 1), 5))
 @example((4, 1, 0, 1 + zeta_pow(4, 1), PeriodicSeq(4, [2 + zeta_pow(4, 1), 1, zeta_pow(4, 3), Fraction(1, 2)]), 4))
 @example((4, 0, 1, Fraction(2), PeriodicSeq(4, [2 + zeta_pow(4, 1), 1, zeta_pow(4, 3), Fraction(1, 2)]), 3))
+# lambda = 0 weights only R_0; at lambda = 1, L and P both have degree m
+@example((3, 1, 1, Fraction(0), family("ramanujan", 3), 4))
+@example((6, 1, 1, Fraction(1), family("ramanujan", 6), 5))
+@example((4, 2, 2, Fraction(1), random_sequence(4, DEFAULT_SEED, 1), 3))
 def test_gseries_sides_match_per_case_construction(case):
     n, r, p, lam, c_seq, order = case
     g = g_series_oracle(n, r, p, lam, c_seq, order)
     lam = normalize_scalar(lam)
-    tg, lhs, rhs = _literal_gseries_sides(n, r, p, lam, c_seq, g, order)
+    left, right, tg, lhs, rhs = _literal_gseries_sides(n, r, p, lam, c_seq, g, order)
+    # _shift_basis takes L[m] as `first`, which has at most P_m's rows
+    assert all(len(left[m].rows) <= len(right[m].rows) for m in range(order + 1))
     # the checker builds the sides of this (r, p) from the cached series
     comparisons = check_gseries_chain(n, r, p, lam, c_seq, order)
     assert _sides_agree(comparisons)
+    # lhs = rhs rearranged: u = -(-1)^p tg against C_0 L - sum_j K R_j, and u
+    # against -(-1)^p m e_sum(nq), both sides of the literal chain times -(-1)^p
+    f = 1 if p % 2 else -1
     sums = [e_sum(i, n, r, p, lam, c_seq) for i in range(1, order + 2)]
     literal = (
-        [(lhs[m], rhs[m]) for m in range(order + 1)]
+        [(f * tg[m], lhs[m] + f * tg[m] - rhs[m]) for m in range(order + 1)]
         + [(g[m], sums[m]) for m in range(order + 1)]
-        + [(tg[m], sums[m - 1].scale_arg(n, m)) for m in range(1, order + 1)]
+        + [(f * tg[m], sums[m - 1].scale_arg(n, f * m)) for m in range(1, order + 1)]
     )
     assert [(a, b) for _, a, b in comparisons] == literal
+
+
+@pytest.mark.parametrize("lam", (Fraction(2), Fraction(1), 1 + zeta_pow(4, 1)), ids=("2", "1", "1+zeta_4"))
+def test_gseries_series_sides_read_no_prop2_or_e_sum_route(monkeypatch, lam):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series side read prop2's route")
+
+    monkeypatch.setattr(verify, "apostol_bernoulli", refuse)
+    monkeypatch.setattr(verify, "_basis_matrix", refuse)
+    # e_sum's route stubbed out: only the second and third layers read it
+    monkeypatch.setattr(verify, "e_sum", lambda *args: QPoly())
+    monkeypatch.setattr(verify, "scaled_e_sum", lambda *args: QPoly())
+    _gseries_bases.cache_clear()
+    comparisons = check_gseries_chain(4, 1, 1, lam, random_sequence(4, DEFAULT_SEED, 1), 4)
+    assert _sides_agree(comparisons[:5])
+    assert not _sides_agree(comparisons[5:])
 
 
 def test_gseries_series_are_built_once_per_grid_value(checker_calls):
     spec = default_grid("gseries")
     _gseries_bases.cache_clear()
+    t_over_exp_affine.cache_clear()
     calls = checker_calls("gseries")
     cases = run_grid(spec)
     assert all(case.status == "pass" for case in cases)
@@ -752,6 +780,9 @@ def test_gseries_series_are_built_once_per_grid_value(checker_calls):
     # one L and R_j table per (n, lambda, T), whatever the sequence and (r, p)
     info = _gseries_bases.cache_info()
     assert (info.misses, info.hits) == (len(spec.n) * len(spec.lambdas), 54 - 12) == (12, 42)
+    # one inverse per (lambda, s, T): L's series at s = 1 is shared by every n
+    series = {(lam, 1) for lam in spec.lambdas} | {(lam**n, n) for n in spec.n for lam in spec.lambdas}
+    assert t_over_exp_affine.cache_info().misses == len(series) == 15
 
 
 @pytest.mark.usefixtures("cpus")
