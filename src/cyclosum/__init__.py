@@ -5,7 +5,7 @@ of periodic sequences, weighted root-of-unity sums, and exact verification
 campaigns for the identities tying them together.
 """
 from .appell import apostol_bernoulli, apostol_bernoulli_number, frobenius_euler
-from .cyclotomic import CycloNum, CycloPolyMod, cyclo_inv, cyclotomic_poly, zeta_pow
+from .cyclotomic import CycloNum, cyclo_inv, cyclotomic_poly, zeta_pow
 from .dedekind import e_sum, g_series_oracle, ramanujan_sum, v_sum
 from .errors import (
     CyclosumError,
@@ -38,7 +38,6 @@ kernel_backend = "python"
 
 __all__ = [
     "CycloNum",
-    "CycloPolyMod",
     "CyclosumError",
     "GridSpec",
     "InvalidGrid",

@@ -15,7 +15,6 @@ arithmetic rather than coerce.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -25,7 +24,7 @@ from .arith import divisors, euler_phi, power
 from .scalars import format_rational, parse_rational
 
 
-def _int_divexact(num: list[int], den: list[int]) -> list[int]:
+def _int_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # long division by a monic integer polynomial; remainder must vanish
     rem = list(num)
     db = len(den) - 1
@@ -42,44 +41,34 @@ def _int_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class CycloPolyMod:
-    """The n-th cyclotomic polynomial, the reduction modulus for level n."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> CycloPolyMod:
-    """Phi_n(x), by exact division of x^n - 1 by Phi_d for proper d | n."""
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """The coefficients of Phi_n(x), constant term first, by exact division
+    of x^n - 1 by Phi_d for every proper divisor d of n."""
     if n < 1:
         raise ValueError("cyclotomic level must be >= 1")
     p = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n):
         if d < n:
-            p = _int_divexact(p, list(cyclotomic_poly(d).coeffs))
-    return CycloPolyMod(n, tuple(p))
+            p = _int_divexact(p, cyclotomic_poly(d))
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row i is x^(d+i) reduced mod Phi_n, for exponents d .. max(2d-2, d)."""
+    """Row i is x^(phi(n)+i) reduced mod Phi_n, for the n - 1 exponents
+    phi(n) .. n + phi(n) - 2: those of a reduced element times any power of
+    zeta_n, which include 2 phi(n) - 2, the highest that a product of two
+    reduced elements reaches."""
     phi = cyclotomic_poly(n)
-    d = phi.degree
-    first = tuple(-c for c in phi.coeffs[:d])
-    rows = [first]
-    for _ in range(max(d - 2, 0)):
-        prev = rows[-1]
-        carry = prev[d - 1]
-        row = [carry * first[0]]
-        for j in range(1, d):
-            row.append(prev[j - 1] + carry * first[j])
-        rows.append(tuple(row))
+    d = len(phi) - 1
+    first = tuple(-c for c in phi[:d])  # x^d
+    row = (0,) * (d - 1) + (1,)  # x^(d-1)
+    rows = []
+    for _ in range(n - 1):
+        carry = row[-1]
+        row = tuple(p + carry * f for p, f in zip((0,) + row[:-1], first))
+        rows.append(row)
     return tuple(rows)
 
 
@@ -224,6 +213,10 @@ class CycloNum:
             raise ValueError(f"bad cyclotomic level: {level!r}")
         if not isinstance(raw, list):
             raise ValueError(f"cyclotomic coeffs must be a list, got {raw!r}")
+        # phi(n) >= sqrt(n/2), so no level above 2 len^2 takes len
+        # coefficients: refuse it before euler_phi's trial division
+        if level > 2 * len(raw) ** 2:
+            raise ValueError(f"level {level} needs more than {len(raw)} coefficients")
         coeffs = [parse_rational(c) for c in raw]
         if len(coeffs) != euler_phi(level):
             raise ValueError(
@@ -356,14 +349,12 @@ def zeta_pow(n: int, k: int) -> CycloNum:
 
 @lru_cache(maxsize=None)
 def _zeta_pow(n: int, k: int) -> CycloNum:
-    """zeta_pow for 0 <= k < n: at most n entries per level."""
+    """zeta_pow for 0 <= k < n: at most n entries per level, a unit vector
+    below phi(n) and a row of the level's reduction table from there."""
     d = euler_phi(n)
-    if k == 0:
-        return CycloNum.of(n, 1)
     if k < d:
-        return CycloNum(n, [0] * k + [1] + [0] * (d - k - 1))
-    base = CycloNum(n, _K.reduce_cyclo([0, 1], _reduction_rows(n), d))
-    return base**k
+        return _make(n, (0,) * k + (1,) + (0,) * (d - k - 1), 1)
+    return _make(n, _reduction_rows(n)[k - d], 1)
 
 
 def galois_map(d: int, n: int, t: int) -> tuple[tuple[int, ...], ...]:

@@ -27,7 +27,8 @@ from pathlib import Path
 
 from . import _kernel as _K
 from .arith import euler_phi, totatives
-from .cyclotomic import CycloNum, _join_levels, _scalar, _scalar_parts, cyclo_inv, scalar_from_json, zeta_pow
+from .cyclotomic import (CycloNum, _join_levels, _reduction_rows, _scalar, _scalar_parts, cyclo_inv,
+                         scalar_from_json, zeta_pow)
 from .errors import InvalidParam, SequenceFileError
 from .qpoly import QPoly, _build
 from .scalars import parse_int, parse_rational
@@ -87,8 +88,9 @@ def root_sums(n: int, xs, exponent_rows, den: int = 1) -> list:
 
     The xs go over one common denominator once.  Since zeta_n^n = 1, each
     row adds their numerators into n buckets by exponent mod n and takes
-    the buckets into the basis once: bucket e < phi(n) is coordinate e, and
-    a nonzero bucket e >= phi(n) adds its value times zeta_pow(n, e).
+    the buckets into the basis once, with one reduce_cyclo through the
+    level's reduction table: bucket e < phi(n) is coordinate e, and bucket
+    e >= phi(n) adds its value times the table's row for x^e.
     """
     phi = euler_phi(n)
     parts = [_scalar_parts(x) for x in xs]
@@ -98,7 +100,7 @@ def root_sums(n: int, xs, exponent_rows, den: int = 1) -> list:
     terms = [
         [(t, v * (common // d)) for t, v in enumerate(nums) if v] for _, nums, d in parts
     ]
-    high = [zeta_pow(n, e).nums for e in range(phi, n)]
+    rows = _reduction_rows(n)
     common *= den
     out = []
     for exps in exponent_rows:
@@ -106,11 +108,7 @@ def root_sums(n: int, xs, exponent_rows, den: int = 1) -> list:
         for term, e in zip(terms, exps):
             for t, v in term:
                 acc[(t + e) % n] += v
-        nums = acc[:phi]
-        for row, v in zip(high, acc[phi:]):
-            if v:
-                nums = _K.vec_lincomb(nums, row, 1, v)
-        out.append(_scalar(n, nums, common))
+        out.append(_scalar(n, _K.reduce_cyclo(acc, rows, phi), common))
     return out
 
 
@@ -243,9 +241,8 @@ def lagrange_oracle(c_seq: PeriodicSeq, r: int) -> QPoly:
     is the sum of c_u zeta_n^e L_k with e = (u - kr) mod n.  Laid out
     coordinate by coordinate, zeta_n^e L_k is the column of L_k moved up e
     coordinates, so the sum is integer column sums over one denominator,
-    into exponents up to n + phi(n) - 2.  Those >= n wrap around, and those
-    from phi(n) to n - 1 go into the basis once, through the coordinates of
-    zeta_n^e.
+    into exponents up to n + phi(n) - 2.  Those from phi(n) on go into the
+    basis once, each through its row of the level's reduction table.
     """
     n = c_seq.n
     columns, den = _lagrange_columns(n)
@@ -260,14 +257,10 @@ def lagrange_oracle(c_seq: PeriodicSeq, r: int) -> QPoly:
             if c:
                 at = (u - k * r) % n * n
                 wide[at : at + size] = _K.vec_lincomb(wide[at : at + size], column, 1, c * f)
-    # exponents n .. n + phi - 2 wrap around to 0 .. phi - 2
-    low = n * (phi - 1)
-    wide = _K.vec_lincomb(wide[:low], wide[n * n :], 1, 1) + wide[low : n * n]
-    coords = [wide[j * n : (j + 1) * n] for j in range(n)]  # exponent j of every coefficient
-    for j in range(phi, n):
-        high = coords[j]
+    coords = [wide[j * n : (j + 1) * n] for j in range(n + phi - 1)]  # exponent j of every coefficient
+    for high, row in zip(coords[phi:], _reduction_rows(n)):
         if any(high):
-            for t, z in enumerate(zeta_pow(n, j).nums):
+            for t, z in enumerate(row):
                 if z:
                     coords[t] = _K.vec_lincomb(coords[t], high, 1, z)
     del coords[phi:]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -327,6 +328,25 @@ def test_verify_undecodable_sequence_file_exits_4(capsys, tmp_path):
     code, out, err = _verify_grid(capsys, tmp_path, grid)
     assert (code, out) == (4, "")
     assert "cannot read" in err and "decode" in err
+
+
+def test_huge_cyclonum_level_is_refused_at_once(capsys, tmp_path):
+    # phi(n) >= sqrt(n/2), so a level above 2 len(coeffs)^2 is refused before
+    # euler_phi's trial division, wherever a cyclonum object is read
+    huge = {"level": 10**18 + 3, "coeffs": ["1"]}
+    seq = tmp_path / "c.json"
+    seq.write_text(json.dumps({"n": 3, "values": [huge, "0", "0"]}))
+    grid = {"identity": "prop2", "m": [1], "n": [3], "r": [0], "p": [1], "lambdas": [huge], "sequences": ["delta"]}
+    esum = ("esum", "--m", "1", "--n", "3", "--r", "0", "--p", "0", "--lambda", "2")
+    cases = [
+        (2, lambda: run(capsys, "hpoly", "--m", "1", "--p", "0", "--lambda", "2", "--gamma", json.dumps(huge))),
+        (2, lambda: _verify_grid(capsys, tmp_path, grid)),
+        (4, lambda: run(capsys, *esum, "--seq", str(seq))),
+    ]
+    for code, call in cases:
+        start = time.perf_counter()
+        assert call()[0] == code
+        assert time.perf_counter() - start < 1
 
 
 def test_undecodable_grid_file_is_a_bad_grid(capsys, tmp_path):

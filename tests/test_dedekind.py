@@ -246,7 +246,7 @@ def test_apostol_sums_at_odd_m_come_from_e_sum():
 # of entries per level or per integer, not one per caller-supplied value.
 UNBOUNDED_CACHES = {
     "cyclosum.cyclotomic.cyclotomic_poly": "one polynomial per level",
-    "cyclosum.cyclotomic._reduction_rows": "one reduction table per level",
+    "cyclosum.cyclotomic._reduction_rows": "n - 1 rows of phi(n) integers per level n",
     "cyclosum.cyclotomic._zeta_pow": "at most n powers per level n",
     "cyclosum.arith.divisors": "one tuple per integer",
     "cyclosum.arith.euler_phi": "one integer per integer",

@@ -2,14 +2,15 @@
 
 Each primitive is checked against the plainest formula for what it computes:
 the gather form of a convolution, integer long division by the cyclotomic
-polynomial, comprehensions and math.gcd.
+polynomial, comprehensions and math.gcd.  The reduction table and the
+powers of zeta_n read off it are checked against the same long division.
 """
 import math
 import random
 
 from cyclosum import _kernel
 from cyclosum.arith import euler_phi
-from cyclosum.cyclotomic import _reduction_rows, cyclotomic_poly
+from cyclosum.cyclotomic import CycloNum, _reduction_rows, _zeta_pow, cyclotomic_poly, zeta_pow
 
 
 def rand_vec(rng, size, bound=10 ** 6):
@@ -27,7 +28,7 @@ def gather_conv(a, b):
 
 def remainder_mod_cyclotomic(c, n):
     """c mod Phi_n by monic long division, as a vector of length phi(n)."""
-    phi = cyclotomic_poly(n).coeffs
+    phi = cyclotomic_poly(n)
     d = len(phi) - 1
     rem = list(c) + [0] * max(0, d - len(c))
     for top in range(len(rem) - 1, d - 1, -1):
@@ -52,7 +53,7 @@ def test_conv_bigint():
     assert _kernel.conv(a, b) == gather_conv(a, b)
 
 
-def test_reduce_cyclo_matches_long_division():
+def test_reduce_cyclo_matches_long_division(monkeypatch):
     rng = random.Random(7)
     for n in (3, 4, 5, 6, 8, 12, 15):
         d = euler_phi(n)
@@ -60,6 +61,24 @@ def test_reduce_cyclo_matches_long_division():
         for _ in range(20):
             c = rand_vec(rng, rng.randint(1, 2 * d - 1))
             assert _kernel.reduce_cyclo(c, rows, d) == remainder_mod_cyclotomic(c, n)
+
+    # the table is x^e mod Phi_n for phi(n) <= e <= n + phi(n) - 2, and
+    # every power of zeta_n is read off it without a field product
+    def no_product(*args):
+        raise AssertionError("CycloNum product")
+
+    monkeypatch.setattr(CycloNum, "__mul__", no_product)
+    monkeypatch.setattr(CycloNum, "__rmul__", no_product)
+    for n in [*range(1, 65), 90, 105]:
+        d = euler_phi(n)
+        rows = _reduction_rows(n)
+        assert len(rows) == n - 1
+        for e, row in enumerate(rows, d):
+            assert list(row) == remainder_mod_cyclotomic([0] * e + [1], n)
+        for k in range(n):
+            x_k = remainder_mod_cyclotomic([0] * k + [1], n)
+            assert list(zeta_pow(n, k).nums) == x_k
+            assert list(_zeta_pow.__wrapped__(n, k).nums) == x_k
 
 
 def test_lincomb_scale_match_comprehensions():

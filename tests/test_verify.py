@@ -1210,7 +1210,9 @@ def test_section4_report_is_pinned():
 
 # Irrational sequence values at rational lambdas: prop1's Lagrange oracle at
 # n up to 12 and at n = 24, 32, 48, and prop2's left side with lambda = -1
-# colliding at n = 4, 6.  Each perturbed case prints its lhs and rhs.
+# colliding at n = 4, 6.  At n = 30 and 42, n - 1 > 2 phi(n) - 2, so every
+# DFT and power of zeta_n reads reduction rows past those of a product.
+# Each perturbed case prints its lhs and rhs.
 IRRATIONAL_SEQUENCE_REPORTS = [
     (
         {
@@ -1235,10 +1237,20 @@ IRRATIONAL_SEQUENCE_REPORTS = [
         "9f8c0fce39e80a24be7d0f3842764fe4af33052c3aa7dabe6e081404d38b7c2f",
         {"pass": 27, "fail": 0, "skipped": 0},
     ),
+    (
+        {
+            "identity": "prop2", "m": [1, 3], "n": [30, 42], "r": [0, 1], "p": [1], "lambdas": ["2", "-1/2"],
+            "sequences": ["ramanujan", "fourier-dedekind:a=1,c0=1", "random:1"], "perturb_index": 13,
+        },
+        "2a43cdfa9947f7487a713647632b8ccac21b60f69ae837789c9be61db022c80b",
+        {"pass": 47, "fail": 1, "skipped": 0},
+    ),
 ]
 
 
-@pytest.mark.parametrize("grid, digest, summary", IRRATIONAL_SEQUENCE_REPORTS, ids=("prop1", "prop2", "prop1-large-n"))
+@pytest.mark.parametrize(
+    "grid, digest, summary", IRRATIONAL_SEQUENCE_REPORTS, ids=("prop1", "prop2", "prop1-large-n", "prop2-wide-table")
+)
 def test_irrational_sequence_reports_are_pinned(grid, digest, summary):
     spec = GridSpec.from_json(grid)
     report = build_report(grid["identity"], run_grid(spec, workers=1), [spec])
@@ -1247,8 +1259,8 @@ def test_irrational_sequence_reports_are_pinned(grid, digest, summary):
 
 
 # gseries past its default grid: an irrational lambda (both branches of the
-# right side), lambda = 0 (only R_0 is weighted, 0^0 = 1), lambda = 1 and
-# T = 10 on n = 2 .. 12.  Measured with the right side summed as whole
+# right side), lambda = 0 (only R_0 is weighted, 0^0 = 1), lambda = 1,
+# T = 10 on n = 2 .. 12, and n = 30, 42, where n - 1 > 2 phi(n) - 2.  Measured with the right side summed as whole
 # weighted R_j series; each is `cyclosum verify --identity gseries --grid`.
 GSERIES_REPORTS = [
     (
@@ -1268,10 +1280,18 @@ GSERIES_REPORTS = [
         "f489fd39592d8f3aa5892d81a17893bbcb0f4e0a6cd55aa4566b5bdb55c447d6",
         {"pass": 352, "fail": 0, "skipped": 0},
     ),
+    (
+        {
+            "identity": "gseries", "n": [30, 42], "r": [0], "p": [0, 1], "lambdas": ["2"],
+            "sequences": ["fourier-dedekind:a=11", "random:1"], "T": 3,
+        },
+        "3fc794045758b239ea3c50eea1c7b9cdf47e1cdc45a6ed3a3263aa38e864744f",
+        {"pass": 8, "fail": 0, "skipped": 0},
+    ),
 ]
 
 
-@pytest.mark.parametrize("grid, digest, summary", GSERIES_REPORTS, ids=("irrational-lambda", "wide"))
+@pytest.mark.parametrize("grid, digest, summary", GSERIES_REPORTS, ids=("irrational-lambda", "wide", "wide-table"))
 def test_gseries_reports_are_pinned(grid, digest, summary):
     spec = GridSpec.from_json(grid)
     report = build_report("gseries", run_grid(spec, workers=1), [spec])
