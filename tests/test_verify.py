@@ -1260,8 +1260,9 @@ def test_irrational_sequence_reports_are_pinned(grid, digest, summary):
 
 # gseries past its default grid: an irrational lambda (both branches of the
 # right side), lambda = 0 (only R_0 is weighted, 0^0 = 1), lambda = 1,
-# T = 10 on n = 2 .. 12, and n = 30, 42, where n - 1 > 2 phi(n) - 2.  Measured with the right side summed as whole
-# weighted R_j series; each is `cyclosum verify --identity gseries --grid`.
+# T = 10 on n = 2 .. 12, and n = 30, 42, where n - 1 > 2 phi(n) - 2.
+# Measured with the right side summed as whole weighted R_j series; each is
+# `cyclosum verify --identity gseries --grid`.
 GSERIES_REPORTS = [
     (
         {
